@@ -6,7 +6,8 @@
 //! benchmarks and re-exports everything the bench targets need.
 //!
 //! See `EXPERIMENTS.md` at the repository root for the experiment
-//! index (B1–B9) and recorded results.
+//! index (B1–B17) and recorded results; the end-to-end benchmark of
+//! the user paths lives in `perfbench/`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -146,7 +146,16 @@ struct RuleNode {
 /// cannot be reused by a different allocation. The memos are cleared
 /// (wholesale) past a size cap; the structural tables are append-only
 /// so ids stay valid for the program lifetime.
-const PTR_MEMO_CAP: usize = 1 << 20;
+///
+/// The pins are also what a long-lived thread pays for the memo: every
+/// program's types stay alive until the next clear, so the cap bounds
+/// a warm session's resident set (a daemon tenant serving small
+/// programs grew ~2.4 KB per request under a `1 << 20` cap). At
+/// `1 << 14` a cold `implicitc` run never fills the memo and a
+/// `--batch` worker over 60 programs on the chain-48 prelude fills it
+/// at most once; only sessions that outlive many more programs, such
+/// as daemon tenants, clear it regularly.
+const PTR_MEMO_CAP: usize = 1 << 14;
 
 #[derive(Default)]
 struct Arena {
@@ -615,6 +624,18 @@ mod tests {
         let id = type_id(&t);
         let clone = t.clone(); // shares the child Rc chain
         assert_eq!(type_id(&clone), id);
+    }
+
+    #[test]
+    fn pointer_memo_stays_within_its_cap() {
+        // Each copy's child is a fresh allocation, so every intern
+        // adds a memo entry until the wholesale clear.
+        let id = type_id(&Type::list(Type::Int));
+        for _ in 0..PTR_MEMO_CAP + 100 {
+            assert_eq!(type_id(&Type::list(Type::Int)), id);
+        }
+        let memo = ARENA.with(|a| a.borrow().type_ptr_memo.len());
+        assert!(memo <= PTR_MEMO_CAP, "{memo} pinned entries");
     }
 
     #[test]

@@ -46,7 +46,7 @@ use implicit_core::symbol::{ensure_fresh_at_least, fresh_watermark, Symbol};
 use implicit_core::syntax::{Declarations, RuleType, Type};
 use implicit_core::trace::MetricsSink;
 use implicit_core::wire::{fnv64, Dec, Enc, WireError};
-use implicit_elab::{translate_decls, DictCache, Elaborator};
+use implicit_elab::{translate_decls, translate_rule_type, translate_type, DictCache, Elaborator};
 use implicit_opsem::interp::MemoExport;
 use implicit_opsem::wire::{OpDec, OpEnc};
 use implicit_opsem::{ImplStack, Interpreter, VarEnv};
@@ -55,7 +55,7 @@ use systemf::eval::Env as FEnv;
 use systemf::wire::{SfDec, SfEnc};
 use systemf::{Compiler, Evaluator, FExpr, FType, Isa};
 
-use crate::{check_closed, compile_eval, Prelude, Session, SessionError, SessionStats};
+use crate::{check_open, compile_eval, Prelude, Session, SessionError, SessionStats};
 
 /// Artifact file magic.
 const MAGIC: [u8; 4] = *b"IART";
@@ -175,22 +175,23 @@ fn free_term_vars(e: &FExpr) -> Vec<Symbol> {
 }
 
 /// Computes a binding's read-set from its elaborated term and the
-/// functions compiled for it. `names` are the earlier bindings' names
-/// in index order (which is also global-slot order), `funcs` the
-/// function range this binding's compilation appended.
+/// functions compiled for it. `earlier` is the preservation context
+/// built so far: the earlier bindings in index order (which is also
+/// global-slot order). `funcs` is the function range this binding's
+/// compilation appended.
 pub(crate) fn binding_reads(
-    names: &[Symbol],
+    earlier: &[(Symbol, FType)],
     fe: &FExpr,
     code: &CodeObject,
     funcs: std::ops::Range<usize>,
 ) -> BindingMeta {
     let mut reads: Vec<u32> = free_term_vars(fe)
         .into_iter()
-        .filter_map(|x| names.iter().position(|n| *n == x).map(|i| i as u32))
+        .filter_map(|x| earlier.iter().position(|(n, _)| *n == x).map(|i| i as u32))
         .collect();
     for f in &code.funcs[funcs] {
         for g in func_global_reads(f) {
-            if (g as usize) < names.len() {
+            if (g as usize) < earlier.len() {
                 reads.push(g);
             }
         }
@@ -449,8 +450,11 @@ impl<'d> Session<'d> {
                 sf.value(v);
             }
             sf.env(&self.fenv);
-            sf.e.len(self.dict_binders.len());
-            for (s, t) in &self.dict_binders {
+            // Promoted dictionary binders follow the prelude's one
+            // binder per let and per (singleton) evidence frame.
+            let dict_binders = &self.fcontext[self.gamma.len() + self.context.len()..];
+            sf.e.len(dict_binders.len());
+            for (s, t) in dict_binders {
                 sf.e.sym(*s);
                 sf.ftype(t);
             }
@@ -673,6 +677,9 @@ fn validate(a: &DecodedArtifact) -> Result<(), ArtifactError> {
     if a.context.len() != a.evidence.len() {
         return err("context/evidence length mismatch");
     }
+    if a.evidence.iter().any(|frame| frame.len() != 1) {
+        return err("implicit evidence frame is not a singleton");
+    }
     if a.istack.depth() != a.context.len() {
         return err("implicit stack depth disagrees with context");
     }
@@ -726,6 +733,21 @@ pub fn assemble<'d>(
     dict.import_entries(a.dict_entries);
     let elab = Elaborator::with_policy(decls, a.policy.clone());
     let fdecls = translate_decls(decls);
+    // The preservation context is not serialized: translate it once
+    // here, as a cold build does, then append the dictionary binders.
+    let fcontext = a
+        .gamma
+        .iter()
+        .map(|(x, ty)| (*x, translate_type(ty)))
+        .chain(
+            a.evidence
+                .iter()
+                .flatten()
+                .copied()
+                .zip(a.context.iter().map(translate_rule_type)),
+        )
+        .chain(a.dict_binders)
+        .collect();
     // The watermark is taken *after* every import so all ids interned
     // during rehydration are covered — a later trim keeps them.
     let intern_base = intern::snapshot();
@@ -746,7 +768,7 @@ pub fn assemble<'d>(
         code_base,
         dict: Rc::new(RefCell::new(dict)),
         dict_ic: a.dict_ic,
-        dict_binders: a.dict_binders,
+        fcontext,
         interp,
         venv: a.venv,
         istack: a.istack,
@@ -862,6 +884,7 @@ pub fn rebuild_incremental<'d>(
     let elab_err = |e: implicit_elab::ElabError| ArtifactError(format!("incremental rebuild: {e}"));
 
     let mut gamma: Vec<(Symbol, Type)> = Vec::with_capacity(nlets);
+    let mut fcontext: Vec<(Symbol, FType)> = Vec::with_capacity(total + old.dict_binders.len());
     let mut binding_meta: Vec<BindingMeta> = Vec::with_capacity(total);
     let mut fenv = FEnv::new();
     let mut venv = VarEnv::new();
@@ -888,7 +911,7 @@ pub fn rebuild_incremental<'d>(
             if !intern::types_equal(&got, ty) {
                 return err(format!("let `{x}` declared `{ty}` but edited to `{got}`"));
             }
-            check_closed(&fdecls, &gamma, &[], &fb).map_err(pipeline_err)?;
+            check_open(&fdecls, &fcontext, &fb).map_err(pipeline_err)?;
             let v = Evaluator::new()
                 .eval_in(&fenv, &fb)
                 .map_err(|e| ArtifactError(format!("incremental rebuild: {e}")))?;
@@ -897,9 +920,8 @@ pub fn rebuild_incremental<'d>(
             let gv = compile_eval(&mut compiler, &vm_globals, &fb).map_err(pipeline_err)?;
             let funcs_after = compiler.code().funcs.len();
             vm_globals[i] = gv;
-            let names: Vec<Symbol> = gamma.iter().map(|(n, _)| *n).collect();
             binding_meta.push(binding_reads(
-                &names,
+                &fcontext,
                 &fb,
                 compiler.code(),
                 funcs_before..funcs_after,
@@ -910,6 +932,7 @@ pub fn rebuild_incremental<'d>(
             venv = venv.bind(*x, vo);
         }
         gamma.push((*x, ty.clone()));
+        fcontext.push((*x, translate_type(ty)));
     }
 
     let mut env = ImplicitEnv::new();
@@ -919,9 +942,6 @@ pub fn rebuild_incremental<'d>(
     let mut first_dirty_implicit: Option<usize> = None;
     for (j, (arg, arho)) in prelude.implicits.iter().enumerate() {
         let i = nlets + j;
-        if old.evidence[j].len() != 1 {
-            return err("implicit evidence frame is not a singleton");
-        }
         let sym = old.evidence[j][0];
         if !dirty[i] {
             let v = old_fenv[i]
@@ -930,9 +950,6 @@ pub fn rebuild_incremental<'d>(
                 .ok_or_else(|| ArtifactError("recursive evidence binding".into()))?;
             fenv = fenv.bind(sym, v);
             istack = istack.pushed((*old_frames[j]).clone());
-            env.push(vec![arho.clone()]);
-            evidence.push(old.evidence[j].clone());
-            context.push(arho.clone());
             binding_meta.push(old.binding_meta[i].clone());
             reused += 1;
         } else {
@@ -948,13 +965,7 @@ pub fn rebuild_incremental<'d>(
                     "implicit binding declared `{arho}` but edited to `{got}`"
                 ));
             }
-            let outer: Vec<(Symbol, RuleType)> = evidence
-                .iter()
-                .flat_map(|syms| syms.iter())
-                .copied()
-                .zip(context.iter().cloned())
-                .collect();
-            check_closed(&fdecls, &gamma, &outer, &ea).map_err(pipeline_err)?;
+            check_open(&fdecls, &fcontext, &ea).map_err(pipeline_err)?;
             let v = Evaluator::new()
                 .eval_in(&fenv, &ea)
                 .map_err(|e| ArtifactError(format!("incremental rebuild: {e}")))?;
@@ -965,13 +976,8 @@ pub fn rebuild_incremental<'d>(
             let gv = compile_eval(&mut compiler, &vm_globals, &ea).map_err(pipeline_err)?;
             let funcs_after = compiler.code().funcs.len();
             vm_globals[i] = gv;
-            let names: Vec<Symbol> = gamma
-                .iter()
-                .map(|(n, _)| *n)
-                .chain(evidence.iter().flat_map(|syms| syms.iter()).copied())
-                .collect();
             binding_meta.push(binding_reads(
-                &names,
+                &fcontext,
                 &ea,
                 compiler.code(),
                 funcs_before..funcs_after,
@@ -980,10 +986,11 @@ pub fn rebuild_incremental<'d>(
                 .eval_in(&venv, &istack, arg)
                 .map_err(|e| ArtifactError(format!("incremental rebuild: {e}")))?;
             istack = istack.pushed(vec![(arho.clone(), av)]);
-            env.push(vec![arho.clone()]);
-            evidence.push(vec![sym]);
-            context.push(arho.clone());
         }
+        env.push(vec![arho.clone()]);
+        evidence.push(vec![sym]);
+        context.push(arho.clone());
+        fcontext.push((sym, translate_rule_type(arho)));
     }
 
     // Derivation-cache entries are type-level — a resolution depends
@@ -1009,6 +1016,8 @@ pub fn rebuild_incremental<'d>(
     let memo_roots_retained = roots.len();
     interp.import_memo_roots(&istack, roots);
 
+    // Dropped dictionary entries keep their binders, as their globals.
+    fcontext.extend(old.dict_binders);
     let dict = DictCache::new(evidence.len());
     let intern_base = intern::snapshot();
     let env_base = env.snapshot();
@@ -1034,7 +1043,7 @@ pub fn rebuild_incremental<'d>(
         code_base,
         dict: Rc::new(RefCell::new(dict)),
         dict_ic: old.dict_ic,
-        dict_binders: old.dict_binders,
+        fcontext,
         interp,
         venv,
         istack,

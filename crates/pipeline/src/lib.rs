@@ -13,6 +13,10 @@
 //! * the elaborated prelude evidence is evaluated once and re-bound
 //!   from a persistent System F environment instead of re-elaborated
 //!   and re-evaluated per program;
+//! * the prelude binders' types are translated to System F once, and
+//!   every program's target term is preservation-checked open against
+//!   that resident context, so the check costs what the program
+//!   costs, not what the prelude's types cost;
 //! * the operational-semantics leg keeps one [`Interpreter`] whose
 //!   runtime resolution memo is keyed by persistent-stack identity —
 //!   the prelude frame is the *same* `Rc` for every program, so
@@ -56,6 +60,7 @@ use implicit_elab::{ElabError, RunError, RunOutput};
 use implicit_opsem::{ImplStack, Interpreter, OpsemError, VarEnv};
 use systemf::compile::CodeSnapshot;
 use systemf::eval::Env as FEnv;
+use systemf::typeck::typecheck_open;
 use systemf::{CompileError, Compiler, Evaluator, FDeclarations, FExpr, FType, Isa, Vm};
 
 pub use driver::{run_batch, run_batch_scoped, spawn_service_worker, JobSource, WorkerMeta};
@@ -337,9 +342,11 @@ pub struct Session<'d> {
     /// [`Session::set_dict_ic`]).
     dict: Rc<RefCell<DictCache>>,
     dict_ic: bool,
-    /// Preservation-wrapper binders for promoted dictionary globals,
-    /// parallel to their `vm_globals`/compiler-global registrations.
-    dict_binders: Vec<(Symbol, FType)>,
+    /// The System F typing context preservation is checked against,
+    /// translated once: the `gamma` lets, the evidence binders at
+    /// their translated rule types, then the promoted dictionary
+    /// globals (parallel to their `vm_globals` registrations).
+    fcontext: Vec<(Symbol, FType)>,
     /// Operational-semantics leg: one interpreter whose memo persists.
     interp: Interpreter<'d>,
     venv: VarEnv,
@@ -439,6 +446,8 @@ impl<'d> Session<'d> {
         let mut compiler = Compiler::new_with_isa(isa);
         compiler.set_fusion(fusion);
         let mut vm_globals: Vec<systemf::Value> = Vec::new();
+        let mut fcontext: Vec<(Symbol, FType)> =
+            Vec::with_capacity(prelude.lets.len() + prelude.implicits.len());
         for (x, ty, bound) in &prelude.lets {
             let mut scratch = ImplicitEnv::new();
             let (got, fb) = elab
@@ -449,7 +458,7 @@ impl<'d> Session<'d> {
                     "let `{x}` declared `{ty}` but its binding has type `{got}`"
                 )));
             }
-            check_closed(&fdecls, &gamma, &[], &fb)?;
+            check_open(&fdecls, &fcontext, &fb)?;
             let v = Evaluator::new()
                 .eval_in(&fenv, &fb)
                 .map_err(|e| SessionError::Run(RunError::Eval(e)))?;
@@ -461,9 +470,8 @@ impl<'d> Session<'d> {
             let funcs_after = compiler.code().funcs.len();
             compiler.add_global(*x);
             vm_globals.push(gv);
-            let names: Vec<Symbol> = gamma.iter().map(|(n, _)| *n).collect();
             binding_meta.push(artifact::binding_reads(
-                &names,
+                &fcontext,
                 &fb,
                 compiler.code(),
                 funcs_before..funcs_after,
@@ -473,6 +481,7 @@ impl<'d> Session<'d> {
                 .map_err(|e| SessionError::Prelude(format!("let `{x}` diverged in opsem: {e}")))?;
             venv = venv.bind(*x, vo);
             gamma.push((*x, ty.clone()));
+            fcontext.push((*x, translate_type(ty)));
         }
 
         // Implicit bindings: each opens its own nested scope, so
@@ -493,13 +502,7 @@ impl<'d> Session<'d> {
                     "implicit binding declared `{arho}` but has type `{got}`"
                 )));
             }
-            let outer: Vec<(Symbol, RuleType)> = evidence
-                .iter()
-                .flat_map(|syms| syms.iter())
-                .copied()
-                .zip(context.iter().cloned())
-                .collect();
-            check_closed(&fdecls, &gamma, &outer, &ea)?;
+            check_open(&fdecls, &fcontext, &ea)?;
             let v = Evaluator::new()
                 .eval_in(&fenv, &ea)
                 .map_err(|e| SessionError::Run(RunError::Eval(e)))?;
@@ -510,13 +513,8 @@ impl<'d> Session<'d> {
             let funcs_after = compiler.code().funcs.len();
             compiler.add_global(sym);
             vm_globals.push(gv);
-            let names: Vec<Symbol> = gamma
-                .iter()
-                .map(|(n, _)| *n)
-                .chain(evidence.iter().flat_map(|syms| syms.iter()).copied())
-                .collect();
             binding_meta.push(artifact::binding_reads(
-                &names,
+                &fcontext,
                 &ea,
                 compiler.code(),
                 funcs_before..funcs_after,
@@ -528,6 +526,7 @@ impl<'d> Session<'d> {
             env.push(vec![arho.clone()]);
             evidence.push(vec![sym]);
             context.push(arho.clone());
+            fcontext.push((sym, translate_rule_type(arho)));
         }
 
         let intern_base = intern::snapshot();
@@ -550,7 +549,7 @@ impl<'d> Session<'d> {
             code_base,
             dict,
             dict_ic,
-            dict_binders: Vec::new(),
+            fcontext,
             interp,
             venv,
             istack,
@@ -780,8 +779,9 @@ impl<'d> Session<'d> {
     }
 
     /// Elaborates `e` under the warm environment and typechecks the
-    /// closed wrapper (preservation), returning the source type, the
-    /// open target term, and its type.
+    /// open target term against the resident System F context
+    /// (preservation), returning the source type, the target term,
+    /// and its type.
     fn elaborate_and_check(&mut self, e: &Expr) -> Result<(Type, FExpr, FType), RunError> {
         self.emit(TraceEvent::PhaseStart {
             phase: Phase::Elaborate,
@@ -793,42 +793,14 @@ impl<'d> Session<'d> {
             phase: Phase::Elaborate,
         });
         let (source_type, target) = elaborated.map_err(RunError::Elab)?;
-        // `target` has the prelude's evidence and `let` variables
-        // free; preservation is checked on the closed wrapper.
-        let mut closed = target.clone();
-        let binders: Vec<(Symbol, FType)> = self
-            .gamma
-            .iter()
-            .map(|(x, ty)| (*x, translate_type(ty)))
-            .chain(
-                self.evidence
-                    .iter()
-                    .flat_map(|syms| syms.iter())
-                    .copied()
-                    .zip(self.context.iter().map(translate_rule_type)),
-            )
-            // Promoted dictionary globals are free variables of
-            // IC-hit targets; bind them in the preservation wrapper
-            // like any other piece of session state.
-            .chain(self.dict_binders.iter().cloned())
-            .collect();
-        for (x, fty) in binders.iter().rev() {
-            closed = FExpr::Lam(*x, fty.clone(), closed.into());
-        }
         self.emit(TraceEvent::PhaseStart {
             phase: Phase::Preservation,
         });
-        let checked = systemf::typecheck(&self.fdecls, &closed);
+        let checked = typecheck_open(&self.fdecls, &self.fcontext, &target);
         self.emit(TraceEvent::PhaseEnd {
             phase: Phase::Preservation,
         });
-        let mut target_type = checked.map_err(RunError::PreservationViolated)?;
-        for _ in 0..binders.len() {
-            let FType::Arrow(_, r) = target_type else {
-                unreachable!("wrapper type mirrors the wrapper lambdas");
-            };
-            target_type = (*r).clone();
-        }
+        let target_type = checked.map_err(RunError::PreservationViolated)?;
         Ok((source_type, target, target_type))
     }
 
@@ -890,7 +862,9 @@ impl<'d> Session<'d> {
                     let g = fresh("dict");
                     self.compiler.add_global(g);
                     self.vm_globals.push(v);
-                    self.dict_binders.push((g, translate_rule_type(&query)));
+                    // IC-hit targets name `g` free; type it for the
+                    // preservation check like any prelude binder.
+                    self.fcontext.push((g, translate_rule_type(&query)));
                     self.dict.borrow_mut().insert(&query, g);
                     self.code_base = self.compiler.snapshot();
                 }
@@ -1105,24 +1079,14 @@ fn compile_error_to_eval(e: CompileError) -> systemf::EvalError {
     }
 }
 
-/// Preservation check for a prelude binding: closes `fe` over the
-/// `let` and evidence binders in scope and typechecks it.
-fn check_closed(
+/// Preservation check for a prelude binding: `fe` must typecheck
+/// against the System F context of the bindings before it.
+fn check_open(
     fdecls: &FDeclarations,
-    gamma: &[(Symbol, Type)],
-    evidence: &[(Symbol, RuleType)],
+    fcontext: &[(Symbol, FType)],
     fe: &FExpr,
 ) -> Result<(), SessionError> {
-    let mut closed = fe.clone();
-    let binders = gamma
-        .iter()
-        .map(|(x, ty)| (*x, translate_type(ty)))
-        .chain(evidence.iter().map(|(x, r)| (*x, translate_rule_type(r))))
-        .collect::<Vec<_>>();
-    for (x, fty) in binders.iter().rev() {
-        closed = FExpr::Lam(*x, fty.clone(), closed.into());
-    }
-    systemf::typecheck(fdecls, &closed)
+    typecheck_open(fdecls, fcontext, fe)
         .map(|_| ())
         .map_err(|e| SessionError::Run(RunError::PreservationViolated(e)))
 }

@@ -1,0 +1,134 @@
+//! A warm session pays for its prelude once.
+//!
+//! Preservation of a program is checked against the session's
+//! resident System F context, so its cost follows the program, not the
+//! size of the prelude's types; building the session translates each
+//! binder once, so build cost grows no faster than the prelude's
+//! total type size.
+//!
+//! A counting global allocator counts per thread, and every
+//! measurement runs on a fresh thread (fresh interning arena), so
+//! tests running in parallel do not see each other's allocations.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use implicit_core::parse::parse_expr;
+use implicit_core::resolve::ResolutionPolicy;
+use implicit_core::syntax::{Declarations, Expr, Type};
+use implicit_pipeline::{Prelude, Session};
+use systemf::Isa;
+
+struct CountingAlloc;
+
+thread_local! {
+    // `const`-initialised and drop-free: the allocator may touch it at
+    // any point of a thread's life without allocating itself.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every method forwards its arguments unchanged to the system
+// allocator, which upholds the `GlobalAlloc` contract; counting only
+// touches a thread-local `Cell`, which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations this thread makes while running `f`.
+fn allocs(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+/// Runs `f` on a fresh thread. Chain preludes recurse deeply through
+/// resolve/elaborate/eval, which overflows a default test-thread
+/// stack in debug builds.
+fn on_fresh_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(f)
+        .unwrap()
+        .join()
+        .unwrap()
+}
+
+/// Allocations of one warm `typecheck` of `1 + 2` under the prelude
+/// `make` builds (measured on the second call, after the first has
+/// interned the program's types). Preludes are `Rc`-based, so each is
+/// built on the thread that uses it.
+fn typecheck_allocs(make: fn() -> Prelude) -> u64 {
+    on_fresh_thread(move || {
+        let decls = Declarations::default();
+        let prelude = make();
+        let mut session = Session::new(&decls, ResolutionPolicy::paper(), &prelude).unwrap();
+        let e = parse_expr("1 + 2").unwrap();
+        assert_eq!(session.typecheck(&e).unwrap(), Type::Int);
+        allocs(|| {
+            session.typecheck(&e).unwrap();
+        })
+    })
+}
+
+/// Allocations of building a register-ISA session over `chain(n)`.
+fn build_allocs(n: usize) -> u64 {
+    on_fresh_thread(move || {
+        let decls = Declarations::default();
+        let prelude = Prelude::chain(n);
+        allocs(|| {
+            Session::new_configured_isa(
+                &decls,
+                ResolutionPolicy::paper(),
+                &prelude,
+                true,
+                false,
+                Isa::Register,
+            )
+            .unwrap();
+        })
+    })
+}
+
+#[test]
+fn program_preservation_cost_does_not_depend_on_prelude_types() {
+    // Both preludes bind 49 implicits; the chain's types grow to 49
+    // nested products, the other's are all `Int`.
+    let chain = typecheck_allocs(|| Prelude::chain(48));
+    let flat =
+        typecheck_allocs(|| Prelude::implicits(vec![(Expr::Int(0), Type::Int.promote()); 49]));
+    eprintln!("prelude_cost: typecheck `1 + 2`: chain(48) {chain} allocs, 49 Ints {flat}");
+    assert_eq!(
+        chain, flat,
+        "typecheck of `1 + 2` allocates {chain} times under chain(48), {flat} under 49 `Int`s"
+    );
+}
+
+#[test]
+fn session_build_grows_no_faster_than_prelude_type_size() {
+    // Doubling the chain quadruples the prelude's total type size
+    // (binding k's type has k products); re-translating every earlier
+    // binder per binding would multiply the build by about 8.
+    let small = build_allocs(48);
+    let large = build_allocs(96);
+    eprintln!("prelude_cost: build: chain(48) {small} allocs, chain(96) {large}");
+    assert!(
+        large < 4 * small,
+        "chain(96) build allocates {large} times, chain(48) {small}: ratio {:.2}",
+        large as f64 / small as f64
+    );
+}

@@ -11,22 +11,36 @@
 //! separate budgets for compilation (instruction buffers, constant
 //! pool, capture lists) and execution (value heap only — frames and
 //! operand stacks amortize to a handful of `Vec` growths).
+//!
+//! Counts are per thread, so tests running in parallel do not land in
+//! each other's budgets.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use systemf::eval::{Evaluator, Value};
 use systemf::syntax::{BinOp, FExpr, FMatchArm, FType};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and drop-free: the allocator may touch them
+    // at any point of a thread's life without allocating itself.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
 
+fn count(bytes: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    BYTES.with(|c| c.set(c.get() + bytes as u64));
+}
+
+// SAFETY: every method forwards its arguments unchanged to the system
+// allocator, which upholds the `GlobalAlloc` contract; counting only
+// touches thread-local `Cell`s, which neither allocate nor unwind.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -35,8 +49,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -44,14 +57,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Runs `f` and returns its value with the allocations (count, bytes)
+/// this thread made meanwhile.
 fn allocs_during(f: impl FnOnce() -> Value) -> (Value, u64, u64) {
-    let allocs0 = ALLOCS.load(Ordering::Relaxed);
-    let bytes0 = BYTES.load(Ordering::Relaxed);
+    let allocs0 = ALLOCS.with(Cell::get);
+    let bytes0 = BYTES.with(Cell::get);
     let v = f();
     (
         v,
-        ALLOCS.load(Ordering::Relaxed) - allocs0,
-        BYTES.load(Ordering::Relaxed) - bytes0,
+        ALLOCS.with(Cell::get) - allocs0,
+        BYTES.with(Cell::get) - bytes0,
     )
 }
 

@@ -1003,14 +1003,10 @@ fn run_connect_mode(opts: &Options, addr: &str) -> Result<(), String> {
 fn run_batch_mode(opts: &Options, dir: &str) -> Result<(), String> {
     let (programs, prelude_src) = scan_batch_dir(dir)?;
 
-    // Validate the prelude once up front for a single clean error;
-    // workers then rebuild it infallibly (declarations and session
-    // values are `Rc`-based and cannot cross threads).
-    let (decls, prelude) = parse_batch_prelude(prelude_src.as_deref())?;
-    implicit_pipeline::Session::new(&decls, opts.policy.clone(), &prelude)
-        .map_err(|e| format!("prelude: {e}"))?;
-    drop((decls, prelude));
-    // Same for the artifact store: fail once here, not per worker.
+    // The artifact store fails once here, not per worker. The prelude
+    // is parsed and built by each worker (declarations and session
+    // values are `Rc`-based and cannot cross threads); a worker that
+    // cannot build it returns the error, reported once below.
     if let Some(d) = &opts.cache_dir {
         implicit_pipeline::artifact::ArtifactStore::new(d)
             .map_err(|e| format!("--cache-dir `{d}`: {e}"))?;
@@ -1029,8 +1025,7 @@ fn run_batch_mode(opts: &Options, dir: &str) -> Result<(), String> {
     let vm_stats = opts.vm_stats;
     let cache_dir = opts.cache_dir.as_deref();
     let outcomes = implicit_pipeline::run_batch_scoped(programs, opts.jobs, |worker, source| {
-        let (decls, prelude) =
-            parse_batch_prelude(prelude_src).expect("prelude validated before dispatch");
+        let (decls, prelude) = parse_batch_prelude(prelude_src)?;
         let (mut session, load) = match cache_dir {
             // Warm-start workers from the on-disk artifact store: the
             // first worker to arrive builds and saves, the rest (and
@@ -1048,7 +1043,7 @@ fn run_batch_mode(opts: &Options, dir: &str) -> Result<(), String> {
                     false,
                     backend.isa().unwrap_or_default(),
                 )
-                .expect("prelude validated before dispatch");
+                .map_err(|e| format!("prelude: {e}"))?;
                 let label = match outcome {
                     implicit_pipeline::artifact::LoadOutcome::Exact => "exact",
                     implicit_pipeline::artifact::LoadOutcome::Incremental(_) => "incremental",
@@ -1065,7 +1060,7 @@ fn run_batch_mode(opts: &Options, dir: &str) -> Result<(), String> {
                     false,
                     backend.isa().unwrap_or_default(),
                 )
-                .expect("prelude validated before dispatch"),
+                .map_err(|e| format!("prelude: {e}"))?,
                 None,
             ),
         };
@@ -1134,7 +1129,7 @@ fn run_batch_mode(opts: &Options, dir: &str) -> Result<(), String> {
                 let _ = store.save(key, cfg, &session.to_artifact());
             }
         }
-        (out, rows, registry, fusion, histogram, widths, load)
+        Ok((out, rows, registry, fusion, histogram, widths, load))
     });
 
     let mut lines: Vec<Option<(String, Result<String, String>)>> =
@@ -1154,7 +1149,7 @@ fn run_batch_mode(opts: &Options, dir: &str) -> Result<(), String> {
         worker_hist,
         worker_widths,
         worker_load,
-    ) in outcomes
+    ) in outcomes.into_iter().collect::<Result<Vec<_>, String>>()?
     {
         for (ix, name, r) in worker_out {
             lines[ix] = Some((name, r));
