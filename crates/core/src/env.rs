@@ -230,6 +230,9 @@ struct DerivationCache {
     order: VecDeque<(RuleId, OverlapPolicy)>,
     capacity: usize,
     generation: u64,
+    /// Bumped by every change to `entries`; see
+    /// [`ImplicitEnv::cache_version`].
+    version: u64,
     counters: CacheCounters,
 }
 
@@ -240,6 +243,7 @@ impl Default for DerivationCache {
             order: VecDeque::new(),
             capacity: DEFAULT_CACHE_CAPACITY,
             generation: 0,
+            version: 0,
             counters: CacheCounters::default(),
         }
     }
@@ -255,7 +259,21 @@ impl DerivationCache {
             };
             if self.entries.remove(&old).is_some() {
                 self.counters.evictions += 1;
+                self.version += 1;
             }
+        }
+    }
+
+    /// Keeps the entries `keep` accepts, bumping the version if any
+    /// went.
+    fn retain_entries(
+        &mut self,
+        keep: impl FnMut(&(RuleId, OverlapPolicy), &mut CacheEntry) -> bool,
+    ) {
+        let before = self.entries.len();
+        self.entries.retain(keep);
+        if self.entries.len() != before {
+            self.version += 1;
         }
     }
 }
@@ -308,14 +326,14 @@ impl ImplicitEnv {
             if !cache.entries.is_empty() {
                 if frame.wildcard.is_empty() {
                     let keys: Vec<HeadKey> = frame.buckets.keys().copied().collect();
-                    cache.entries.retain(|_, e| {
+                    cache.retain_entries(|_, e| {
                         !e.target_keys
                             .iter()
                             .any(|t| keys.iter().any(|c| c.admits(*t)))
                     });
                 } else {
                     // A variable-headed rule can match any target.
-                    cache.entries.clear();
+                    cache.retain_entries(|_, _| false);
                 }
             }
         }
@@ -332,7 +350,7 @@ impl ImplicitEnv {
         let new_depth = self.frames.len();
         let mut cache = self.cache.borrow_mut();
         cache.generation += 1;
-        cache.entries.retain(|_, e| e.max_abs_frame < new_depth);
+        cache.retain_entries(|_, e| e.max_abs_frame < new_depth);
         drop(cache);
         Some(frame.rules)
     }
@@ -503,6 +521,7 @@ impl ImplicitEnv {
                 max_abs_frame,
             },
         );
+        cache.version += 1;
     }
 
     /// Cumulative hit/miss/eviction counters of the derivation cache.
@@ -521,6 +540,16 @@ impl ImplicitEnv {
         self.cache.borrow().generation
     }
 
+    /// Version stamp of the memoized entries: bumped by every insert,
+    /// eviction, invalidation, [`ImplicitEnv::retain_cache`] removal
+    /// and [`ImplicitEnv::import_cache`], and by nothing else (hits
+    /// and pushes or pops that remove no entry leave it alone). Two
+    /// observations with the same stamp, taken at the same depth, see
+    /// the same [`ImplicitEnv::export_cache`].
+    pub fn cache_version(&self) -> u64 {
+        self.cache.borrow().version
+    }
+
     /// Rebounds the derivation cache (default
     /// [`DEFAULT_CACHE_CAPACITY`]), evicting FIFO-oldest entries if
     /// the new capacity is smaller than the current population.
@@ -530,14 +559,14 @@ impl ImplicitEnv {
         cache.capacity = capacity;
         cache.evict_to(capacity);
         if capacity == 0 {
-            cache.entries.clear();
+            cache.retain_entries(|_, _| false);
             cache.order.clear();
         }
     }
 
     /// Keeps only the memoized derivations whose query id satisfies
     /// `keep`. Not an invalidation — counters and generation are
-    /// untouched.
+    /// untouched; the version moves if an entry went.
     ///
     /// This is the hook a session uses before rolling the interning
     /// arena back to an [`crate::intern::InternSnapshot`]: entries
@@ -545,7 +574,7 @@ impl ImplicitEnv {
     /// `|id| snap.covers_rule(id)`).
     pub fn retain_cache(&self, keep: impl Fn(RuleId) -> bool) {
         let mut cache = self.cache.borrow_mut();
-        cache.entries.retain(|(id, _), _| keep(*id));
+        cache.retain_entries(|(id, _), _| keep(*id));
         cache.order.retain(|(id, _)| keep(*id));
     }
 
@@ -591,7 +620,8 @@ impl ImplicitEnv {
     /// depth-shift). Entries whose invalidation facts cannot be
     /// recomputed, or that reference a frame at or beyond the current
     /// depth, are skipped — the cache only ever under-approximates.
-    /// Counters and the generation stamp are untouched.
+    /// Counters and the generation stamp are untouched; each imported
+    /// entry moves the version.
     pub fn import_cache(&self, entries: Vec<CacheExport>) {
         let depth = self.frames.len();
         let mut cache = self.cache.borrow_mut();
@@ -622,6 +652,7 @@ impl ImplicitEnv {
                     max_abs_frame,
                 },
             );
+            cache.version += 1;
         }
     }
 

@@ -183,6 +183,8 @@ pub struct DictCache {
     /// Evidence awaiting promotion, recorded at miss time and drained
     /// by the session after the program's code extension rolls back.
     pending: Vec<(RuleType, FExpr)>,
+    /// Bumped by every change to `entries`; see [`DictCache::version`].
+    version: u64,
     hits: u64,
     misses: u64,
 }
@@ -231,6 +233,16 @@ impl DictCache {
     /// Registers a promoted evidence global for `rho`.
     pub fn insert(&mut self, rho: &RuleType, global: Symbol) {
         self.entries.insert(intern::rule_id(rho), global);
+        self.version += 1;
+    }
+
+    /// Version stamp of the promoted entries: bumped by every insert,
+    /// import and [`DictCache::retain_covered`] removal, and by nothing
+    /// else (hits, misses and pending evidence leave it alone). A
+    /// warm session promotes a global with every insert, so the stamp
+    /// also covers the promoted globals.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// Drains the evidence recorded for promotion since the last
@@ -271,7 +283,7 @@ impl DictCache {
     /// Counters and pending promotions are untouched.
     pub fn import_entries(&mut self, entries: Vec<(RuleType, Symbol)>) {
         for (rho, g) in entries {
-            self.entries.insert(intern::rule_id(&rho), g);
+            self.insert(&rho, g);
         }
     }
 
@@ -280,7 +292,11 @@ impl DictCache {
     /// the ids still index the live arena; surviving ids are stable
     /// because truncation keeps a prefix.
     pub fn retain_covered(&mut self, snap: &InternSnapshot) {
+        let before = self.entries.len();
         self.entries.retain(|id, _| snap.covers_rule(*id));
+        if self.entries.len() != before {
+            self.version += 1;
+        }
         self.pending.clear();
     }
 }

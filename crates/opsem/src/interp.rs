@@ -26,7 +26,7 @@ use implicit_core::syntax::{BinOp, Declarations, Expr, RuleType, Type, UnOp};
 use implicit_core::unify;
 
 use crate::error::OpsemError;
-use crate::value::{Closure, ImplStack, Lookup, RuleClosure, Value, VarEnv};
+use crate::value::{Closure, ImplStack, Lookup, RuleClosure, Subst, Value, VarEnv};
 
 /// The step budget a fresh [`Interpreter`] starts with; sessions
 /// [`Interpreter::refuel`] to this between programs.
@@ -56,6 +56,9 @@ struct RuntimeMemo {
     entries: HashMap<MemoKey, (Value, ImplStack)>,
     order: VecDeque<MemoKey>,
     capacity: usize,
+    /// Bumped by every change to `entries`; see
+    /// [`Interpreter::memo_version`].
+    version: u64,
     hits: u64,
     misses: u64,
 }
@@ -66,6 +69,7 @@ impl RuntimeMemo {
             entries: HashMap::new(),
             order: VecDeque::new(),
             capacity: implicit_core::env::DEFAULT_CACHE_CAPACITY,
+            version: 0,
             hits: 0,
             misses: 0,
         }
@@ -96,6 +100,7 @@ impl RuntimeMemo {
         if self.capacity == 0 {
             return;
         }
+        self.version += 1;
         if self.entries.insert(key.clone(), (v, pin)).is_some() {
             // Overwrote an existing entry; its `order` slot stands.
             return;
@@ -174,15 +179,29 @@ impl<'d> Interpreter<'d> {
     }
 
     /// Keeps only the memoized resolutions whose query id satisfies
-    /// `keep`. Counters are untouched.
+    /// `keep`. Counters are untouched; the version moves if an entry
+    /// went.
     ///
     /// Required before rolling the interning arena back to an
     /// [`intern::InternSnapshot`]: memo keys embed [`intern::RuleId`]s,
     /// and an id the truncation orphans could be reassigned to a
     /// different query later (pass `|id| snap.covers_rule(id)`).
     pub fn retain_memo(&mut self, keep: impl Fn(intern::RuleId) -> bool) {
+        let before = self.memo.entries.len();
         self.memo.entries.retain(|k, _| keep(k.1));
         self.memo.order.retain(|k| keep(k.1));
+        if self.memo.entries.len() != before {
+            self.memo.version += 1;
+        }
+    }
+
+    /// Version stamp of the runtime memo: bumped by every insert
+    /// (evictions happen only there), [`Interpreter::retain_memo`]
+    /// removal and [`Interpreter::import_memo_roots`] entry, and by
+    /// nothing else. Two observations with the same stamp see the
+    /// same [`Interpreter::export_memo_roots`].
+    pub fn memo_version(&self) -> u64 {
+        self.memo.version
     }
 
     /// Exports the runtime-memo entries rooted in the prelude stack
@@ -626,11 +645,15 @@ impl<'d> Interpreter<'d> {
                     resolved.push((rho_i.clone(), vi));
                 }
                 let body = Rc::new(full.apply_expr(&rc.body));
-                let venv = subst_varenv(&full, &rc.venv);
-                let cenv = rc.ienv.subst(&full);
+                // One pass over the captured environments: their
+                // frames and closures are shared, and each is
+                // substituted once.
+                let mut pass = Subst::new(&full);
+                let venv = pass.venv(&rc.venv);
+                let cenv = pass.stack(&rc.ienv);
                 let mut partial: Vec<(RuleType, Value)> = resolved;
-                for (r, v) in &rc.partial {
-                    push_distinct(&mut partial, full.apply_rule(r), v.subst(&full));
+                for (r, v) in pass.partial(&rc.partial) {
+                    push_distinct(&mut partial, r, v);
                 }
                 if query.is_trivial() {
                     // Ground query: the context is fully resolved;
@@ -701,6 +724,7 @@ fn instantiate(decls: &Declarations, rc: &RuleClosure, args: &[Type]) -> RuleClo
         .collect();
     let args = &args[..];
     let theta = TySubst::bind_all(rc.rty.vars(), args);
+    let mut pass = Subst::new(&theta);
     RuleClosure {
         rty: RuleType::new(
             Vec::new(),
@@ -708,23 +732,10 @@ fn instantiate(decls: &Declarations, rc: &RuleClosure, args: &[Type]) -> RuleClo
             theta.apply_type(rc.rty.head()),
         ),
         body: Rc::new(theta.apply_expr(&rc.body)),
-        venv: subst_varenv(&theta, &rc.venv),
-        ienv: rc.ienv.subst(&theta),
-        partial: rc
-            .partial
-            .iter()
-            .map(|(r, v)| (theta.apply_rule(r), v.subst(&theta)))
-            .collect(),
+        venv: pass.venv(&rc.venv),
+        ienv: pass.stack(&rc.ienv),
+        partial: pass.partial(&rc.partial),
     }
-}
-
-fn subst_varenv(theta: &TySubst, env: &VarEnv) -> VarEnv {
-    if theta.is_empty() {
-        return env.clone();
-    }
-    // VarEnv::subst is private to the value module; route through a
-    // value wrapper.
-    crate::value::subst_varenv(theta, env)
 }
 
 /// Runtime lookup `Σ⟨τ⟩ = v`: innermost frame with at least one

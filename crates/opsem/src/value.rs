@@ -8,6 +8,7 @@
 //! host fragment adds the usual first-order values and function
 //! closures.
 
+use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -148,29 +149,7 @@ impl Value {
     /// "Substitutions" extends substitution to closures and
     /// environments).
     pub fn subst(&self, theta: &TySubst) -> Value {
-        if theta.is_empty() {
-            return self.clone();
-        }
-        match self {
-            Value::Int(_) | Value::Bool(_) | Value::Str(_) | Value::Unit => self.clone(),
-            Value::Pair(a, b) => Value::Pair(Rc::new(a.subst(theta)), Rc::new(b.subst(theta))),
-            Value::List(xs) => Value::List(Rc::new(xs.iter().map(|v| v.subst(theta)).collect())),
-            Value::Closure(c) => Value::Closure(Rc::new(Closure {
-                param: c.param,
-                body: Rc::new(theta.apply_expr(&c.body)),
-                venv: c.venv.subst(theta),
-                ienv: c.ienv.subst(theta),
-            })),
-            Value::Rule(rc) => Value::Rule(Rc::new(rc.subst(theta))),
-            Value::Record { name, fields } => Value::Record {
-                name: *name,
-                fields: Rc::new(fields.iter().map(|(u, v)| (*u, v.subst(theta))).collect()),
-            },
-            Value::Data { ctor, fields } => Value::Data {
-                ctor: *ctor,
-                fields: Rc::new(fields.iter().map(|v| v.subst(theta)).collect()),
-            },
-        }
+        Subst::new(theta).value(self)
     }
 }
 
@@ -180,24 +159,164 @@ impl RuleClosure {
     /// into `⟨ρ, e, Σ, η⟩` only when the substituted variable is not
     /// among ρ's binders).
     pub fn subst(&self, theta: &TySubst) -> RuleClosure {
+        Subst::new(theta).rule_closure(self)
+    }
+}
+
+/// A frame of the implicit stack.
+type Frame = Rc<Vec<(RuleType, Value)>>;
+
+/// One type-substitution pass over a value graph.
+///
+/// Closures, implicit-stack frames and term-environment nodes are
+/// shared `Rc`s: every rule closure in a prelude frame captures the
+/// frames below it, so the graph of an `n`-frame stack is a DAG whose
+/// unfolding as a tree has `2ⁿ` closures. The pass substitutes each
+/// shared node once, memoised by address, and shares its image in the
+/// result — the same value as substituting pointwise, in time linear
+/// in the graph. Addresses stay unique for the whole pass because the
+/// input graph is borrowed, hence alive, until the pass ends.
+pub(crate) struct Subst<'t> {
+    theta: &'t TySubst,
+    frames: HashMap<*const Vec<(RuleType, Value)>, Frame>,
+    rules: HashMap<*const RuleClosure, Rc<RuleClosure>>,
+    closures: HashMap<*const Closure, Rc<Closure>>,
+    venvs: HashMap<*const VarNode, VarEnv>,
+}
+
+impl<'t> Subst<'t> {
+    /// A pass applying `theta`.
+    pub(crate) fn new(theta: &'t TySubst) -> Subst<'t> {
+        Subst {
+            theta,
+            frames: HashMap::new(),
+            rules: HashMap::new(),
+            closures: HashMap::new(),
+            venvs: HashMap::new(),
+        }
+    }
+
+    /// Substitutes into a value.
+    fn value(&mut self, v: &Value) -> Value {
+        if self.theta.is_empty() {
+            return v.clone();
+        }
+        match v {
+            Value::Int(_) | Value::Bool(_) | Value::Str(_) | Value::Unit => v.clone(),
+            Value::Pair(a, b) => Value::Pair(Rc::new(self.value(a)), Rc::new(self.value(b))),
+            Value::List(xs) => Value::List(Rc::new(xs.iter().map(|v| self.value(v)).collect())),
+            Value::Closure(c) => Value::Closure(self.closure(c)),
+            Value::Rule(rc) => Value::Rule(self.rule(rc)),
+            Value::Record { name, fields } => Value::Record {
+                name: *name,
+                fields: Rc::new(fields.iter().map(|(u, v)| (*u, self.value(v))).collect()),
+            },
+            Value::Data { ctor, fields } => Value::Data {
+                ctor: *ctor,
+                fields: Rc::new(fields.iter().map(|v| self.value(v)).collect()),
+            },
+        }
+    }
+
+    fn closure(&mut self, c: &Rc<Closure>) -> Rc<Closure> {
+        if let Some(done) = self.closures.get(&Rc::as_ptr(c)) {
+            return done.clone();
+        }
+        let out = Rc::new(Closure {
+            param: c.param,
+            body: Rc::new(self.theta.apply_expr(&c.body)),
+            venv: self.venv(&c.venv),
+            ienv: self.stack(&c.ienv),
+        });
+        self.closures.insert(Rc::as_ptr(c), out.clone());
+        out
+    }
+
+    fn rule(&mut self, rc: &Rc<RuleClosure>) -> Rc<RuleClosure> {
+        if let Some(done) = self.rules.get(&Rc::as_ptr(rc)) {
+            return done.clone();
+        }
+        let out = Rc::new(self.rule_closure(rc));
+        self.rules.insert(Rc::as_ptr(rc), out.clone());
+        out
+    }
+
+    /// Substitutes into a rule closure, capture-avoidingly with
+    /// respect to its own quantifiers (see [`RuleClosure::subst`]).
+    fn rule_closure(&mut self, rc: &RuleClosure) -> RuleClosure {
         // Reuse the capture-avoiding RuleAbs case of expression
         // substitution for the (rty, body) pair.
-        let packed = Expr::RuleAbs(Rc::new(self.rty.clone()), self.body.clone());
-        let (rty, body) = match theta.apply_expr(&packed) {
+        let packed = Expr::RuleAbs(Rc::new(rc.rty.clone()), rc.body.clone());
+        let (rty, body) = match self.theta.apply_expr(&packed) {
             Expr::RuleAbs(r, b) => ((*r).clone(), b),
             _ => unreachable!("substitution preserves constructors"),
         };
         RuleClosure {
             rty,
             body,
-            venv: self.venv.subst(theta),
-            ienv: self.ienv.subst(theta),
-            partial: self
-                .partial
-                .iter()
-                .map(|(r, v)| (theta.apply_rule(r), v.subst(theta)))
-                .collect(),
+            venv: self.venv(&rc.venv),
+            ienv: self.stack(&rc.ienv),
+            partial: self.partial(&rc.partial),
         }
+    }
+
+    /// Substitutes into a partially resolved context η.
+    pub(crate) fn partial(&mut self, eta: &[(RuleType, Value)]) -> Vec<(RuleType, Value)> {
+        eta.iter()
+            .map(|(r, v)| (self.theta.apply_rule(r), self.value(v)))
+            .collect()
+    }
+
+    /// Substitutes into every frame of an implicit stack.
+    pub(crate) fn stack(&mut self, stack: &ImplStack) -> ImplStack {
+        if self.theta.is_empty() {
+            return stack.clone();
+        }
+        ImplStack {
+            frames: stack.frames.iter().map(|f| self.frame(f)).collect(),
+        }
+    }
+
+    fn frame(&mut self, f: &Frame) -> Frame {
+        if let Some(done) = self.frames.get(&Rc::as_ptr(f)) {
+            return done.clone();
+        }
+        let out = Rc::new(self.partial(f));
+        self.frames.insert(Rc::as_ptr(f), out.clone());
+        out
+    }
+
+    /// Substitutes into a term environment pointwise, keeping the
+    /// spine below the innermost already-substituted node shared.
+    pub(crate) fn venv(&mut self, env: &VarEnv) -> VarEnv {
+        if self.theta.is_empty() {
+            return env.clone();
+        }
+        // Walk from the innermost binding outwards to the first node
+        // this pass has seen (or the end), then rebuild inwards:
+        // iterative, since spines can be as long as a program's `let`
+        // chain.
+        let mut pending: Vec<&Rc<VarNode>> = Vec::new();
+        let mut out = VarEnv::new();
+        for node in env.nodes() {
+            if let Some(done) = self.venvs.get(&Rc::as_ptr(node)) {
+                out = done.clone();
+                break;
+            }
+            pending.push(node);
+        }
+        for node in pending.into_iter().rev() {
+            out = match &node.value {
+                VarBinding::Done(v) => out.bind(node.name, self.value(v)),
+                VarBinding::Rec { body, ienv, .. } => out.bind_rec(
+                    node.name,
+                    Rc::new(self.theta.apply_expr(body)),
+                    self.stack(ienv),
+                ),
+            };
+            self.venvs.insert(Rc::as_ptr(node), out.clone());
+        }
+        out
     }
 }
 
@@ -361,33 +480,6 @@ impl VarEnv {
         }
         None
     }
-
-    fn subst(&self, theta: &TySubst) -> VarEnv {
-        // Environments are substituted pointwise; sharing is lost for
-        // the affected spine, as in the appendix definition.
-        let mut entries = Vec::new();
-        let mut cur = self;
-        while let Some(node) = &cur.node {
-            entries.push((node.name, node.value.clone()));
-            cur = &node.next;
-        }
-        let mut out = VarEnv::new();
-        for (name, binding) in entries.into_iter().rev() {
-            out = match binding {
-                VarBinding::Done(v) => out.bind(name, v.subst(theta)),
-                VarBinding::Rec { body, ienv, .. } => {
-                    out.bind_rec(name, Rc::new(theta.apply_expr(&body)), ienv.subst(theta))
-                }
-            };
-        }
-        out
-    }
-}
-
-/// Pointwise substitution over a term environment (crate-internal;
-/// used by `OpInst` and `DynRes`).
-pub(crate) fn subst_varenv(theta: &TySubst, env: &VarEnv) -> VarEnv {
-    env.subst(theta)
 }
 
 /// Result of a variable lookup.
@@ -448,22 +540,7 @@ impl ImplStack {
 
     /// Pointwise substitution.
     pub fn subst(&self, theta: &TySubst) -> ImplStack {
-        if theta.is_empty() {
-            return self.clone();
-        }
-        ImplStack {
-            frames: self
-                .frames
-                .iter()
-                .map(|f| {
-                    Rc::new(
-                        f.iter()
-                            .map(|(r, v)| (theta.apply_rule(r), v.subst(theta)))
-                            .collect::<Vec<_>>(),
-                    )
-                })
-                .collect(),
-        }
+        Subst::new(theta).stack(self)
     }
 }
 
@@ -523,6 +600,39 @@ mod tests {
         let theta = TySubst::single(a, Type::Int);
         let out = rc.subst(&theta);
         assert!(implicit_core::alpha::alpha_eq(&out.rty, &rty));
+    }
+
+    #[test]
+    fn substitution_keeps_shared_frames_shared() {
+        // A chain stack: the rule closure in frame k captures frames
+        // 0..k, as a prelude's nested `implicit` scopes build it.
+        // Pointwise substitution would visit 2⁴⁰ closures here.
+        let a = v("subst_chain");
+        let mut stack = ImplStack::new();
+        for k in 0..40 {
+            let rc = RuleClosure {
+                rty: Type::prod(Type::var(a), Type::Int).promote(),
+                body: Rc::new(Expr::Int(k)),
+                venv: VarEnv::new(),
+                ienv: stack.clone(),
+                partial: vec![],
+            };
+            stack = stack.pushed(vec![(rc.rty.clone(), Value::Rule(Rc::new(rc)))]);
+        }
+        let out = stack.subst(&TySubst::single(a, Type::Str));
+        for (k, frame) in out.frames.iter().enumerate() {
+            let Value::Rule(rc) = &frame[0].1 else {
+                panic!("frame {k} holds a rule closure");
+            };
+            assert_eq!(rc.rty.head(), &Type::prod(Type::Str, Type::Int));
+            assert_eq!(rc.ienv.depth(), k);
+            for (inner, outer) in rc.ienv.frames.iter().zip(&out.frames) {
+                assert!(
+                    Rc::ptr_eq(inner, outer),
+                    "frame {k} captures the substituted frames"
+                );
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,10 @@
 //!   lookup on exact-miss) with atomic writes, and [`load_or_build`]
 //!   is the exact → incremental → cold loading ladder. Every decode
 //!   or validation failure on the way down is counted and reported
-//!   via [`Session::note_artifact_fallbacks`].
+//!   via [`Session::note_artifact_fallbacks`];
+//! * [`Session::persist`] writes a session back to its store only
+//!   when the state its artifact holds changed since the store last
+//!   matched it, so an exact hit that learns nothing writes nothing.
 //!
 //! The dependency metadata behind the incremental path is
 //! [`BindingMeta`]: for each prelude binding (lets first, then
@@ -378,24 +381,22 @@ pub struct DecodedArtifact {
     pub memo_roots: Vec<MemoExport>,
 }
 
-impl<'d> Session<'d> {
-    /// Serializes this session's base state into one checksummed,
-    /// content-keyed artifact. The session is first restored to its
-    /// base state (environment depth, code watermark, arena trim) —
-    /// the same state every `run*` call already leaves it in — so
-    /// serializing mid-batch is safe.
-    pub fn to_artifact(&mut self) -> Vec<u8> {
-        let env_base = self.env_base;
-        self.env.restore(&env_base);
-        let code_base = self.code_base;
-        self.compiler.rollback(&code_base);
-        // Exports are filtered against a *current* arena snapshot, not
-        // the prelude watermark: entries learned while running
-        // programs are still prelude-pure (the exporters reject
-        // anything that depended on program-local frames), and they
-        // are exactly the warmth a restarted batch wants back.
-        let snap = intern::snapshot();
+/// The store directory a session's artifact is known to sit in, and
+/// the [`Session::state_version`] it was written or loaded at.
+pub(crate) struct Stored {
+    dir: PathBuf,
+    version: [u64; 3],
+}
 
+impl<'d> Session<'d> {
+    /// The content key of this session's artifact: [`artifact_key`]
+    /// over its declarations, prelude, policy and knobs. A session
+    /// built through the store already knows it; any other computes
+    /// it on first use.
+    pub fn content_key(&mut self) -> u64 {
+        if let Some(key) = self.key {
+            return key;
+        }
         let key = artifact_key(
             self.decls,
             &self.prelude,
@@ -404,6 +405,97 @@ impl<'d> Session<'d> {
             self.dict_ic,
             self.isa(),
         );
+        self.key = Some(key);
+        key
+    }
+
+    /// Versions of the parts of the artifact that running programs
+    /// can change: the derivation cache, the runtime memo, and the
+    /// dictionary cache (whose every insert also promotes a global).
+    /// The rest is fixed at construction, or changes with a knob that
+    /// forgets the key and the stored marker.
+    fn state_version(&self) -> [u64; 3] {
+        [
+            self.env.cache_version(),
+            self.interp.memo_version(),
+            self.dict.borrow().version(),
+        ]
+    }
+
+    /// Drops the cached content key and the stored marker, after a
+    /// change to a knob the artifact records.
+    pub(crate) fn forget_artifact(&mut self) {
+        self.key = None;
+        self.stored = None;
+    }
+
+    /// Restores the base state (environment depth, code watermark)
+    /// that every `run*` call already leaves the session in.
+    fn restore_base(&mut self) {
+        let env_base = self.env_base;
+        self.env.restore(&env_base);
+        let code_base = self.code_base;
+        self.compiler.rollback(&code_base);
+    }
+
+    /// Writes this session's artifact to `store`, unless the store
+    /// already holds it: nothing the artifact serializes changed
+    /// since the session was exact-loaded from `store` or last
+    /// written to it. What programs add to an artifact is the warmth
+    /// they learned — derivation-cache entries, promoted dictionaries
+    /// and runtime-memo roots, each carrying a version that every
+    /// insert, eviction, invalidation, trim and import bumps. Inline
+    /// caches and superinstruction choices never ride along: decoding
+    /// resets every Match IC, and fusion is decided at compile time.
+    ///
+    /// Returns whether it wrote.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem failures (callers treat saving as
+    /// best-effort). A failed write leaves the stored marker as it
+    /// was, so the next call tries again.
+    pub fn persist(&mut self, store: &ArtifactStore) -> io::Result<bool> {
+        self.restore_base();
+        let version = self.state_version();
+        if let Some(s) = &self.stored {
+            if s.version == version && s.dir == store.dir() {
+                return Ok(false);
+            }
+        }
+        let bytes = self.to_artifact();
+        let key = self.content_key();
+        let config = config_key(
+            self.decls,
+            &self.policy,
+            self.compiler.fusion_enabled(),
+            self.dict_ic,
+            self.isa(),
+        );
+        store.save(key, config, &bytes)?;
+        self.stored = Some(Stored {
+            dir: store.dir().to_path_buf(),
+            version,
+        });
+        Ok(true)
+    }
+
+    /// Serializes this session's base state into one checksummed,
+    /// content-keyed artifact. The session is first restored to its
+    /// base state (environment depth, code watermark) — the same
+    /// state every `run*` call already leaves it in — so serializing
+    /// mid-batch is safe.
+    pub fn to_artifact(&mut self) -> Vec<u8> {
+        self.restore_base();
+        let code_base = self.code_base;
+        // Exports are filtered against a *current* arena snapshot, not
+        // the prelude watermark: entries learned while running
+        // programs are still prelude-pure (the exporters reject
+        // anything that depended on program-local frames), and they
+        // are exactly the warmth a restarted batch wants back.
+        let snap = intern::snapshot();
+
+        let key = self.content_key();
         let mut e = Enc::new();
         for b in MAGIC {
             e.u8(b);
@@ -512,18 +604,34 @@ impl<'d> Session<'d> {
         bytes: &[u8],
     ) -> Result<Session<'d>, ArtifactError> {
         let a = decode(bytes)?;
-        let expect = artifact_key(decls, prelude, policy, fusion, dict_ic, isa);
-        if a.key != expect {
-            return err(format!(
-                "content key mismatch: artifact {:016x}, configuration {:016x}",
-                a.key, expect
-            ));
-        }
-        if a.policy != *policy || a.isa != isa || a.fusion != fusion || a.dict_ic != dict_ic {
-            return err("configuration fields disagree with content key");
-        }
-        assemble(decls, a)
+        let key = artifact_key(decls, prelude, policy, fusion, dict_ic, isa);
+        check_header(&a, key, policy, fusion, dict_ic, isa)?;
+        let mut s = assemble(decls, a)?;
+        s.key = Some(key);
+        Ok(s)
     }
+}
+
+/// Checks that a decoded artifact was produced by exactly the
+/// configuration whose content key is `key`.
+fn check_header(
+    a: &DecodedArtifact,
+    key: u64,
+    policy: &ResolutionPolicy,
+    fusion: bool,
+    dict_ic: bool,
+    isa: Isa,
+) -> Result<(), ArtifactError> {
+    if a.key != key {
+        return err(format!(
+            "content key mismatch: artifact {:016x}, configuration {:016x}",
+            a.key, key
+        ));
+    }
+    if a.policy != *policy || a.isa != isa || a.fusion != fusion || a.dict_ic != dict_ic {
+        return err("configuration fields disagree with content key");
+    }
+    Ok(())
 }
 
 /// Decodes artifact bytes into their plain parts. Checksum, magic,
@@ -782,6 +890,8 @@ pub fn assemble<'d>(
         fresh_base: a.fresh_watermark,
         profile_dispatch: false,
         dispatch_counts: std::collections::HashMap::new(),
+        key: None,
+        stored: None,
     })
 }
 
@@ -1061,6 +1171,8 @@ pub fn rebuild_incremental<'d>(
         fresh_base: fresh_watermark(),
         profile_dispatch: false,
         dispatch_counts: std::collections::HashMap::new(),
+        key: None,
+        stored: None,
     };
     Ok((session, stats))
 }
@@ -1120,6 +1232,15 @@ impl ArtifactStore {
     /// best-effort: a failed save never fails the build).
     pub fn save(&self, key: u64, config: u64, bytes: &[u8]) -> io::Result<()> {
         atomic_write(&self.content_path(key), bytes)?;
+        self.point_head(config, key)
+    }
+
+    /// Atomically points `config`'s head at `key`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem failures.
+    pub fn point_head(&self, config: u64, key: u64) -> io::Result<()> {
         atomic_write(&self.head_path(config), format!("{key:016x}\n").as_bytes())
     }
 }
@@ -1157,6 +1278,13 @@ pub enum LoadOutcome {
 /// `artifact_fallback` — a corrupt store degrades to exactly the
 /// no-store behavior, never a panic and never stale code.
 ///
+/// The content key is computed once, here, and kept by the session.
+/// An exact hit only reads: the store already holds its bytes, and
+/// the configuration head is re-pointed only when it names another
+/// key (an edit, then a revert). A rebuilt session is saved through
+/// [`Session::persist`], so a later `persist` writes only what the
+/// session learns after this call.
+///
 /// # Errors
 ///
 /// Only a failed *cold build* errors (same conditions as
@@ -1175,10 +1303,20 @@ pub fn load_or_build<'d>(
     let config = config_key(decls, policy, fusion, dict_ic, isa);
     let mut fallbacks = 0u64;
     if let Some(bytes) = store.load(key) {
-        match Session::from_artifact(decls, policy, prelude, fusion, dict_ic, isa, &bytes) {
+        let loaded = decode(&bytes).and_then(|a| {
+            check_header(&a, key, policy, fusion, dict_ic, isa)?;
+            assemble(decls, a)
+        });
+        match loaded {
             Ok(mut s) => {
-                s.note_artifact_fallbacks(fallbacks);
-                let _ = store.save(key, config, &bytes);
+                s.key = Some(key);
+                if store.head(config) != Some(key) {
+                    let _ = store.point_head(config, key);
+                }
+                s.stored = Some(Stored {
+                    dir: store.dir().to_path_buf(),
+                    version: s.state_version(),
+                });
                 return Ok((s, LoadOutcome::Exact));
             }
             Err(_) => fallbacks += 1,
@@ -1201,8 +1339,8 @@ pub fn load_or_build<'d>(
                     match rebuilt {
                         Ok((mut s, stats)) => {
                             s.note_artifact_fallbacks(fallbacks);
-                            let bytes = s.to_artifact();
-                            let _ = store.save(key, config, &bytes);
+                            s.key = Some(key);
+                            let _ = s.persist(store);
                             return Ok((s, LoadOutcome::Incremental(stats)));
                         }
                         Err(_) => fallbacks += 1,
@@ -1214,7 +1352,7 @@ pub fn load_or_build<'d>(
     }
     let mut s = Session::new_configured_isa(decls, policy.clone(), prelude, fusion, dict_ic, isa)?;
     s.note_artifact_fallbacks(fallbacks);
-    let bytes = s.to_artifact();
-    let _ = store.save(key, config, &bytes);
+    s.key = Some(key);
+    let _ = s.persist(store);
     Ok((s, LoadOutcome::Cold))
 }

@@ -377,6 +377,12 @@ pub struct Session<'d> {
     profile_dispatch: bool,
     /// Dispatch counts accumulated across profiled compiled runs.
     dispatch_counts: std::collections::HashMap<&'static str, u64>,
+    /// Content key of this session's artifact, computed at most once
+    /// (see [`Session::content_key`]).
+    key: Option<u64>,
+    /// The store directory known to hold this session's artifact, and
+    /// the state version it held it at (see [`Session::persist`]).
+    stored: Option<artifact::Stored>,
 }
 
 impl<'d> Session<'d> {
@@ -563,6 +569,8 @@ impl<'d> Session<'d> {
             fresh_base,
             profile_dispatch: false,
             dispatch_counts: std::collections::HashMap::new(),
+            key: None,
+            stored: None,
         })
     }
 
@@ -670,6 +678,10 @@ impl<'d> Session<'d> {
     /// opsem legs are never affected. Disabling detaches the cache
     /// but keeps promoted entries, so re-enabling resumes warm.
     pub fn set_dict_ic(&mut self, on: bool) {
+        if on != self.dict_ic {
+            // The knob is part of the content key and the artifact.
+            self.forget_artifact();
+        }
         self.dict_ic = on;
     }
 
@@ -694,6 +706,9 @@ impl<'d> Session<'d> {
     /// running anything — already-compiled prelude functions are not
     /// re-lowered.
     pub fn set_fusion(&mut self, on: bool) {
+        if on != self.compiler.fusion_enabled() {
+            self.forget_artifact();
+        }
         self.compiler.set_fusion(on);
     }
 

@@ -56,7 +56,7 @@ use implicit_core::syntax::{Declarations, Expr, RuleType, Type};
 use implicit_core::trace::MetricsRegistry;
 use implicit_core::wire;
 
-use crate::artifact::{artifact_key, config_key, load_or_build, ArtifactStore, LoadOutcome};
+use crate::artifact::{load_or_build, ArtifactStore, LoadOutcome};
 use crate::driver::spawn_service_worker;
 use crate::{Backend, Prelude, Session};
 
@@ -1385,26 +1385,11 @@ fn tenant_prelude_main(
         let _ = job.reply.send(resp);
     }
 
-    // Channel closed (tenant `close`, or daemon shutdown): flush the
-    // warmed session back to the shared store so the next open — in
-    // this process or the next — gets an exact hit.
+    // Channel closed (tenant `close`, or daemon shutdown): flush what
+    // the tenant learned back to the shared store so the next open —
+    // in this process or the next — gets an exact hit on it.
     if let Some(store) = &store {
-        let key = artifact_key(
-            &decls,
-            &prelude,
-            &policy,
-            inner.config.fusion,
-            inner.config.dict_ic,
-            isa,
-        );
-        let config = config_key(
-            &decls,
-            &policy,
-            inner.config.fusion,
-            inner.config.dict_ic,
-            isa,
-        );
-        let _ = store.save(key, config, &session.to_artifact());
+        let _ = session.persist(store);
     }
     publish_metrics(&inner, &name, &session.metrics());
 }

@@ -36,7 +36,8 @@
 //!                          snapshots in D when one matches (falling
 //!                          back to an incremental rebuild on a
 //!                          prelude edit, and a cold build otherwise)
-//!                          and saved back after a cold build. In
+//!                          and saved back only when a run changed
+//!                          what the snapshot keeps. In
 //!                          single-program mode the program's leading
 //!                          `let`/`implicit` wrappers form the cached
 //!                          prelude; in batch mode it is
@@ -755,14 +756,9 @@ fn run_single_cached(
         });
     }
     session.set_trace(None);
-    // Re-save the now-warmer artifact (best-effort): prelude-pure
-    // derivation-cache entries learned while running the body persist
-    // to the next process under the same content key.
-    let isa = opts.backend.isa().unwrap_or_default();
-    let key =
-        implicit_pipeline::artifact::artifact_key(decls, &prelude, &opts.policy, true, false, isa);
-    let config = implicit_pipeline::artifact::config_key(decls, &opts.policy, true, false, isa);
-    let _ = store.save(key, config, &session.to_artifact());
+    // Best-effort: writes only if running the body taught the
+    // session something its artifact keeps.
+    let _ = session.persist(&store);
     tracer.finish(opts)
 }
 
@@ -1026,16 +1022,18 @@ fn run_batch_mode(opts: &Options, dir: &str) -> Result<(), String> {
     let cache_dir = opts.cache_dir.as_deref();
     let outcomes = implicit_pipeline::run_batch_scoped(programs, opts.jobs, |worker, source| {
         let (decls, prelude) = parse_batch_prelude(prelude_src)?;
-        let (mut session, load) = match cache_dir {
+        let store = cache_dir.map(|d| {
+            implicit_pipeline::artifact::ArtifactStore::new(d)
+                .expect("cache dir validated before dispatch")
+        });
+        let (mut session, load) = match &store {
             // Warm-start workers from the on-disk artifact store: the
             // first worker to arrive builds and saves, the rest (and
             // every later process) rehydrate without re-running any
             // phase.
-            Some(d) => {
-                let store = implicit_pipeline::artifact::ArtifactStore::new(d)
-                    .expect("cache dir validated before dispatch");
+            Some(store) => {
                 let (session, outcome) = implicit_pipeline::artifact::load_or_build(
-                    &store,
+                    store,
                     &decls,
                     policy,
                     &prelude,
@@ -1114,20 +1112,11 @@ fn run_batch_mode(opts: &Options, dir: &str) -> Result<(), String> {
         let fusion = session.fusion_stats().clone();
         let histogram = session.dispatch_histogram();
         let widths = session.frame_widths();
-        // Write the drained worker's state back to the shared store:
-        // inline caches and superinstruction tables warmed by this
-        // batch ride along in the artifact, so the *next* batch run
-        // (any process) exact-hits a hotter image than a cold build
-        // would produce.
-        if let Some(d) = cache_dir {
-            if let Ok(store) = implicit_pipeline::artifact::ArtifactStore::new(d) {
-                let isa = backend.isa().unwrap_or_default();
-                let key = implicit_pipeline::artifact::artifact_key(
-                    &decls, &prelude, policy, true, false, isa,
-                );
-                let cfg = implicit_pipeline::artifact::config_key(&decls, policy, true, false, isa);
-                let _ = store.save(key, cfg, &session.to_artifact());
-            }
+        // Write the drained worker's state back to the shared store
+        // if this batch taught it something the artifact keeps, so the
+        // *next* batch run (any process) exact-hits a warmer image.
+        if let Some(store) = &store {
+            let _ = session.persist(store);
         }
         Ok((out, rows, registry, fusion, histogram, widths, load))
     });

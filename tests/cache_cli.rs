@@ -1,0 +1,198 @@
+//! `implicitc --batch --cache-dir` writes the artifact store only when
+//! the session's saved state changed: an exact hit that learns nothing
+//! reads the store and leaves every file as it was; an edit adds one
+//! artifact and re-points the configuration head, and a revert points
+//! it back; a program that teaches the session a new query is written,
+//! and the next run serves that query from the loaded cache.
+#![cfg(unix)]
+
+use std::collections::BTreeMap;
+use std::os::unix::fs::MetadataExt;
+use std::path::{Path, PathBuf};
+use std::process::Command;
+use std::time::SystemTime;
+
+const IMPLICITC: &str = env!("CARGO_BIN_EXE_implicitc");
+
+/// A small chain prelude around `base`: two rule frames over it.
+fn prelude(base: i64) -> String {
+    format!(
+        "let base : Int = {base} in\n\
+         implicit {{base + 2 : Int}} in (\n\
+           implicit {{rule ({{Int}} => Int * Int) ((?(Int), ?(Int) + 1)) : {{Int}} => Int * Int}} in (\n\
+             implicit {{rule ({{Int * Int}} => (Int * Int) * Int) ((?(Int * Int), base)) : {{Int * Int}} => (Int * Int) * Int}} in\n\
+               unit : Unit\n\
+           ) : Unit\n\
+         ) : Unit\n"
+    )
+}
+
+/// A fresh batch directory with prelude `base = 40`, two programs and
+/// a store directory inside it.
+fn batch_dir(name: &str) -> (PathBuf, PathBuf) {
+    let dir = std::env::temp_dir().join(format!("cache-cli-{}-{name}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("prelude.imp"), prelude(40)).unwrap();
+    std::fs::write(dir.join("p1.imp"), "?(Int) + 1\n").unwrap();
+    std::fs::write(dir.join("p2.imp"), "snd(?(Int * Int)) + 0\n").unwrap();
+    let store = dir.join("store");
+    (dir, store)
+}
+
+/// One `--jobs 1` batch run; returns stdout after checking success.
+fn run(dir: &Path, store: &Path, extra: &[&str]) -> String {
+    let out = Command::new(IMPLICITC)
+        .arg("--batch")
+        .arg(dir)
+        .args(["--jobs", "1", "--cache-dir"])
+        .arg(store)
+        .args(extra)
+        .output()
+        .expect("run implicitc");
+    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+    assert!(
+        out.status.success(),
+        "implicitc failed:\n{stdout}\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    stdout
+}
+
+/// The `cache:` ladder line of a run.
+fn outcome(stdout: &str) -> &str {
+    stdout
+        .lines()
+        .find(|l| l.starts_with("cache: "))
+        .expect("a cache line")
+}
+
+/// Every store file by name: bytes, inode and modification time.
+fn snapshot(store: &Path) -> BTreeMap<String, (Vec<u8>, u64, SystemTime)> {
+    std::fs::read_dir(store)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            let meta = e.metadata().unwrap();
+            let name = e.file_name().to_string_lossy().into_owned();
+            assert!(!name.contains(".tmp"), "temp file `{name}` left behind");
+            let bytes = std::fs::read(e.path()).unwrap();
+            (name, (bytes, meta.ino(), meta.modified().unwrap()))
+        })
+        .collect()
+}
+
+fn names_with(store: &Path, ext: &str) -> Vec<String> {
+    snapshot(store)
+        .into_keys()
+        .filter(|n| n.ends_with(ext))
+        .collect()
+}
+
+/// The key the store's one `.head` file names.
+fn head(store: &Path) -> String {
+    let heads = names_with(store, ".head");
+    assert_eq!(heads.len(), 1, "one configuration: {heads:?}");
+    std::fs::read_to_string(store.join(&heads[0]))
+        .unwrap()
+        .trim()
+        .to_owned()
+}
+
+/// A `--metrics` counter of a run.
+fn metric(stdout: &str, name: &str) -> u64 {
+    stdout
+        .lines()
+        .find_map(|l| {
+            let rest = l.trim_start().strip_prefix(name)?;
+            rest.trim().parse().ok()
+        })
+        .unwrap_or_else(|| panic!("no `{name}` counter in\n{stdout}"))
+}
+
+#[test]
+fn an_exact_hit_leaves_the_store_untouched() {
+    let (dir, store) = batch_dir("exact");
+    let cold = run(&dir, &store, &[]);
+    assert!(outcome(&cold).contains("cold=1"), "{cold}");
+    let primed = snapshot(&store);
+    assert_eq!(primed.len(), 2, "one artifact and one head: {primed:?}");
+    for _ in 0..2 {
+        let hit = run(&dir, &store, &[]);
+        assert_eq!(
+            outcome(&hit),
+            "cache: exact=1 incremental=0 cold=0, fallbacks=0"
+        );
+        assert!(
+            snapshot(&store) == primed,
+            "an exact hit must not rewrite the store"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_edit_adds_one_artifact_and_a_revert_points_the_head_back() {
+    let (dir, store) = batch_dir("edit");
+    run(&dir, &store, &[]);
+    let primed = snapshot(&store);
+    let old_key = head(&store);
+
+    std::fs::write(dir.join("prelude.imp"), prelude(41)).unwrap();
+    let edited = run(&dir, &store, &[]);
+    assert!(outcome(&edited).contains("incremental=1"), "{edited}");
+    let artifacts = names_with(&store, ".iart");
+    assert_eq!(
+        artifacts.len(),
+        2,
+        "exactly one new artifact: {artifacts:?}"
+    );
+    let new_key = head(&store);
+    assert_ne!(new_key, old_key, "the head names the edited prelude");
+    assert!(artifacts.contains(&format!("{new_key}.iart")));
+
+    std::fs::write(dir.join("prelude.imp"), prelude(40)).unwrap();
+    let reverted = run(&dir, &store, &[]);
+    assert!(outcome(&reverted).contains("exact=1"), "{reverted}");
+    assert_eq!(head(&store), old_key, "the head points back");
+    let now = snapshot(&store);
+    let old_file = format!("{old_key}.iart");
+    assert!(
+        now[&old_file] == primed[&old_file],
+        "the reverted artifact is read, not rewritten"
+    );
+    assert_eq!(names_with(&store, ".iart").len(), 2);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_new_query_is_written_and_then_served_from_the_cache() {
+    let (dir, store) = batch_dir("learn");
+    run(&dir, &store, &[]);
+    let key = head(&store);
+    let primed = snapshot(&store);
+
+    // A query the saved artifact has never resolved.
+    std::fs::write(
+        dir.join("p3.imp"),
+        "snd(?((Int * Int) * Int)) + fst(fst(?((Int * Int) * Int)))\n",
+    )
+    .unwrap();
+    let learned = run(&dir, &store, &[]);
+    assert!(outcome(&learned).contains("exact=1"), "{learned}");
+    assert!(learned.contains("p3.imp: 82 : Int"), "{learned}");
+    let file = format!("{key}.iart");
+    assert!(
+        snapshot(&store)[&file].0 != primed[&file].0,
+        "what the run learned is written under the same key"
+    );
+    assert_eq!(head(&store), key);
+
+    let served = run(&dir, &store, &["--metrics"]);
+    assert!(outcome(&served).contains("exact=1"), "{served}");
+    assert!(served.contains("p3.imp: 82 : Int"), "{served}");
+    assert!(metric(&served, "cache hits") > 0, "{served}");
+    assert_eq!(metric(&served, "cache misses"), 0, "{served}");
+    assert_eq!(metric(&served, "memo misses"), 0, "{served}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
