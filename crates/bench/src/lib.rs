@@ -127,16 +127,8 @@ pub fn run_batch_restarted(
         let decls = Declarations::new();
         let prelude = Prelude::chain(depth);
         let policy = ResolutionPolicy::paper();
-        let mut session = Session::from_artifact(
-            &decls,
-            &policy,
-            &prelude,
-            true,
-            false,
-            systemf::Isa::Register,
-            bytes,
-        )
-        .expect("chain artifact rehydrates");
+        let mut session = Session::from_artifact(&decls, &policy, &prelude, true, false, bytes)
+            .expect("chain artifact rehydrates");
         let mut sum = 0i64;
         for (_, j) in source {
             let out = session
@@ -190,9 +182,8 @@ pub fn batch_metrics(
     use implicit_core::trace::{MetricsSink, SharedSink};
     let decls = Declarations::new();
     let prelude = Prelude::chain(depth);
-    let isa = backend.isa().unwrap_or_default();
     let mut session =
-        Session::new_configured_isa(&decls, ResolutionPolicy::paper(), &prelude, true, true, isa)
+        Session::new_configured(&decls, ResolutionPolicy::paper(), &prelude, true, true)
             .expect("chain prelude is valid");
     session.set_trace(Some(SharedSink::new(MetricsSink::new())));
     let mut sum = 0i64;
@@ -256,17 +247,9 @@ pub fn run_vm_batch_cold(
         let decls = Declarations::new();
         let prelude = Prelude::chain(depth);
         let mut sum = 0i64;
-        let isa = backend.isa().unwrap_or_default();
         for (_, j) in source {
-            let mut session = Session::new_configured_isa(
-                &decls,
-                ResolutionPolicy::paper(),
-                &prelude,
-                true,
-                false,
-                isa,
-            )
-            .expect("chain prelude is valid");
+            let mut session = Session::new(&decls, ResolutionPolicy::paper(), &prelude)
+                .expect("chain prelude is valid");
             let out = session
                 .run_with_backend(&vm_batch_program(depth, iters, j), backend)
                 .expect("cold vm batch run");
@@ -296,16 +279,9 @@ pub fn run_vm_batch_warm(
     run_batch_scoped(jobs, workers, |_, source| {
         let decls = Declarations::new();
         let prelude = Prelude::chain(depth);
-        let isa = backend.isa().unwrap_or_default();
-        let mut session = Session::new_configured_isa(
-            &decls,
-            ResolutionPolicy::paper(),
-            &prelude,
-            true,
-            true,
-            isa,
-        )
-        .expect("chain prelude is valid");
+        let mut session =
+            Session::new_configured(&decls, ResolutionPolicy::paper(), &prelude, true, true)
+                .expect("chain prelude is valid");
         let mut sum = 0i64;
         for (_, j) in source {
             let out = session

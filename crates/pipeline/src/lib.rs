@@ -265,14 +265,9 @@ pub enum Backend {
     /// The `Rc`-cloning tree-walking evaluator ([`systemf::eval`]).
     #[default]
     Tree,
-    /// The closure-converted bytecode VM ([`systemf::vm`]) on its
-    /// default register ISA — compiled prelude cached per session,
-    /// constant host stack.
+    /// The closure-converted bytecode VM ([`systemf::vm`]) —
+    /// compiled prelude cached per session, constant host stack.
     Vm,
-    /// The same VM on the legacy stack ISA, kept for one release so
-    /// the register machine can be compared (and differentially
-    /// tested) against it.
-    VmStack,
 }
 
 impl Backend {
@@ -281,20 +276,7 @@ impl Backend {
         match s {
             "tree" => Some(Backend::Tree),
             "vm" => Some(Backend::Vm),
-            "vm-stack" => Some(Backend::VmStack),
             _ => None,
-        }
-    }
-
-    /// The instruction set a compiled backend wants from the session
-    /// compiler (`None` for the tree-walker). Sessions fix their ISA
-    /// at construction ([`Session::new_configured_isa`]); pass this
-    /// when building a session for a specific backend.
-    pub fn isa(self) -> Option<Isa> {
-        match self {
-            Backend::Tree => None,
-            Backend::Vm => Some(Isa::Register),
-            Backend::VmStack => Some(Isa::Stack),
         }
     }
 }
@@ -304,7 +286,6 @@ impl std::fmt::Display for Backend {
         match self {
             Backend::Tree => f.write_str("tree"),
             Backend::Vm => f.write_str("vm"),
-            Backend::VmStack => f.write_str("vm-stack"),
         }
     }
 }
@@ -419,26 +400,6 @@ impl<'d> Session<'d> {
         fusion: bool,
         dict_ic: bool,
     ) -> Result<Session<'d>, SessionError> {
-        Session::new_configured_isa(decls, policy, prelude, fusion, dict_ic, Isa::default())
-    }
-
-    /// [`Session::new_configured`] with the compiled backend's
-    /// instruction set also chosen up front. The ISA is baked into
-    /// every code object this session compiles (prelude included), so
-    /// it cannot change later; build one session per ISA to compare
-    /// them. Use [`Backend::isa`] to pick the ISA a backend expects.
-    ///
-    /// # Errors
-    ///
-    /// See [`Session::new`].
-    pub fn new_configured_isa(
-        decls: &'d Declarations,
-        policy: ResolutionPolicy,
-        prelude: &Prelude,
-        fusion: bool,
-        dict_ic: bool,
-        isa: Isa,
-    ) -> Result<Session<'d>, SessionError> {
         let elab = Elaborator::with_policy(decls, policy.clone());
         let fdecls = translate_decls(decls);
         let mut interp = Interpreter::new(decls).with_policy(policy.clone());
@@ -449,7 +410,7 @@ impl<'d> Session<'d> {
         let mut binding_meta: Vec<artifact::BindingMeta> = Vec::new();
         let mut fenv = FEnv::new();
         let mut venv = VarEnv::new();
-        let mut compiler = Compiler::new_with_isa(isa);
+        let mut compiler = Compiler::new();
         compiler.set_fusion(fusion);
         let mut vm_globals: Vec<systemf::Value> = Vec::new();
         let mut fcontext: Vec<(Symbol, FType)> =
@@ -572,6 +533,25 @@ impl<'d> Session<'d> {
             key: None,
             stored: None,
         })
+    }
+
+    /// [`Session::new_configured`] for callers that still pass the
+    /// compiled backend's instruction set. There is one
+    /// ([`Isa::Register`]), so `isa` changes nothing. Kept because the
+    /// benchmark package (`perfbench/`) builds sessions through it.
+    ///
+    /// # Errors
+    ///
+    /// See [`Session::new`].
+    pub fn new_configured_isa(
+        decls: &'d Declarations,
+        policy: ResolutionPolicy,
+        prelude: &Prelude,
+        fusion: bool,
+        dict_ic: bool,
+        _isa: Isa,
+    ) -> Result<Session<'d>, SessionError> {
+        Session::new_configured(decls, policy, prelude, fusion, dict_ic)
     }
 
     /// Folds `n` artifact-load fallbacks (corrupt/stale/mismatched
@@ -950,21 +930,8 @@ impl<'d> Session<'d> {
     pub fn run_with_backend(&mut self, e: &Expr, backend: Backend) -> Result<RunOutput, RunError> {
         match backend {
             Backend::Tree => self.run(e),
-            Backend::Vm | Backend::VmStack => {
-                debug_assert_eq!(
-                    backend.isa(),
-                    Some(self.isa()),
-                    "session compiled for a different ISA than {backend} expects"
-                );
-                self.run_compiled(e)
-            }
+            Backend::Vm => self.run_compiled(e),
         }
-    }
-
-    /// The instruction set this session's compiled backend emits,
-    /// fixed at construction ([`Session::new_configured_isa`]).
-    pub fn isa(&self) -> Isa {
-        self.compiler.isa()
     }
 
     /// Elaborates and preservation-checks one program without
@@ -1323,27 +1290,11 @@ mod tests {
         let v = sess.run_with_backend(&e, Backend::Vm).unwrap();
         assert_eq!(t.value.to_string(), "7");
         assert_eq!(v.value.to_string(), "7");
-        assert_eq!(sess.isa(), Isa::Register);
-        let mut stack_sess = Session::new_configured_isa(
-            &decls,
-            ResolutionPolicy::paper(),
-            &prelude,
-            true,
-            false,
-            Isa::Stack,
-        )
-        .unwrap();
-        let s = stack_sess.run_with_backend(&e, Backend::VmStack).unwrap();
-        assert_eq!(s.value.to_string(), "7");
-        assert_eq!(stack_sess.isa(), Isa::Stack);
         assert_eq!(Backend::parse("vm"), Some(Backend::Vm));
-        assert_eq!(Backend::parse("vm-stack"), Some(Backend::VmStack));
         assert_eq!(Backend::parse("tree"), Some(Backend::Tree));
         assert_eq!(Backend::parse("jit"), None);
-        assert_eq!(Backend::VmStack.to_string(), "vm-stack");
-        assert_eq!(Backend::Vm.isa(), Some(Isa::Register));
-        assert_eq!(Backend::VmStack.isa(), Some(Isa::Stack));
-        assert_eq!(Backend::Tree.isa(), None);
+        assert_eq!(Backend::parse("vm-stack"), None);
+        assert_eq!(Backend::Vm.to_string(), "vm");
     }
 
     #[test]

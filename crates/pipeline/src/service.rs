@@ -1320,7 +1320,6 @@ fn tenant_prelude_main(
         parsed_decls
     };
     let policy = inner.config.policy.clone();
-    let isa = backend.isa().unwrap_or_default();
     let store = inner
         .config
         .cache_dir
@@ -1334,15 +1333,13 @@ fn tenant_prelude_main(
             &prelude,
             inner.config.fusion,
             inner.config.dict_ic,
-            isa,
         ),
-        None => Session::new_configured_isa(
+        None => Session::new_configured(
             &decls,
             policy.clone(),
             &prelude,
             inner.config.fusion,
             inner.config.dict_ic,
-            isa,
         )
         .map(|s| (s, LoadOutcome::Cold)),
     };

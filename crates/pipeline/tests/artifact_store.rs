@@ -1,15 +1,22 @@
 //! Artifact-store behavior: exact rehydration fidelity (byte-stable
 //! re-encode), graceful degradation on corruption (fallback to cold,
-//! counted, never a panic or stale code), and incremental-rebuild
+//! counted, never a panic or stale code) — including well-checksummed
+//! code whose operands the VM would misuse — and incremental-rebuild
 //! precision (a one-binding edit invalidates exactly its dependency
 //! cone).
+
+use std::rc::Rc;
 
 use implicit_core::resolve::ResolutionPolicy;
 use implicit_core::symbol::Symbol;
 use implicit_core::syntax::{BinOp, Declarations, Expr, Type};
-use implicit_pipeline::artifact::{self, artifact_key, config_key, ArtifactStore, LoadOutcome};
+use implicit_pipeline::artifact::{
+    self, artifact_key, config_key, ArtifactStore, DecodedArtifact, LoadOutcome,
+};
 use implicit_pipeline::{Prelude, Session};
-use systemf::Isa;
+use systemf::compile::{CapSrc, FuncKind, Instr, RK_CONST};
+use systemf::vm::VmClosure;
+use systemf::{Isa, Value};
 
 fn tmpdir(tag: &str) -> std::path::PathBuf {
     let d = std::env::temp_dir().join(format!("implicit-artifact-{tag}-{}", std::process::id()));
@@ -66,16 +73,7 @@ fn rehydrated_session_reencodes_byte_identically() {
     let bytes = builder.to_artifact();
     drop(builder);
 
-    let mut back = Session::from_artifact(
-        &decls,
-        &policy,
-        &prelude,
-        true,
-        false,
-        Isa::Register,
-        &bytes,
-    )
-    .unwrap();
+    let mut back = Session::from_artifact(&decls, &policy, &prelude, true, false, &bytes).unwrap();
     let again = back.to_artifact();
     assert_eq!(
         bytes, again,
@@ -111,7 +109,7 @@ fn corrupted_artifacts_fall_back_to_cold_and_are_counted() {
     for pos in (0..bytes.len()).step_by((bytes.len() / 64).max(1)) {
         let mut bad = bytes.clone();
         bad[pos] ^= 0x10;
-        let r = Session::from_artifact(&decls, &policy, &prelude, true, false, Isa::Register, &bad);
+        let r = Session::from_artifact(&decls, &policy, &prelude, true, false, &bad);
         assert!(
             r.is_err(),
             "bit-flip at byte {pos} was accepted — stale/corrupt state could leak"
@@ -120,16 +118,7 @@ fn corrupted_artifacts_fall_back_to_cold_and_are_counted() {
     // Truncations too.
     for cut in [0, 1, bytes.len() / 2, bytes.len() - 1] {
         assert!(
-            Session::from_artifact(
-                &decls,
-                &policy,
-                &prelude,
-                true,
-                false,
-                Isa::Register,
-                &bytes[..cut],
-            )
-            .is_err(),
+            Session::from_artifact(&decls, &policy, &prelude, true, false, &bytes[..cut],).is_err(),
             "truncated artifact ({cut} bytes) was accepted"
         );
     }
@@ -143,16 +132,8 @@ fn corrupted_artifacts_fall_back_to_cold_and_are_counted() {
     let mid = bad.len() / 2;
     bad[mid] ^= 0xFF;
     std::fs::write(store.content_path(key), &bad).unwrap();
-    let (sess, outcome) = artifact::load_or_build(
-        &store,
-        &decls,
-        &policy,
-        &prelude,
-        true,
-        false,
-        Isa::Register,
-    )
-    .unwrap();
+    let (sess, outcome) =
+        artifact::load_or_build(&store, &decls, &policy, &prelude, true, false).unwrap();
     assert!(matches!(outcome, LoadOutcome::Cold), "got {outcome:?}");
     assert_eq!(
         sess.metrics().artifact_fallbacks,
@@ -162,18 +143,277 @@ fn corrupted_artifacts_fall_back_to_cold_and_are_counted() {
     // The cold build overwrote the corrupt file; the next load is an
     // exact hit with no fallbacks.
     drop(sess);
-    let (sess2, outcome2) = artifact::load_or_build(
-        &store,
-        &decls,
-        &policy,
-        &prelude,
-        true,
-        false,
-        Isa::Register,
-    )
-    .unwrap();
+    let (sess2, outcome2) =
+        artifact::load_or_build(&store, &decls, &policy, &prelude, true, false).unwrap();
     assert!(matches!(outcome2, LoadOutcome::Exact), "got {outcome2:?}");
     assert_eq!(sess2.metrics().artifact_fallbacks, 0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `Prelude::chain(3)` plus lets whose code holds every operand class
+/// the decoder checks: a curried `add3` (local and transitive capture
+/// sources) and a `fix` countdown (a recursive capture, and a
+/// `CompiledRec` sentinel inside its value).
+fn operand_prelude() -> Prelude {
+    let int = || Type::Int;
+    let (x, y, z, n, go) = ("x", "y", "z", "n", Symbol::intern("go"));
+    let add3 = Expr::lam(
+        x,
+        int(),
+        Expr::lam(
+            y,
+            int(),
+            Expr::lam(
+                z,
+                int(),
+                Expr::binop(
+                    BinOp::Add,
+                    Expr::var(x),
+                    Expr::binop(BinOp::Add, Expr::var(y), Expr::var(z)),
+                ),
+            ),
+        ),
+    );
+    let countdown = Expr::Fix(
+        go,
+        Type::arrow(int(), int()),
+        Rc::new(Expr::lam(
+            n,
+            int(),
+            Expr::if_(
+                Expr::binop(BinOp::Le, Expr::var(n), Expr::Int(0)),
+                Expr::Int(0),
+                Expr::app(
+                    Expr::var(go),
+                    Expr::binop(BinOp::Sub, Expr::var(n), Expr::Int(1)),
+                ),
+            ),
+        )),
+    );
+    let mut p = Prelude::chain(3);
+    p.lets = vec![
+        (
+            Symbol::intern("add3"),
+            Type::arrow(int(), Type::arrow(int(), Type::arrow(int(), int()))),
+            add3,
+        ),
+        (
+            Symbol::intern("count"),
+            Type::arrow(int(), int()),
+            countdown,
+        ),
+    ];
+    p
+}
+
+/// `prelude`'s artifact with `craft` applied to its decoded parts,
+/// re-encoded: the checksum is valid, so only the decoder's operand
+/// checks stand between these bytes and the VM.
+fn crafted(
+    decls: &Declarations,
+    prelude: &Prelude,
+    craft: &dyn Fn(&mut DecodedArtifact),
+) -> Vec<u8> {
+    let bytes = Session::new(decls, ResolutionPolicy::paper(), prelude)
+        .unwrap()
+        .to_artifact();
+    let mut a = artifact::decode(&bytes).unwrap();
+    craft(&mut a);
+    artifact::assemble(decls, a).unwrap().to_artifact()
+}
+
+type Craft = Box<dyn Fn(&mut DecodedArtifact)>;
+
+/// Index of the first function of `kind`.
+fn first(a: &DecodedArtifact, kind: FuncKind) -> usize {
+    a.code_parts
+        .funcs
+        .iter()
+        .position(|f| f.kind == kind)
+        .expect("function of the kind")
+}
+
+/// Puts `i` in front of the first lambda's code (every jump target
+/// stays inside the code, so `i` is the only bad operand).
+fn prepend(i: Instr) -> Craft {
+    Box::new(move |a| {
+        let f = first(a, FuncKind::Lambda);
+        a.code_parts.funcs[f].code.insert(0, i);
+    })
+}
+
+/// Points every `RRet` whose operand is of `to`'s kind (register or
+/// RK constant) at `to`.
+fn reret(to: u16) -> Craft {
+    Box::new(move |a| {
+        for f in &mut a.code_parts.funcs {
+            for i in &mut f.code {
+                if let Instr::RRet { src } = i {
+                    if *src & RK_CONST == to & RK_CONST {
+                        *src = to;
+                    }
+                }
+            }
+        }
+    })
+}
+
+/// Replaces the capture source of `add3`'s middle lambda, whose
+/// creator is the outer lambda (one register, no captures, no `fix`).
+fn recapture(src: CapSrc) -> Craft {
+    Box::new(move |a| {
+        let f = a
+            .code_parts
+            .funcs
+            .iter_mut()
+            .find(|f| matches!(f.captures.as_slice(), [CapSrc::Local(_)]))
+            .expect("a function capturing one local");
+        f.captures[0] = src;
+    })
+}
+
+/// Replaces the first compiled-closure global `c` with `f(c, main)`,
+/// `main` being an entry function's index.
+fn reglobal(f: fn(&VmClosure, u32) -> Value) -> Craft {
+    Box::new(move |a| {
+        let main = first(a, FuncKind::Main) as u32;
+        let g = a
+            .vm_globals
+            .iter_mut()
+            .find(|v| matches!(v, Value::CompiledClosure(_)))
+            .expect("a compiled closure global");
+        let Value::CompiledClosure(c) = &*g else {
+            unreachable!()
+        };
+        *g = f(c, main);
+    })
+}
+
+#[test]
+fn crafted_operands_are_rejected_and_fall_back_to_cold() {
+    let decls = Declarations::default();
+    let policy = ResolutionPolicy::paper();
+    let prelude = operand_prelude();
+    let sym = Symbol::intern("R");
+    let cases: Vec<(&str, Craft)> = vec![
+        ("register", reret(0x7FF0)),
+        ("rk constant", reret(RK_CONST | 0x7FF0)),
+        (
+            "pool constant",
+            prepend(Instr::RConst {
+                dst: 0,
+                konst: u32::MAX,
+            }),
+        ),
+        (
+            "global",
+            prepend(Instr::RGlobal {
+                dst: 0,
+                idx: u32::MAX,
+            }),
+        ),
+        (
+            "capture index",
+            prepend(Instr::RCapture {
+                dst: 0,
+                idx: 0x7FF0,
+            }),
+        ),
+        ("rec outside a fix body", prepend(Instr::RRec { dst: 0 })),
+        ("closure of an entry function", {
+            Box::new(|a| {
+                let main = first(a, FuncKind::Main) as u32;
+                prepend(Instr::RClosure { dst: 0, func: main })(a);
+            })
+        }),
+        (
+            "closure function index",
+            prepend(Instr::RTyClosure {
+                dst: 0,
+                func: u32::MAX,
+            }),
+        ),
+        ("local capture source", recapture(CapSrc::Local(0x7FF0))),
+        (
+            "transitive capture source",
+            recapture(CapSrc::Capture(0x7FF0)),
+        ),
+        ("rec capture outside a fix body", recapture(CapSrc::Rec)),
+        ("jump target", prepend(Instr::Jump(u32::MAX))),
+        (
+            "match table",
+            prepend(Instr::RMatch {
+                src: 0,
+                tbl: u32::MAX,
+            }),
+        ),
+        (
+            "record field list",
+            prepend(Instr::RMakeRecord {
+                dst: 0,
+                base: 0,
+                name: sym,
+                fields: u32::MAX,
+            }),
+        ),
+        (
+            "constructor argument window",
+            prepend(Instr::RInject {
+                dst: 0,
+                base: 0x7FF0,
+                ctor: sym,
+                argc: 1,
+            }),
+        ),
+        (
+            "fall-through",
+            Box::new(|a| {
+                let f = first(a, FuncKind::Lambda);
+                a.code_parts.funcs[f]
+                    .code
+                    .push(Instr::RMove { dst: 0, src: 0 });
+            }),
+        ),
+        (
+            "global closure of an entry function",
+            reglobal(|c, main| {
+                Value::CompiledClosure(Rc::new(VmClosure {
+                    func: main,
+                    captures: c.captures.clone(),
+                }))
+            }),
+        ),
+        (
+            "global closure capture count",
+            reglobal(|c, _| {
+                let mut captures = c.captures.clone();
+                captures.push(Value::Unit);
+                Value::CompiledClosure(Rc::new(VmClosure {
+                    func: c.func,
+                    captures,
+                }))
+            }),
+        ),
+    ];
+    // The crafting itself keeps a sound artifact sound.
+    let sound = crafted(&decls, &prelude, &|_| {});
+    assert!(Session::from_artifact(&decls, &policy, &prelude, true, false, &sound).is_ok());
+
+    let dir = tmpdir("crafted");
+    let store = ArtifactStore::new(&dir).unwrap();
+    let key = artifact_key(&decls, &prelude, &policy, true, false, Isa::Register);
+    for (class, craft) in &cases {
+        let bytes = crafted(&decls, &prelude, craft);
+        assert!(
+            Session::from_artifact(&decls, &policy, &prelude, true, false, &bytes).is_err(),
+            "{class}: a crafted operand was accepted"
+        );
+        std::fs::write(store.content_path(key), &bytes).unwrap();
+        let (sess, outcome) =
+            artifact::load_or_build(&store, &decls, &policy, &prelude, true, false).unwrap();
+        assert!(matches!(outcome, LoadOutcome::Cold), "{class}: {outcome:?}");
+        assert_eq!(sess.metrics().artifact_fallbacks, 1, "{class}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -185,35 +425,20 @@ fn wrong_configuration_never_rehydrates() {
     let mut builder = Session::new(&decls, policy.clone(), &prelude).unwrap();
     let bytes = builder.to_artifact();
     drop(builder);
-    // Different ISA, policy, knobs, or prelude → key mismatch → Err.
-    assert!(
-        Session::from_artifact(&decls, &policy, &prelude, true, false, Isa::Stack, &bytes).is_err()
-    );
+    // Different policy, knobs, or prelude → key mismatch → Err.
+    assert!(Session::from_artifact(&decls, &policy, &prelude, true, true, &bytes).is_err());
     assert!(Session::from_artifact(
         &decls,
         &policy.clone().with_most_specific(),
         &prelude,
         true,
         false,
-        Isa::Register,
         &bytes,
     )
     .is_err());
-    assert!(Session::from_artifact(
-        &decls,
-        &policy,
-        &prelude,
-        false,
-        false,
-        Isa::Register,
-        &bytes
-    )
-    .is_err());
+    assert!(Session::from_artifact(&decls, &policy, &prelude, false, false, &bytes).is_err());
     let other = lets_chain(3, 6, 2);
-    assert!(
-        Session::from_artifact(&decls, &policy, &other, true, false, Isa::Register, &bytes)
-            .is_err()
-    );
+    assert!(Session::from_artifact(&decls, &policy, &other, true, false, &bytes).is_err());
 }
 
 #[test]
@@ -242,16 +467,8 @@ fn incremental_rebuild_artifact_covers_rebuild_minted_gensyms() {
     let policy = ResolutionPolicy::paper();
     let dir = tmpdir("watermark");
     let store = ArtifactStore::new(&dir).unwrap();
-    let (first, outcome) = artifact::load_or_build(
-        &store,
-        &decls,
-        &policy,
-        &prelude,
-        true,
-        false,
-        Isa::Register,
-    )
-    .unwrap();
+    let (first, outcome) =
+        artifact::load_or_build(&store, &decls, &policy, &prelude, true, false).unwrap();
     assert!(matches!(outcome, LoadOutcome::Cold));
     drop(first);
     let key = artifact_key(&decls, &prelude, &policy, true, false, Isa::Register);
@@ -267,8 +484,7 @@ fn incremental_rebuild_artifact_covers_rebuild_minted_gensyms() {
     // prelude evidence they collide with.
     let edited = with_rule_implicit(20);
     let (mut sess, outcome) =
-        artifact::load_or_build(&store, &decls, &policy, &edited, true, false, Isa::Register)
-            .unwrap();
+        artifact::load_or_build(&store, &decls, &policy, &edited, true, false).unwrap();
     assert!(
         matches!(outcome, LoadOutcome::Incremental(_)),
         "got {outcome:?}"
@@ -294,16 +510,8 @@ fn incremental_rebuild_invalidates_exactly_the_dependency_cone() {
     let store = ArtifactStore::new(&dir).unwrap();
 
     // Seed the store with a warmed artifact for the original prelude.
-    let (mut first, outcome) = artifact::load_or_build(
-        &store,
-        &decls,
-        &policy,
-        &prelude,
-        true,
-        false,
-        Isa::Register,
-    )
-    .unwrap();
+    let (mut first, outcome) =
+        artifact::load_or_build(&store, &decls, &policy, &prelude, true, false).unwrap();
     assert!(matches!(outcome, LoadOutcome::Cold));
     first.run(&probe()).unwrap();
     first.run_opsem(&probe()).unwrap();
@@ -317,16 +525,8 @@ fn incremental_rebuild_invalidates_exactly_the_dependency_cone() {
     // other binding must be reused, and the prelude-level derivation
     // cache must carry over.
     let leaf_edit = lets_chain(n, 100, 2);
-    let (mut sess, outcome) = artifact::load_or_build(
-        &store,
-        &decls,
-        &policy,
-        &leaf_edit,
-        true,
-        false,
-        Isa::Register,
-    )
-    .unwrap();
+    let (mut sess, outcome) =
+        artifact::load_or_build(&store, &decls, &policy, &leaf_edit, true, false).unwrap();
     let LoadOutcome::Incremental(stats) = outcome else {
         panic!("leaf edit must rebuild incrementally, got {outcome:?}");
     };
@@ -362,16 +562,8 @@ fn incremental_rebuild_invalidates_exactly_the_dependency_cone() {
     // its predecessor, so the cone is the entire prelude — nothing is
     // reused, and the rebuilt values must reflect the new root.
     let root_edit = lets_chain(n, 200, 2);
-    let (mut sess, outcome) = artifact::load_or_build(
-        &store,
-        &decls,
-        &policy,
-        &root_edit,
-        true,
-        false,
-        Isa::Register,
-    )
-    .unwrap();
+    let (mut sess, outcome) =
+        artifact::load_or_build(&store, &decls, &policy, &root_edit, true, false).unwrap();
     let LoadOutcome::Incremental(stats) = outcome else {
         panic!("root edit must rebuild incrementally, got {outcome:?}");
     };
@@ -394,16 +586,8 @@ fn incremental_rebuild_invalidates_exactly_the_dependency_cone() {
     reshaped
         .lets
         .push((Symbol::intern("extra"), Type::Int, Expr::Int(1)));
-    let (sess, outcome) = artifact::load_or_build(
-        &store,
-        &decls,
-        &policy,
-        &reshaped,
-        true,
-        false,
-        Isa::Register,
-    )
-    .unwrap();
+    let (sess, outcome) =
+        artifact::load_or_build(&store, &decls, &policy, &reshaped, true, false).unwrap();
     assert!(
         matches!(outcome, LoadOutcome::Cold),
         "shape change must fall back to cold, got {outcome:?}"

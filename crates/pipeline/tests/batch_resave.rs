@@ -54,16 +54,8 @@ fn second_batch_run_exact_hits_the_resaved_artifact() {
 
     // First run: cold build, execute the batch, then re-save the
     // warmed state exactly as a drained batch worker does.
-    let (mut session, outcome) = load_or_build(
-        &store,
-        &decls,
-        &policy,
-        &prelude,
-        true,
-        false,
-        Isa::Register,
-    )
-    .unwrap();
+    let (mut session, outcome) =
+        load_or_build(&store, &decls, &policy, &prelude, true, false).unwrap();
     assert!(
         matches!(outcome, LoadOutcome::Cold),
         "fresh store must cold-build"
@@ -84,16 +76,8 @@ fn second_batch_run_exact_hits_the_resaved_artifact() {
 
     // Second run: exact hit on the warmed image, no fallbacks, and
     // identical results.
-    let (mut again, outcome) = load_or_build(
-        &store,
-        &decls,
-        &policy,
-        &prelude,
-        true,
-        false,
-        Isa::Register,
-    )
-    .unwrap();
+    let (mut again, outcome) =
+        load_or_build(&store, &decls, &policy, &prelude, true, false).unwrap();
     assert!(
         matches!(outcome, LoadOutcome::Exact),
         "second run must exact-hit the re-saved artifact, got {outcome:?}"
@@ -124,16 +108,8 @@ fn resave_after_more_work_still_exact_hits() {
     let cfg = config_key(&decls, &policy, true, false, Isa::Register);
 
     for round in 0..3 {
-        let (mut session, outcome) = load_or_build(
-            &store,
-            &decls,
-            &policy,
-            &prelude,
-            true,
-            false,
-            Isa::Register,
-        )
-        .unwrap();
+        let (mut session, outcome) =
+            load_or_build(&store, &decls, &policy, &prelude, true, false).unwrap();
         if round == 0 {
             assert!(matches!(outcome, LoadOutcome::Cold));
         } else {

@@ -96,6 +96,17 @@ fn malformed_json_gets_a_structured_error_and_the_stream_stays_usable() {
         .unwrap();
     assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
     assert_eq!(probe(&mut c, "t"), before);
+    // So is an open naming a backend that does not exist.
+    let r = c
+        .request(&Json::obj(vec![
+            ("op", Json::Str("open".into())),
+            ("tenant", Json::Str("u".into())),
+            ("prelude", Json::Str(prelude_source(&Prelude::chain(3)))),
+            ("backend", Json::Str("vm-stack".into())),
+        ]))
+        .unwrap();
+    assert_eq!(r.str_field("error"), Some("bad_request"), "{}", r.render());
+    assert_eq!(probe(&mut c, "t"), before);
     // Only the unparseable frame counts as a bad frame; the JSON
     // array and the unknown op are protocol-level bad_requests.
     assert!(counter(&mut c, "bad_frames") >= 1);

@@ -21,7 +21,6 @@ use implicit_core::resolve::ResolutionPolicy;
 use implicit_core::syntax::{BinOp, Declarations, Expr, RuleType, TyVar, Type};
 use implicit_pipeline::artifact::{load_or_build, ArtifactStore, LoadOutcome};
 use implicit_pipeline::{Prelude, Session};
-use systemf::Isa;
 
 struct CountingAlloc;
 
@@ -86,11 +85,9 @@ fn exact_hit<'d>(
     dict_ic: bool,
 ) -> Session<'d> {
     let policy = ResolutionPolicy::paper();
-    let (_, outcome) =
-        load_or_build(store, decls, &policy, prelude, true, dict_ic, Isa::Register).unwrap();
+    let (_, outcome) = load_or_build(store, decls, &policy, prelude, true, dict_ic).unwrap();
     assert!(matches!(outcome, LoadOutcome::Cold), "{outcome:?}");
-    let (session, outcome) =
-        load_or_build(store, decls, &policy, prelude, true, dict_ic, Isa::Register).unwrap();
+    let (session, outcome) = load_or_build(store, decls, &policy, prelude, true, dict_ic).unwrap();
     assert!(matches!(outcome, LoadOutcome::Exact), "{outcome:?}");
     session
 }
@@ -250,16 +247,8 @@ fn persist_after_cache_hits_neither_encodes_nor_writes() {
         };
         let before = files(&dir);
         let policy = ResolutionPolicy::paper();
-        let (mut session, outcome) = load_or_build(
-            &store,
-            &decls,
-            &policy,
-            &prelude,
-            true,
-            false,
-            Isa::Register,
-        )
-        .unwrap();
+        let (mut session, outcome) =
+            load_or_build(&store, &decls, &policy, &prelude, true, false).unwrap();
         assert!(matches!(outcome, LoadOutcome::Exact));
         let hits = session.cache_counters().hits;
         for j in 1..4 {

@@ -17,7 +17,6 @@ use implicit_core::parse::parse_expr;
 use implicit_core::resolve::ResolutionPolicy;
 use implicit_core::syntax::{Declarations, Expr, Type};
 use implicit_pipeline::{Prelude, Session};
-use systemf::Isa;
 
 struct CountingAlloc;
 
@@ -85,21 +84,13 @@ fn typecheck_allocs(make: fn() -> Prelude) -> u64 {
     })
 }
 
-/// Allocations of building a register-ISA session over `chain(n)`.
+/// Allocations of building a session over `chain(n)`.
 fn build_allocs(n: usize) -> u64 {
     on_fresh_thread(move || {
         let decls = Declarations::default();
         let prelude = Prelude::chain(n);
         allocs(|| {
-            Session::new_configured_isa(
-                &decls,
-                ResolutionPolicy::paper(),
-                &prelude,
-                true,
-                false,
-                Isa::Register,
-            )
-            .unwrap();
+            Session::new(&decls, ResolutionPolicy::paper(), &prelude).unwrap();
         })
     })
 }

@@ -9,11 +9,11 @@
 //! program), so evidence-variable *names* differ; values print
 //! name-free and errors are compared with digits stripped.
 //!
-//! PR 9 adds a *restarted* leg per ISA: a session is built, serialized
-//! to an artifact, dropped, and rehydrated via
-//! [`Session::from_artifact`]; the rehydrated session must be
-//! observationally equal to the same-process warm session (and hence
-//! to cold) on every program, on both the compiled and opsem legs.
+//! A *restarted* leg builds a session, serializes it to an artifact,
+//! drops it, and rehydrates it via [`Session::from_artifact`]; the
+//! rehydrated session must be observationally equal to the
+//! same-process warm session (and hence to cold) on every program, on
+//! both the compiled and opsem legs.
 
 use genprog::{data_prelude, gen_program_with, rng, GenConfig};
 use implicit_core::resolve::{resolve, ResolutionPolicy};
@@ -58,65 +58,25 @@ fn warm_session_is_observationally_equal_to_cold_runs() {
             .unwrap_or_else(|e| panic!("[{pname}] prelude failed: {e}"));
         // Compiled-backend legs, one per optimization configuration:
         // superinstructions + dictionary IC, superinstructions only
-        // (the default register ISA), plain unfused bytecode, and the
-        // stack ISA kept as the register machine's differential
-        // baseline. All four must be observationally equal to the
-        // warm tree walker.
+        // (the default), and plain unfused bytecode. All three must be
+        // observationally equal to the warm tree walker.
         let mut vm_ic = Session::new_configured(&decls, policy.clone(), &prelude, true, true)
             .unwrap_or_else(|e| panic!("[{pname}] prelude failed: {e}"));
         let mut vm_plain = Session::new(&decls, policy.clone(), &prelude)
             .unwrap_or_else(|e| panic!("[{pname}] prelude failed: {e}"));
         let mut vm_nofuse = Session::new_configured(&decls, policy.clone(), &prelude, false, false)
             .unwrap_or_else(|e| panic!("[{pname}] prelude failed: {e}"));
-        let mut vm_stack = Session::new_configured_isa(
-            &decls,
-            policy.clone(),
-            &prelude,
-            true,
-            false,
-            systemf::Isa::Stack,
-        )
-        .unwrap_or_else(|e| panic!("[{pname}] prelude failed: {e}"));
-        // Restarted legs: serialize → drop → rehydrate, one per ISA.
-        // The builder sessions are dropped before rehydration, so the
-        // restarted sessions share no in-memory state with them.
-        let reg_bytes = {
+        // Restarted leg: serialize → drop → rehydrate. The builder
+        // session is dropped before rehydration, so the restarted
+        // session shares no in-memory state with it.
+        let restart_bytes = {
             let mut b = Session::new(&decls, policy.clone(), &prelude)
                 .unwrap_or_else(|e| panic!("[{pname}] prelude failed: {e}"));
             b.to_artifact()
         };
-        let mut restart_reg = Session::from_artifact(
-            &decls,
-            &policy,
-            &prelude,
-            true,
-            false,
-            systemf::Isa::Register,
-            &reg_bytes,
-        )
-        .unwrap_or_else(|e| panic!("[{pname}] register rehydration failed: {e}"));
-        let stack_bytes = {
-            let mut b = Session::new_configured_isa(
-                &decls,
-                policy.clone(),
-                &prelude,
-                true,
-                false,
-                systemf::Isa::Stack,
-            )
-            .unwrap_or_else(|e| panic!("[{pname}] prelude failed: {e}"));
-            b.to_artifact()
-        };
-        let mut restart_stack = Session::from_artifact(
-            &decls,
-            &policy,
-            &prelude,
-            true,
-            false,
-            systemf::Isa::Stack,
-            &stack_bytes,
-        )
-        .unwrap_or_else(|e| panic!("[{pname}] stack rehydration failed: {e}"));
+        let mut restarted =
+            Session::from_artifact(&decls, &policy, &prelude, true, false, &restart_bytes)
+                .unwrap_or_else(|e| panic!("[{pname}] rehydration failed: {e}"));
         for seed in 0..SEEDS_PER_POLICY {
             let mut r = rng(0xC0FFEE ^ seed);
             let prog = gen_program_with(&mut r, &config, &decls);
@@ -189,7 +149,7 @@ fn warm_session_is_observationally_equal_to_cold_runs() {
             }
             // Restarted opsem leg: the rehydrated interpreter (with
             // its imported memo roots) must agree with the warm one.
-            let restart_op = restart_reg.run_opsem(&prog.expr);
+            let restart_op = restarted.run_opsem(&prog.expr);
             match (&warm_op, &restart_op) {
                 (Ok(w), Ok(r)) => assert_eq!(
                     w.to_string(),
@@ -216,9 +176,7 @@ fn warm_session_is_observationally_equal_to_cold_runs() {
                 ("vm+ic", vm_ic.run_compiled(&prog.expr)),
                 ("vm", vm_plain.run_compiled(&prog.expr)),
                 ("vm-nofuse", vm_nofuse.run_compiled(&prog.expr)),
-                ("vm-stack", vm_stack.run_compiled(&prog.expr)),
-                ("restarted", restart_reg.run_compiled(&prog.expr)),
-                ("restarted-stack", restart_stack.run_compiled(&prog.expr)),
+                ("restarted", restarted.run_compiled(&prog.expr)),
             ];
             match &warm {
                 Ok(w) => {
@@ -245,7 +203,7 @@ fn warm_session_is_observationally_equal_to_cold_runs() {
                 }
                 Err(_) => {
                     // Backend error *text* may differ tree vs VM, but
-                    // all four VM configurations must fail alike.
+                    // every compiled leg must fail alike.
                     let msgs: Vec<String> = legs
                         .iter()
                         .map(|(lname, leg)| match leg {

@@ -7,18 +7,16 @@
 //! flattens the tree into a linear instruction stream executed by
 //! [`crate::vm::Vm`] in constant host stack.
 //!
-//! The compiler targets one of two ISAs (chosen at construction, see
-//! [`Isa`]): the default **register ISA** — three-address
-//! instructions over frame slots with RK-encoded small-constant
-//! operands, compiled directly from the AST with a stack-discipline
-//! virtual-register allocator and move coalescing (a variable
-//! reference is its binder's register; no shuffle is emitted) — and
-//! the PR 6 **stack ISA**, kept for one release as a differential
-//! baseline for the conformance oracle. Type abstraction is
-//! *not* fully erased — `Λα.E` must remain a value (the tree-walker
-//! prints it as `<type-closure>` and type application delays
-//! evaluation of `E`), so it compiles to a nullary closure forced by
-//! [`Instr::Force`].
+//! The compiler targets one instruction set, the **register ISA**:
+//! three-address instructions over frame slots with RK-encoded
+//! small-constant operands, compiled directly from the AST with a
+//! stack-discipline virtual-register allocator and move coalescing (a
+//! variable reference is its binder's register; no shuffle is
+//! emitted). Every compiled run is checked against the tree-walking
+//! [`crate::eval`] reference. Type abstraction is *not* fully erased —
+//! `Λα.E` must remain a value (the tree-walker prints it as
+//! `<type-closure>` and type application delays evaluation of `E`), so
+//! it compiles to a nullary closure forced by [`Instr::RForce`].
 //!
 //! Closures are *flat*: each function lists, as [`CapSrc`]
 //! directives, how its creator materializes the captured values at
@@ -44,8 +42,8 @@ use crate::eval::Value;
 use crate::syntax::{BinOp, FExpr, UnOp};
 
 /// How the *creating* frame materializes one captured value when it
-/// executes a [`Instr::Closure`] / [`Instr::TyClosure`] /
-/// [`Instr::EnterFix`] instruction.
+/// executes a [`Instr::RClosure`] / [`Instr::RTyClosure`] /
+/// [`Instr::REnterFix`] instruction.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CapSrc {
     /// Copy the creator's local slot.
@@ -58,20 +56,17 @@ pub enum CapSrc {
     Rec,
 }
 
-/// Which instruction set a [`Compiler`] (and the [`CodeObject`] it
-/// grows) targets. Fixed at construction: a code object never mixes
-/// ISAs, and [`crate::vm::Vm::run`] picks its dispatch loop from it.
+/// The instruction set compiled code targets. There is one; the type
+/// remains because artifact content keys and the artifact format
+/// record it (as tag 0), and callers still name it when they build
+/// those keys.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Isa {
     /// Three-address register code: operands and results live in the
     /// frame's flat register window, there is no operand stack, and
-    /// small constants ride inline as RK operands. The default.
+    /// small constants ride inline as RK operands.
     #[default]
     Register,
-    /// The PR 6 operand-stack ISA, kept for one release as the
-    /// register-vs-stack differential baseline
-    /// (`--backend vm-stack`).
-    Stack,
 }
 
 /// RK operand encoding (register ISA): a `u16` operand with bit 15
@@ -107,8 +102,8 @@ pub struct FuncCode {
     pub nslots: u16,
     /// Capture directives, executed by the creator in order.
     pub captures: Vec<CapSrc>,
-    /// The instruction stream; every path ends in [`Instr::Ret`] or
-    /// [`Instr::TailCall`].
+    /// The instruction stream; every path ends in a return or a tail
+    /// call ([`Instr::RRet`], [`Instr::RTailCall`] or a fused form).
     pub code: Vec<Instr>,
 }
 
@@ -116,187 +111,9 @@ pub struct FuncCode {
 /// the owning function's `code`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Instr {
-    /// Push constant-pool entry.
-    Const(u32),
-    /// Push local slot (relative to the frame's locals base).
-    Local(u16),
-    /// Push capture; a `CompiledRec` sentinel unfolds (enters the fix
-    /// body) instead of being pushed.
-    Capture(u16),
-    /// Push a session global.
-    Global(u32),
-    /// Unfold the current frame's recursive self-reference.
-    Rec,
-    /// Build a function closure and push it.
-    Closure(u32),
-    /// Build a nullary type-abstraction thunk and push it.
-    TyClosure(u32),
-    /// Build the closure for a fix body and immediately enter it.
-    EnterFix(u32),
-    /// Pop argument then function; enter the function.
-    Call,
-    /// Pop argument then function; *replace* the current frame with
-    /// the function's (emitted for calls in tail position, so
-    /// tail-recursive loops run in constant frames and locals).
-    TailCall,
-    /// Pop a type-abstraction thunk; enter it.
-    Force,
-    /// Pop the result, discard the frame, resume the caller.
-    Ret,
-    /// Unconditional jump.
-    Jump(u32),
-    /// Pop a boolean; jump when false.
-    JumpIfFalse(u32),
-    /// Pop right then left operand; apply a primitive operator.
-    Bin(BinOp),
-    /// Pop the operand; apply a unary operator.
-    Un(UnOp),
-    /// Pop right then left; push a pair.
-    MakePair,
-    /// Pop a pair; push its first component.
-    Fst,
-    /// Pop a pair; push its second component.
-    Snd,
-    /// Push the empty list.
-    PushNil,
-    /// Pop tail then head; push the extended list.
-    ConsList,
-    /// Pop a list. Empty: jump to `nil_target`. Non-empty: store the
-    /// head and tail into the named slots and fall through.
-    CaseList {
-        /// Slot receiving the head.
-        head: u16,
-        /// Slot receiving the tail list.
-        tail: u16,
-        /// Branch target for the empty list.
-        nil_target: u32,
-    },
-    /// Pop the field values (pushed in declaration order); push a
-    /// record. The payload indexes [`CodeObject::field_lists`].
-    MakeRecord {
-        /// Interface name.
-        name: Symbol,
-        /// Index into the field-name pool.
-        fields: u32,
-    },
-    /// Pop a record; push the named field.
-    Project(Symbol),
-    /// Pop `argc` constructor arguments; push a data value.
-    Inject {
-        /// Constructor name.
-        ctor: Symbol,
-        /// Argument count.
-        argc: u16,
-    },
-    /// Pop a data value; select the arm from the indexed
-    /// [`MatchTable`], bind its fields, and jump to the arm body.
-    Match(u32),
-    /// Superinstruction: push local slot, then push constant-pool
-    /// entry (fused `Local; Const`).
-    LocalConst {
-        /// Local slot.
-        slot: u16,
-        /// Constant-pool index.
-        konst: u32,
-    },
-    /// Superinstruction: push two local slots (fused `Local; Local`).
-    LocalLocal {
-        /// First slot pushed.
-        a: u16,
-        /// Second slot pushed.
-        b: u16,
-    },
-    /// Superinstruction: apply a primitive with the popped stack top
-    /// as the left operand and a constant as the right operand (fused
-    /// `Const; Bin`).
-    ConstBin {
-        /// Constant-pool index of the right operand.
-        konst: u32,
-        /// The operator.
-        op: BinOp,
-    },
-    /// Superinstruction: apply a primitive with the popped stack top
-    /// as the left operand and a local slot as the right operand
-    /// (fused `Local; Bin`).
-    LocalBin {
-        /// Local slot of the right operand.
-        slot: u16,
-        /// The operator.
-        op: BinOp,
-    },
-    /// Superinstruction: pop right then left operand, apply a
-    /// primitive, and jump when the result is `false` (fused
-    /// `Bin; JumpIfFalse` — the compare-and-branch at the top of
-    /// every counting loop).
-    BinJumpIfFalse {
-        /// The operator.
-        op: BinOp,
-        /// Branch target for a `false` result.
-        target: u32,
-    },
-    /// Superinstruction: return a constant (fused `Const; Ret`).
-    ConstRet {
-        /// Constant-pool index of the result.
-        konst: u32,
-    },
-    /// Superinstruction: return a local slot (fused `Local; Ret`).
-    LocalRet {
-        /// Local slot of the result.
-        slot: u16,
-    },
-    /// Superinstruction: apply a primitive to a local slot and a
-    /// constant without touching the operand stack (fused
-    /// `Local; Const; Bin` — the loop-variable update and the
-    /// loop-bound compare both take this shape).
-    LocalConstBin {
-        /// Local slot of the left operand.
-        slot: u16,
-        /// Constant-pool index of the right operand.
-        konst: u32,
-        /// The operator.
-        op: BinOp,
-    },
-    /// Superinstruction: apply a primitive to two local slots without
-    /// touching the operand stack (fused `Local; Local; Bin`).
-    LocalLocalBin {
-        /// Local slot of the left operand.
-        a: u16,
-        /// Local slot of the right operand.
-        b: u16,
-        /// The operator.
-        op: BinOp,
-    },
-    /// Superinstruction: compare a local slot against a constant and
-    /// branch when the result is `false`, all without touching the
-    /// operand stack (fused `Local; Const; Bin; JumpIfFalse` — the
-    /// guard of every compiled counting loop).
-    LocalConstBinJump {
-        /// Local slot of the left operand.
-        slot: u16,
-        /// Constant-pool index of the right operand.
-        konst: u32,
-        /// The operator.
-        op: BinOp,
-        /// Branch target for a `false` result.
-        target: u32,
-    },
-    /// Superinstruction: apply a primitive to a local slot and a
-    /// constant, then tail-call the stack top with the result as the
-    /// argument (fused `Local; Const; Bin; TailCall` — the
-    /// loop-variable update and back-edge of every compiled counting
-    /// loop).
-    LocalConstBinTail {
-        /// Local slot of the left operand.
-        slot: u16,
-        /// Constant-pool index of the right operand.
-        konst: u32,
-        /// The operator.
-        op: BinOp,
-    },
-    // --- Register ISA ([`Isa::Register`]). `dst`/`src`/`f` name
-    // frame registers; operands documented as *rk* are RK-encoded
-    // (see [`RK_CONST`]): bit 15 clear = register, bit 15 set =
-    // constant-pool index.
+    // `dst`/`src`/`f` name frame registers; operands documented as
+    // *rk* are RK-encoded (see [`RK_CONST`]): bit 15 clear =
+    // register, bit 15 set = constant-pool index.
     /// Load a constant-pool entry into `dst` (pool indices too large
     /// for RK encoding).
     RConst {
@@ -388,6 +205,8 @@ pub enum Instr {
         /// Result (*rk*).
         src: u16,
     },
+    /// Unconditional jump.
+    Jump(u32),
     /// Jump when the *rk* operand is `false`.
     RJumpIfFalse {
         /// Condition (*rk*).
@@ -503,9 +322,7 @@ pub enum Instr {
         /// Match-table index.
         tbl: u32,
     },
-    // --- Register superinstructions, re-mined on the register ISA
-    // (the stack set above is push/pop-shaped and does not apply).
-    // See `Compiler::fuse_regs`.
+    // --- Superinstructions; see `Compiler::fuse_regs`.
     /// Fused `RBin; RJumpIfFalse` over the bin result — the guard of
     /// every compiled counting loop.
     RBinJump {
@@ -571,7 +388,7 @@ pub struct MatchTable {
     /// sites are overwhelmingly monomorphic, so the VM probes this
     /// arm before falling back to the linear scan. The cell lives in
     /// `CodeSnapshot`-governed storage: every table belongs to
-    /// exactly one `Match` instruction of one function, and session
+    /// exactly one `RMatch` instruction of one function, and session
     /// rollback truncates `match_tables`, so a stale cache can never
     /// survive the code it describes.
     pub ic: Cell<u32>,
@@ -602,15 +419,13 @@ pub struct MatchArmCode {
 /// A compiled program: functions plus the pools they reference.
 #[derive(Clone, Debug, Default)]
 pub struct CodeObject {
-    /// The instruction set every function in this object targets.
-    pub isa: Isa,
-    /// Compiled functions, indexed by [`Instr::Closure`] etc.
+    /// Compiled functions, indexed by [`Instr::RClosure`] etc.
     pub funcs: Vec<FuncCode>,
     /// Constant pool (ints, strings, booleans, unit — deduplicated).
     pub consts: Vec<Value>,
-    /// Field-name lists for [`Instr::MakeRecord`].
+    /// Field-name lists for [`Instr::RMakeRecord`].
     pub field_lists: Vec<Rc<[Symbol]>>,
-    /// Dispatch tables for [`Instr::Match`].
+    /// Dispatch tables for [`Instr::RMatch`].
     pub match_tables: Vec<MatchTable>,
 }
 
@@ -697,8 +512,6 @@ impl FnCtx {
     fn patch(&mut self, at: usize, target: u32) {
         match &mut self.code[at] {
             Instr::Jump(t)
-            | Instr::JumpIfFalse(t)
-            | Instr::CaseList { nil_target: t, .. }
             | Instr::RJumpIfFalse { target: t, .. }
             | Instr::RCaseList { nil_target: t, .. } => {
                 *t = target;
@@ -708,34 +521,20 @@ impl FnCtx {
     }
 }
 
-/// Cumulative superinstruction statistics of one [`Compiler`]:
-/// the opcode-pair mining table plus what the fusion pass actually
-/// emitted. Counters survive [`Compiler::rollback`] — they describe
-/// the whole session, not one program.
+/// Cumulative superinstruction statistics of one [`Compiler`]: what
+/// the fusion pass emitted. Counters survive [`Compiler::rollback`] —
+/// they describe the whole session, not one program.
 #[derive(Clone, Debug, Default)]
 pub struct FusionStats {
     /// Instructions scanned (pre-fusion stream length).
     pub instrs_scanned: u64,
-    /// Instructions eliminated by fusion (a pair adds 1, a triple 2,
-    /// a quad 3).
+    /// Instructions eliminated by fusion (a pair adds 1, a triple 2).
     pub fused: u64,
     /// Emitted superinstructions by mnemonic.
     pub fused_by_kind: HashMap<&'static str, u64>,
-    /// Adjacent opcode pairs seen in the pre-fusion stream, by
-    /// mnemonic — the mining table the fused set was selected from.
-    pub pair_counts: HashMap<(&'static str, &'static str), u64>,
 }
 
 impl FusionStats {
-    /// The `n` most frequent adjacent opcode pairs, most frequent
-    /// first (ties broken lexicographically for determinism).
-    pub fn top_pairs(&self, n: usize) -> Vec<((&'static str, &'static str), u64)> {
-        let mut pairs: Vec<_> = self.pair_counts.iter().map(|(k, v)| (*k, *v)).collect();
-        pairs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        pairs.truncate(n);
-        pairs
-    }
-
     /// Accumulates another compiler's counters into this one (used to
     /// aggregate per-worker stats in batch mode).
     pub fn merge(&mut self, other: &FusionStats) {
@@ -744,53 +543,14 @@ impl FusionStats {
         for (k, v) in &other.fused_by_kind {
             *self.fused_by_kind.entry(k).or_insert(0) += v;
         }
-        for (k, v) in &other.pair_counts {
-            *self.pair_counts.entry(*k).or_insert(0) += v;
-        }
     }
 }
 
 /// A short mnemonic for an instruction's opcode (payload-blind), as
-/// used by the pair-mining table.
+/// used by the dispatch histogram and the fusion counters.
 pub fn mnemonic(i: &Instr) -> &'static str {
     match i {
-        Instr::Const(_) => "const",
-        Instr::Local(_) => "local",
-        Instr::Capture(_) => "capture",
-        Instr::Global(_) => "global",
-        Instr::Rec => "rec",
-        Instr::Closure(_) => "closure",
-        Instr::TyClosure(_) => "tyclosure",
-        Instr::EnterFix(_) => "enterfix",
-        Instr::Call => "call",
-        Instr::TailCall => "tailcall",
-        Instr::Force => "force",
-        Instr::Ret => "ret",
         Instr::Jump(_) => "jump",
-        Instr::JumpIfFalse(_) => "jumpiffalse",
-        Instr::Bin(_) => "bin",
-        Instr::Un(_) => "un",
-        Instr::MakePair => "makepair",
-        Instr::Fst => "fst",
-        Instr::Snd => "snd",
-        Instr::PushNil => "pushnil",
-        Instr::ConsList => "conslist",
-        Instr::CaseList { .. } => "caselist",
-        Instr::MakeRecord { .. } => "makerecord",
-        Instr::Project(_) => "project",
-        Instr::Inject { .. } => "inject",
-        Instr::Match(_) => "match",
-        Instr::LocalConst { .. } => "local+const",
-        Instr::LocalLocal { .. } => "local+local",
-        Instr::ConstBin { .. } => "const+bin",
-        Instr::LocalBin { .. } => "local+bin",
-        Instr::BinJumpIfFalse { .. } => "bin+jumpiffalse",
-        Instr::ConstRet { .. } => "const+ret",
-        Instr::LocalRet { .. } => "local+ret",
-        Instr::LocalConstBin { .. } => "local+const+bin",
-        Instr::LocalLocalBin { .. } => "local+local+bin",
-        Instr::LocalConstBinJump { .. } => "local+const+bin+jumpiffalse",
-        Instr::LocalConstBinTail { .. } => "local+const+bin+tailcall",
         Instr::RConst { .. } => "r.const",
         Instr::RMove { .. } => "r.move",
         Instr::RCapture { .. } => "r.capture",
@@ -820,69 +580,6 @@ pub fn mnemonic(i: &Instr) -> &'static str {
         Instr::RBinTail { .. } => "r.bin+tailcall",
         Instr::RCapBinTail { .. } => "r.capture+bin+tailcall",
     }
-}
-
-/// Fuses one adjacent instruction quadruple, or `None`.
-fn fuse_quad(a: Instr, b: Instr, c: Instr, d: Instr) -> Option<Instr> {
-    match (a, b, c, d) {
-        (Instr::Local(slot), Instr::Const(konst), Instr::Bin(op), Instr::JumpIfFalse(target)) => {
-            Some(Instr::LocalConstBinJump {
-                slot,
-                konst,
-                op,
-                target,
-            })
-        }
-        (Instr::Local(slot), Instr::Const(konst), Instr::Bin(op), Instr::TailCall) => {
-            Some(Instr::LocalConstBinTail { slot, konst, op })
-        }
-        _ => None,
-    }
-}
-
-/// Fuses one adjacent instruction triple, or `None` when the triple
-/// has no superinstruction. Triples are preferred over pairs: they
-/// elide two dispatches and keep the whole primitive application off
-/// the operand stack.
-fn fuse_triple(a: Instr, b: Instr, c: Instr) -> Option<Instr> {
-    Some(match (a, b, c) {
-        (Instr::Local(slot), Instr::Const(konst), Instr::Bin(op)) => {
-            Instr::LocalConstBin { slot, konst, op }
-        }
-        (Instr::Local(a), Instr::Local(b), Instr::Bin(op)) => Instr::LocalLocalBin { a, b, op },
-        _ => return None,
-    })
-}
-
-/// Fuses one adjacent instruction pair, or `None` when the pair has
-/// no superinstruction.
-fn fuse_pair(a: Instr, b: Instr) -> Option<Instr> {
-    Some(match (a, b) {
-        (Instr::Const(k), Instr::Bin(op)) => Instr::ConstBin { konst: k, op },
-        (Instr::Local(s), Instr::Bin(op)) => Instr::LocalBin { slot: s, op },
-        (Instr::Bin(op), Instr::JumpIfFalse(t)) => Instr::BinJumpIfFalse { op, target: t },
-        (Instr::Const(k), Instr::Ret) => Instr::ConstRet { konst: k },
-        (Instr::Local(s), Instr::Ret) => Instr::LocalRet { slot: s },
-        (Instr::Local(s), Instr::Const(k)) => Instr::LocalConst { slot: s, konst: k },
-        (Instr::Local(a), Instr::Local(b)) => Instr::LocalLocal { a, b },
-        _ => return None,
-    })
-}
-
-/// `true` for superinstructions that *consume* the stack top
-/// (operator fusions) rather than merely pushing two values. The
-/// greedy scan prefers these: in `Local; Const; Bin` fusing
-/// `Const; Bin` saves a push *and* a dispatch, while `Local; Const`
-/// saves only the dispatch.
-fn consumes(i: &Instr) -> bool {
-    matches!(
-        i,
-        Instr::ConstBin { .. }
-            | Instr::LocalBin { .. }
-            | Instr::BinJumpIfFalse { .. }
-            | Instr::ConstRet { .. }
-            | Instr::LocalRet { .. }
-    )
 }
 
 /// Fuses one adjacent register-instruction triple, or `None`.
@@ -968,8 +665,6 @@ impl Default for Compiler {
 /// [`Compiler::from_parts`]).
 #[derive(Clone, Debug)]
 pub struct CodeParts {
-    /// Instruction set the code was compiled for.
-    pub isa: Isa,
     /// Compiled functions.
     pub funcs: Vec<FuncCode>,
     /// Constant pool.
@@ -986,14 +681,13 @@ pub struct CodeParts {
 
 /// Global slots read by `func` — the per-compiled-function read-set
 /// the artifact store records for incremental invalidation. Globals
-/// are only ever loaded by [`Instr::Global`] / [`Instr::RGlobal`], so
-/// a scan over those two opcodes is exact.
+/// are only ever loaded by [`Instr::RGlobal`], so a scan over that
+/// opcode is exact.
 pub fn func_global_reads(func: &FuncCode) -> Vec<u32> {
     let mut out: Vec<u32> = func
         .code
         .iter()
         .filter_map(|i| match i {
-            Instr::Global(g) => Some(*g),
             Instr::RGlobal { idx, .. } => Some(*idx),
             _ => None,
         })
@@ -1004,21 +698,9 @@ pub fn func_global_reads(func: &FuncCode) -> Vec<u32> {
 }
 
 impl Compiler {
-    /// An empty compiler targeting the default (register) ISA.
+    /// An empty compiler.
     pub fn new() -> Compiler {
         Compiler::default()
-    }
-
-    /// An empty compiler targeting `isa`.
-    pub fn new_with_isa(isa: Isa) -> Compiler {
-        let mut c = Compiler::default();
-        c.code.isa = isa;
-        c
-    }
-
-    /// The instruction set this compiler targets.
-    pub fn isa(&self) -> Isa {
-        self.code.isa
     }
 
     /// The accumulated code object.
@@ -1060,7 +742,6 @@ impl Compiler {
     /// rebuilds them.
     pub fn export_parts(&self, snap: &CodeSnapshot) -> CodeParts {
         CodeParts {
-            isa: self.code.isa,
             funcs: self.code.funcs[..snap.funcs].to_vec(),
             consts: self.code.consts[..snap.consts].to_vec(),
             field_lists: self.code.field_lists[..snap.field_lists].to_vec(),
@@ -1107,7 +788,6 @@ impl Compiler {
             .collect();
         Compiler {
             code: CodeObject {
-                isa: parts.isa,
                 funcs: parts.funcs,
                 consts: parts.consts,
                 field_lists: parts.field_lists,
@@ -1148,10 +828,7 @@ impl Compiler {
     /// indicates an elaboration bug.
     pub fn compile(&mut self, e: &FExpr) -> Result<u32, CompileError> {
         let mut fns = vec![FnCtx::new(FuncKind::Main, None, None)];
-        match self.code.isa {
-            Isa::Register => self.rc_tail(&mut fns, e)?,
-            Isa::Stack => self.compile_expr(&mut fns, e, true)?,
-        }
+        self.rc_tail(&mut fns, e)?;
         let ctx = fns.pop().expect("main context");
         debug_assert!(fns.is_empty(), "unbalanced function contexts");
         debug_assert!(ctx.cap_srcs.is_empty(), "main function cannot capture");
@@ -1171,31 +848,15 @@ impl Compiler {
         self.fusion
     }
 
-    /// Cumulative pair-mining and fusion counters.
+    /// Cumulative fusion counters.
     pub fn fusion_stats(&self) -> &FusionStats {
         &self.stats
     }
 
-    fn finish(&mut self, mut ctx: FnCtx) -> u32 {
-        // Register code terminates every path itself (`RRet` /
-        // `RTailCall`); the stack compiler leaves the result on the
-        // operand stack and needs the trailing `Ret`.
-        if self.code.isa == Isa::Stack {
-            ctx.emit(Instr::Ret);
-        }
+    fn finish(&mut self, ctx: FnCtx) -> u32 {
         self.stats.instrs_scanned += ctx.code.len() as u64;
-        for w in ctx.code.windows(2) {
-            *self
-                .stats
-                .pair_counts
-                .entry((mnemonic(&w[0]), mnemonic(&w[1])))
-                .or_insert(0) += 1;
-        }
         let (code, needs_scratch) = if self.fusion {
-            match self.code.isa {
-                Isa::Register => self.fuse_regs(ctx.code),
-                Isa::Stack => (self.fuse(ctx.code), false),
-            }
+            self.fuse_regs(ctx.code)
         } else {
             (ctx.code, false)
         };
@@ -1210,117 +871,15 @@ impl Compiler {
     }
 
     /// The peephole superinstruction pass: greedily fuses adjacent
-    /// pairs (preferring operator fusions over push-push fusions via
-    /// one instruction of lookahead), never across a *leader* — an
-    /// instruction some jump lands on — and remaps every jump target,
-    /// `CaseList` nil target, and match-table arm target through the
-    /// old→new index map. Deterministic, so recompiling the same term
-    /// after a rollback reproduces identical code.
-    fn fuse(&mut self, code: Vec<Instr>) -> Vec<Instr> {
-        let n = code.len();
-        let mut leader = vec![false; n + 1];
-        for instr in &code {
-            match instr {
-                Instr::Jump(t) | Instr::JumpIfFalse(t) | Instr::CaseList { nil_target: t, .. } => {
-                    leader[*t as usize] = true
-                }
-                Instr::Match(tbl) => {
-                    for arm in &self.code.match_tables[*tbl as usize].arms {
-                        leader[arm.target as usize] = true;
-                    }
-                }
-                _ => {}
-            }
-        }
-        let mut out = Vec::with_capacity(n);
-        let mut map = vec![0u32; n + 1];
-        let mut i = 0;
-        while i < n {
-            map[i] = out.len() as u32;
-            // Longest fusion first: a quadruple elides three
-            // dispatches, a triple two, a pair one.
-            if i + 3 < n && !leader[i + 1] && !leader[i + 2] && !leader[i + 3] {
-                if let Some(f) = fuse_quad(code[i], code[i + 1], code[i + 2], code[i + 3]) {
-                    for k in 1..4 {
-                        map[i + k] = out.len() as u32;
-                    }
-                    *self.stats.fused_by_kind.entry(mnemonic(&f)).or_insert(0) += 1;
-                    self.stats.fused += 3;
-                    out.push(f);
-                    i += 4;
-                    continue;
-                }
-            }
-            if i + 2 < n && !leader[i + 1] && !leader[i + 2] {
-                if let Some(f) = fuse_triple(code[i], code[i + 1], code[i + 2]) {
-                    // The swallowed slots are never leaders, so no
-                    // jump can land there; map them anyway to keep
-                    // the table total.
-                    map[i + 1] = out.len() as u32;
-                    map[i + 2] = out.len() as u32;
-                    *self.stats.fused_by_kind.entry(mnemonic(&f)).or_insert(0) += 1;
-                    self.stats.fused += 2;
-                    out.push(f);
-                    i += 3;
-                    continue;
-                }
-            }
-            let mut fused = None;
-            if i + 1 < n && !leader[i + 1] {
-                if let Some(f) = fuse_pair(code[i], code[i + 1]) {
-                    // Lookahead: leave a push-push pair unfused when
-                    // the *next* pair is an operator fusion.
-                    let next_consumes = !consumes(&f)
-                        && i + 2 < n
-                        && !leader[i + 2]
-                        && fuse_pair(code[i + 1], code[i + 2])
-                            .as_ref()
-                            .is_some_and(consumes);
-                    if !next_consumes {
-                        fused = Some(f);
-                    }
-                }
-            }
-            match fused {
-                Some(f) => {
-                    map[i + 1] = out.len() as u32;
-                    *self.stats.fused_by_kind.entry(mnemonic(&f)).or_insert(0) += 1;
-                    self.stats.fused += 1;
-                    out.push(f);
-                    i += 2;
-                }
-                None => {
-                    out.push(code[i]);
-                    i += 1;
-                }
-            }
-        }
-        map[n] = out.len() as u32;
-        for instr in &mut out {
-            match instr {
-                Instr::Jump(t)
-                | Instr::JumpIfFalse(t)
-                | Instr::CaseList { nil_target: t, .. }
-                | Instr::BinJumpIfFalse { target: t, .. }
-                | Instr::LocalConstBinJump { target: t, .. } => *t = map[*t as usize],
-                Instr::Match(tbl) => {
-                    let tbl = *tbl as usize;
-                    for arm in &mut self.code.match_tables[tbl].arms {
-                        arm.target = map[arm.target as usize];
-                    }
-                }
-                _ => {}
-            }
-        }
-        out
-    }
-
-    /// The register-ISA peephole superinstruction pass, mirroring
-    /// [`Compiler::fuse`]'s leader and remap machinery over the
-    /// re-mined register fusion set ([`fuse_rtriple`] /
-    /// [`fuse_rpair`]). Returns the fused stream and whether a
-    /// scratch register must be reserved ([`Instr::RCapBinTail`]
-    /// parks its cache-miss unfold result there).
+    /// triples ([`fuse_rtriple`]), then pairs ([`fuse_rpair`]), never
+    /// across a *leader* — an instruction some jump lands on — and
+    /// remaps every jump target, `RCaseList` nil target, and
+    /// match-table arm target through the old→new index map.
+    /// Deterministic, so recompiling the same term after a rollback
+    /// reproduces identical code. Returns the fused stream and
+    /// whether a scratch register must be reserved
+    /// ([`Instr::RCapBinTail`] parks its cache-miss unfold result
+    /// there).
     fn fuse_regs(&mut self, code: Vec<Instr>) -> (Vec<Instr>, bool) {
         let n = code.len();
         let mut leader = vec![false; n + 1];
@@ -1401,219 +960,7 @@ impl Compiler {
         }
     }
 
-    /// Compiles one expression. `tail` marks tail position: a call
-    /// there becomes [`Instr::TailCall`], reusing the current frame.
-    /// Fix bodies reset it to `false` so their [`Instr::Ret`] always
-    /// runs (the VM's unfold cache is written there).
-    fn compile_expr(
-        &mut self,
-        fns: &mut Vec<FnCtx>,
-        e: &FExpr,
-        tail: bool,
-    ) -> Result<(), CompileError> {
-        match e {
-            FExpr::Int(n) => {
-                let i = self.pool_const(Value::Int(*n), PoolKey::Int(*n));
-                fns.last_mut().expect("fn ctx").emit(Instr::Const(i));
-            }
-            FExpr::Bool(b) => {
-                let i = self.pool_const(Value::Bool(*b), PoolKey::Misc(u8::from(*b)));
-                fns.last_mut().expect("fn ctx").emit(Instr::Const(i));
-            }
-            FExpr::Str(s) => {
-                let i = self.pool_const(Value::Str(Rc::from(s.as_str())), PoolKey::Str(s.clone()));
-                fns.last_mut().expect("fn ctx").emit(Instr::Const(i));
-            }
-            FExpr::Unit => {
-                let i = self.pool_const(Value::Unit, PoolKey::Misc(2));
-                fns.last_mut().expect("fn ctx").emit(Instr::Const(i));
-            }
-            FExpr::Var(x) => {
-                let load = match resolve_var(fns, *x) {
-                    Some(CapSrc::Local(s)) => Instr::Local(s),
-                    Some(CapSrc::Capture(i)) => Instr::Capture(i),
-                    Some(CapSrc::Rec) => Instr::Rec,
-                    None => match self.global_map.get(x) {
-                        Some(&g) => Instr::Global(g),
-                        None => return Err(CompileError::Unbound(*x)),
-                    },
-                };
-                fns.last_mut().expect("fn ctx").emit(load);
-            }
-            FExpr::Lam(x, _, b) => {
-                fns.push(FnCtx::new(FuncKind::Lambda, Some(*x), None));
-                self.compile_expr(fns, b, true)?;
-                let ctx = fns.pop().expect("lambda context");
-                let idx = self.finish(ctx);
-                fns.last_mut().expect("fn ctx").emit(Instr::Closure(idx));
-            }
-            FExpr::App(f, a) => {
-                self.compile_expr(fns, f, false)?;
-                self.compile_expr(fns, a, false)?;
-                let call = if tail { Instr::TailCall } else { Instr::Call };
-                fns.last_mut().expect("fn ctx").emit(call);
-            }
-            FExpr::TyAbs(_, b) => {
-                fns.push(FnCtx::new(FuncKind::TyAbs, None, None));
-                self.compile_expr(fns, b, true)?;
-                let ctx = fns.pop().expect("tyabs context");
-                let idx = self.finish(ctx);
-                fns.last_mut().expect("fn ctx").emit(Instr::TyClosure(idx));
-            }
-            FExpr::TyApp(f, _) => {
-                self.compile_expr(fns, f, false)?;
-                fns.last_mut().expect("fn ctx").emit(Instr::Force);
-            }
-            FExpr::If(c, t, el) => {
-                self.compile_expr(fns, c, false)?;
-                let to_else = fns.last_mut().expect("fn ctx").emit(Instr::JumpIfFalse(0));
-                self.compile_expr(fns, t, tail)?;
-                let to_end = fns.last_mut().expect("fn ctx").emit(Instr::Jump(0));
-                let ctx = fns.last_mut().expect("fn ctx");
-                let else_at = ctx.here();
-                ctx.patch(to_else, else_at);
-                self.compile_expr(fns, el, tail)?;
-                let ctx = fns.last_mut().expect("fn ctx");
-                let end = ctx.here();
-                ctx.patch(to_end, end);
-            }
-            FExpr::BinOp(op, a, b) => {
-                self.compile_expr(fns, a, false)?;
-                self.compile_expr(fns, b, false)?;
-                fns.last_mut().expect("fn ctx").emit(Instr::Bin(*op));
-            }
-            FExpr::UnOp(op, a) => {
-                self.compile_expr(fns, a, false)?;
-                fns.last_mut().expect("fn ctx").emit(Instr::Un(*op));
-            }
-            FExpr::Pair(a, b) => {
-                self.compile_expr(fns, a, false)?;
-                self.compile_expr(fns, b, false)?;
-                fns.last_mut().expect("fn ctx").emit(Instr::MakePair);
-            }
-            FExpr::Fst(a) => {
-                self.compile_expr(fns, a, false)?;
-                fns.last_mut().expect("fn ctx").emit(Instr::Fst);
-            }
-            FExpr::Snd(a) => {
-                self.compile_expr(fns, a, false)?;
-                fns.last_mut().expect("fn ctx").emit(Instr::Snd);
-            }
-            FExpr::Nil(_) => {
-                fns.last_mut().expect("fn ctx").emit(Instr::PushNil);
-            }
-            FExpr::Cons(h, t) => {
-                self.compile_expr(fns, h, false)?;
-                self.compile_expr(fns, t, false)?;
-                fns.last_mut().expect("fn ctx").emit(Instr::ConsList);
-            }
-            FExpr::ListCase {
-                scrut,
-                nil,
-                head,
-                tail: tail_name,
-                cons,
-            } => {
-                self.compile_expr(fns, scrut, false)?;
-                let ctx = fns.last_mut().expect("fn ctx");
-                let saved_scope = ctx.scope.len();
-                let saved_slot = ctx.next_slot;
-                let hslot = ctx.alloc_slot();
-                let tslot = ctx.alloc_slot();
-                let case_at = ctx.emit(Instr::CaseList {
-                    head: hslot,
-                    tail: tslot,
-                    nil_target: 0,
-                });
-                ctx.scope.push((*head, hslot));
-                ctx.scope.push((*tail_name, tslot));
-                self.compile_expr(fns, cons, tail)?;
-                let ctx = fns.last_mut().expect("fn ctx");
-                ctx.scope.truncate(saved_scope);
-                ctx.next_slot = saved_slot;
-                let to_end = ctx.emit(Instr::Jump(0));
-                let nil_at = ctx.here();
-                ctx.patch(case_at, nil_at);
-                self.compile_expr(fns, nil, tail)?;
-                let ctx = fns.last_mut().expect("fn ctx");
-                let end = ctx.here();
-                ctx.patch(to_end, end);
-            }
-            FExpr::Fix(x, _, b) => {
-                // Not tail position: the fix body's `Ret` must run so
-                // the VM can cache the one-step unfolding.
-                fns.push(FnCtx::new(FuncKind::FixBody, None, Some(*x)));
-                self.compile_expr(fns, b, false)?;
-                let ctx = fns.pop().expect("fix context");
-                let idx = self.finish(ctx);
-                fns.last_mut().expect("fn ctx").emit(Instr::EnterFix(idx));
-            }
-            FExpr::Make(name, _, fields) => {
-                for (_, fe) in fields {
-                    self.compile_expr(fns, fe, false)?;
-                }
-                let syms: Rc<[Symbol]> = fields.iter().map(|(u, _)| *u).collect();
-                let fl = self.code.field_lists.len() as u32;
-                self.code.field_lists.push(syms);
-                fns.last_mut().expect("fn ctx").emit(Instr::MakeRecord {
-                    name: *name,
-                    fields: fl,
-                });
-            }
-            FExpr::Proj(rec, field) => {
-                self.compile_expr(fns, rec, false)?;
-                fns.last_mut().expect("fn ctx").emit(Instr::Project(*field));
-            }
-            FExpr::Inject(ctor, _, args) => {
-                for a in args {
-                    self.compile_expr(fns, a, false)?;
-                }
-                fns.last_mut().expect("fn ctx").emit(Instr::Inject {
-                    ctor: *ctor,
-                    argc: args.len() as u16,
-                });
-            }
-            FExpr::Match(scrut, arms) => {
-                self.compile_expr(fns, scrut, false)?;
-                let tbl = self.code.match_tables.len() as u32;
-                self.code.match_tables.push(MatchTable::default());
-                fns.last_mut().expect("fn ctx").emit(Instr::Match(tbl));
-                let mut compiled_arms = Vec::with_capacity(arms.len());
-                let mut end_jumps = Vec::with_capacity(arms.len());
-                for arm in arms {
-                    let ctx = fns.last_mut().expect("fn ctx");
-                    let target = ctx.here();
-                    let saved_scope = ctx.scope.len();
-                    let saved_slot = ctx.next_slot;
-                    let binder_base = ctx.next_slot;
-                    for b in &arm.binders {
-                        let s = ctx.alloc_slot();
-                        ctx.scope.push((*b, s));
-                    }
-                    self.compile_expr(fns, &arm.body, tail)?;
-                    let ctx = fns.last_mut().expect("fn ctx");
-                    ctx.scope.truncate(saved_scope);
-                    ctx.next_slot = saved_slot;
-                    end_jumps.push(ctx.emit(Instr::Jump(0)));
-                    compiled_arms.push(MatchArmCode {
-                        ctor: arm.ctor,
-                        binder_base,
-                        binders: arm.binders.len() as u16,
-                        target,
-                    });
-                }
-                let ctx = fns.last_mut().expect("fn ctx");
-                let end = ctx.here();
-                for j in end_jumps {
-                    ctx.patch(j, end);
-                }
-                self.code.match_tables[tbl as usize].arms = compiled_arms;
-            }
-        }
-        Ok(())
-    }
-
-    /// Compiles one expression for the register ISA in *tail*
+    /// Compiles one expression in *tail*
     /// position: every control path it emits ends in [`Instr::RRet`]
     /// or [`Instr::RTailCall`], so branch joins need no jump and the
     /// frame is never resumed.
@@ -1714,8 +1061,8 @@ impl Compiler {
         Ok(())
     }
 
-    /// Compiles one expression for the register ISA, leaving its
-    /// value in register `dst` (non-tail position).
+    /// Compiles one expression, leaving its value in register `dst`
+    /// (non-tail position).
     #[allow(clippy::too_many_lines)]
     fn rc_into(&mut self, fns: &mut Vec<FnCtx>, e: &FExpr, dst: u16) -> Result<(), CompileError> {
         match e {
@@ -2033,7 +1380,7 @@ enum PoolKey {
     Int(i64),
     Str(String),
     /// `0`/`1` for the booleans, `2` for unit, `3` for the empty
-    /// list (register-ISA RK operands only).
+    /// list.
     Misc(u8),
 }
 

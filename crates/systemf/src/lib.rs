@@ -39,4 +39,4 @@ pub use compile::{CodeObject, CodeSnapshot, CompileError, Compiler, Isa};
 pub use eval::{eval, EvalError, Evaluator, Value};
 pub use syntax::{FDeclarations, FExpr, FInterfaceDecl, FType};
 pub use typeck::{typecheck, FTypeError};
-pub use vm::{compile_and_run, compile_and_run_isa, Vm, VmStats};
+pub use vm::{compile_and_run, Vm, VmStats};

@@ -8,30 +8,26 @@
 //! [`crate::eval::Evaluator`] needs the 64 MB worker stacks of
 //! `implicit_pipeline::driver` for the same programs).
 //!
-//! Two dispatch loops back the two ISAs: the default **register**
-//! loop is stackless — every frame is one flat window of registers
-//! holding parameters, binders, and temporaries, results are written
-//! straight to the caller's destination register on return, and
-//! there is no operand stack at all — while the **stack** loop
-//! executes the PR 6 push/pop ISA unchanged as the differential
-//! baseline. Both share the word representation, the arena, fuel
-//! accounting, tail-call frame reuse, the fix-unfold cache, and the
-//! `Match` inline caches.
+//! The dispatch loop is stackless: every frame is one flat window of
+//! registers holding parameters, binders, and temporaries, results
+//! are written straight to the caller's destination register on
+//! return, and there is no operand stack at all. Tail calls reuse the
+//! frame window, `fix` unfoldings are cached, and `RMatch` sites
+//! carry inline caches.
 //!
 //! ## Value representation
 //!
 //! The hot loop does not traffic in [`Value`] at all. Operands are
 //! tagged words ([`Word`]): a `Copy` scalar that carries ints, bools,
 //! unit, and the empty list inline and represents every compound
-//! value as an index into a per-run bump arena ([`Heap`]). Pushing,
-//! popping, and binding locals are plain 16-byte copies — no
-//! refcount traffic, no `Drop` glue, no per-node boxes. Pairs,
-//! cons cells, closures, records, and data values are appended to
-//! the arena and never freed mid-run (the language is pure and the
-//! run is fuel-bounded); the arena is dropped wholesale when the run
-//! finishes. The public boundary is unchanged: [`Vm::run`] takes
-//! `&[Value]` globals and returns a [`Value`], importing and
-//! exporting at the edges.
+//! value as an index into a per-run bump arena ([`Heap`]). Register
+//! reads and writes are plain 16-byte copies — no refcount traffic,
+//! no `Drop` glue, no per-node boxes. Pairs, cons cells, closures,
+//! records, and data values are appended to the arena and never freed
+//! mid-run (the language is pure and the run is fuel-bounded); the
+//! arena is dropped wholesale when the run finishes. The public
+//! boundary is unchanged: [`Vm::run`] takes `&[Value]` globals and
+//! returns a [`Value`], importing and exporting at the edges.
 //!
 //! ## Semantics
 //!
@@ -53,7 +49,7 @@ use std::rc::Rc;
 use implicit_core::symbol::Symbol;
 
 use crate::compile::{
-    mnemonic, CapSrc, CodeObject, CompileError, Compiler, Instr, Isa, RK_CONST, RK_MASK,
+    mnemonic, CapSrc, CodeObject, CompileError, Compiler, Instr, RK_CONST, RK_MASK,
 };
 use crate::eval::{EvalError, Value};
 use crate::syntax::{BinOp, FExpr, UnOp};
@@ -425,21 +421,10 @@ fn binop_w(op: BinOp, a: Word, b: Word, heap: &mut Heap) -> Result<Word, EvalErr
 /// Frame sentinel for "no closure / not a fix body".
 const NONE: u32 = u32::MAX;
 
-/// One activation record. `stack_base`/`locals_base` delimit the
-/// frame's slices of the shared operand and locals stacks; `clo` and
-/// `rec` are arena closure indices (or [`NONE`]).
-struct Frame {
-    func: u32,
-    ip: usize,
-    stack_base: usize,
-    locals_base: usize,
-    clo: u32,
-    rec: u32,
-}
-
-/// One register-ISA activation record. The frame's register window
-/// is `regs[base..base + nslots]`; `ret_dst` is the absolute index
-/// (inside the *caller's* window) that receives this frame's result.
+/// One activation record. The frame's register window is
+/// `regs[base..base + nslots]`; `clo` and `rec` are arena closure
+/// indices (or [`NONE`]); `ret_dst` is the absolute index (inside the
+/// *caller's* window) that receives this frame's result.
 struct RFrame {
     func: u32,
     ip: usize,
@@ -507,8 +492,8 @@ impl Vm {
         }
     }
 
-    /// Enables per-opcode dispatch profiling for register-ISA runs:
-    /// every executed instruction is counted by mnemonic. Off by
+    /// Enables per-opcode dispatch profiling: every executed
+    /// instruction is counted by mnemonic. Off by
     /// default — profiling selects a separately monomorphized
     /// dispatch loop, so the unprofiled hot path pays nothing.
     pub fn set_profile(&mut self, on: bool) {
@@ -561,487 +546,19 @@ impl Vm {
         let mut heap = Heap::default();
         let wconsts: Vec<Word> = code.consts.iter().map(|v| import(v, &mut heap)).collect();
         let wglobals: Vec<Word> = globals.iter().map(|v| import(v, &mut heap)).collect();
-        match code.isa {
-            Isa::Register if self.profile => {
-                self.run_regs::<true>(code, main, &wconsts, &wglobals, &mut heap)
-            }
-            Isa::Register => self.run_regs::<false>(code, main, &wconsts, &wglobals, &mut heap),
-            Isa::Stack => self.run_words(code, main, &wconsts, &wglobals, &mut heap),
+        if self.profile {
+            self.run_regs::<true>(code, main, &wconsts, &wglobals, &mut heap)
+        } else {
+            self.run_regs::<false>(code, main, &wconsts, &wglobals, &mut heap)
         }
     }
 
-    #[allow(clippy::too_many_lines)]
-    fn run_words(
-        &mut self,
-        code: &CodeObject,
-        main: u32,
-        wconsts: &[Word],
-        wglobals: &[Word],
-        heap: &mut Heap,
-    ) -> Result<Value, EvalError> {
-        let mut stack: Vec<Word> = Vec::new();
-        let mut locals: Vec<Word> = Vec::new();
-        let mut frames: Vec<Frame> = Vec::new();
-        self.enter(code, &mut frames, &mut locals, 0, main, None, NONE, NONE)?;
-        // Dispatch registers: the hot loop reads these instead of
-        // chasing `frames.last()` and double-indexing `code.funcs` on
-        // every instruction. The mutable ones are written back to the
-        // `Frame` on a call (so `Ret` can resume the caller) and all
-        // are reloaded on every frame push/pop; in between — notably
-        // across the tail calls of a compiled loop — the `Frame` may
-        // be stale and the registers are authoritative.
-        let mut ip: usize = 0;
-        let mut locals_base: usize = 0;
-        let mut stack_base: usize = 0;
-        let mut cur_func: u32 = main;
-        let mut cur_clo: u32 = NONE;
-        let mut cur_rec: u32 = NONE;
-        let mut fcode: &[Instr] = &code.funcs[main as usize].code;
-        macro_rules! reload {
-            () => {{
-                let fr = frames.last().expect("active frame");
-                ip = fr.ip;
-                locals_base = fr.locals_base;
-                stack_base = fr.stack_base;
-                cur_func = fr.func;
-                cur_clo = fr.clo;
-                cur_rec = fr.rec;
-                fcode = &code.funcs[fr.func as usize].code;
-            }};
-        }
-        macro_rules! save_frame {
-            () => {{
-                let fr = frames.last_mut().expect("active frame");
-                fr.ip = ip;
-                fr.func = cur_func;
-                fr.clo = cur_clo;
-                fr.rec = cur_rec;
-            }};
-        }
-        /// Unfolds a `fix` self-reference: push the cached one-step
-        /// result, or re-enter the fix body.
-        macro_rules! unfold {
-            ($ix:expr) => {{
-                let ix = $ix;
-                match heap.clos[ix as usize].unfolded.get() {
-                    Some(v) => {
-                        self.fix_unfolds += 1;
-                        stack.push(v);
-                    }
-                    None => {
-                        save_frame!();
-                        let func = heap.clos[ix as usize].func;
-                        self.enter(
-                            code,
-                            &mut frames,
-                            &mut locals,
-                            stack.len(),
-                            func,
-                            None,
-                            ix,
-                            ix,
-                        )?;
-                        reload!();
-                    }
-                }
-            }};
-        }
-        /// Pops the current frame with `$result`, writing the fix
-        /// unfold cache and resuming the caller (or returning the
-        /// exported result when the last frame pops).
-        macro_rules! do_ret {
-            ($result:expr) => {{
-                let result: Word = $result;
-                frames.pop().expect("returning frame");
-                stack.truncate(stack_base);
-                locals.truncate(locals_base);
-                // A frame with a `rec` handle is a fix-body
-                // unfolding; remember its result so later unfolds
-                // of the same fix skip the re-entry.
-                if cur_rec != NONE {
-                    heap.clos[cur_rec as usize].unfolded.set(Some(result));
-                }
-                if frames.is_empty() {
-                    return Ok(export(result, heap));
-                }
-                stack.push(result);
-                reload!();
-            }};
-        }
-        /// Replaces the current frame in place with a call to
-        /// `$callee` (which must be a closure) on `$arg`. Charged like
-        /// a call, so the fuel comparability invariant is unchanged.
-        /// A *self* tail call — the shape of every compiled loop —
-        /// reuses the frame as-is: the layout is identical, and locals
-        /// beyond the argument slot are dead until rebound (binder
-        /// slots are always written by `Match`/`CaseList` before any
-        /// read).
-        macro_rules! do_tailcall {
-            ($callee:expr, $arg:expr) => {{
-                let arg: Word = $arg;
-                match $callee {
-                    Word::Clo(ix) => {
-                        if self.fuel == 0 {
-                            return Err(EvalError::OutOfFuel);
-                        }
-                        self.fuel -= 1;
-                        self.tail_calls += 1;
-                        let func = heap.clos[ix as usize].func;
-                        stack.truncate(stack_base);
-                        if func == cur_func {
-                            locals[locals_base] = arg;
-                        } else {
-                            locals.truncate(locals_base);
-                            let nslots = code.funcs[func as usize].nslots;
-                            locals.push(arg);
-                            for _ in 1..nslots {
-                                locals.push(Word::Unit);
-                            }
-                            cur_func = func;
-                            fcode = &code.funcs[func as usize].code;
-                        }
-                        cur_rec = NONE;
-                        cur_clo = ix;
-                        ip = 0;
-                    }
-                    other => return Err(EvalError::NotAFunction(show(other, heap))),
-                }
-            }};
-        }
-        loop {
-            let instr = fcode[ip];
-            ip += 1;
-            match instr {
-                Instr::Const(i) => stack.push(wconsts[i as usize]),
-                Instr::Local(s) => stack.push(locals[locals_base + s as usize]),
-                Instr::Capture(i) => {
-                    debug_assert_ne!(cur_clo, NONE, "capture load in captureless frame");
-                    let cap = heap.clos[cur_clo as usize].captures[i as usize];
-                    match cap {
-                        // Unfold one recursion step: re-enter the fix
-                        // body (or reuse its cached result); the
-                        // unfolding replaces the load.
-                        Word::Rec(ix) => unfold!(ix),
-                        v => stack.push(v),
-                    }
-                }
-                Instr::Global(i) => stack.push(wglobals[i as usize]),
-                Instr::Rec => {
-                    debug_assert_ne!(cur_rec, NONE, "rec load outside fix body");
-                    unfold!(cur_rec);
-                }
-                Instr::Closure(f) => {
-                    let captures =
-                        materialize_captures(code, f, locals_base, cur_clo, cur_rec, &locals, heap);
-                    let ix = heap.alloc_clo(f, captures);
-                    stack.push(Word::Clo(ix));
-                }
-                Instr::TyClosure(f) => {
-                    let captures =
-                        materialize_captures(code, f, locals_base, cur_clo, cur_rec, &locals, heap);
-                    let ix = heap.alloc_clo(f, captures);
-                    stack.push(Word::TyClo(ix));
-                }
-                Instr::EnterFix(f) => {
-                    let captures =
-                        materialize_captures(code, f, locals_base, cur_clo, cur_rec, &locals, heap);
-                    let ix = heap.alloc_clo(f, captures);
-                    save_frame!();
-                    self.enter(code, &mut frames, &mut locals, stack.len(), f, None, ix, ix)?;
-                    reload!();
-                }
-                Instr::Call => {
-                    let arg = stack.pop().expect("call argument");
-                    let callee = stack.pop().expect("call function");
-                    match callee {
-                        Word::Clo(ix) => {
-                            save_frame!();
-                            let func = heap.clos[ix as usize].func;
-                            self.enter(
-                                code,
-                                &mut frames,
-                                &mut locals,
-                                stack.len(),
-                                func,
-                                Some(arg),
-                                ix,
-                                NONE,
-                            )?;
-                            reload!();
-                        }
-                        other => return Err(EvalError::NotAFunction(show(other, heap))),
-                    }
-                }
-                Instr::TailCall => {
-                    let arg = stack.pop().expect("call argument");
-                    let callee = stack.pop().expect("call function");
-                    do_tailcall!(callee, arg);
-                }
-                Instr::Force => match stack.pop().expect("force operand") {
-                    Word::TyClo(ix) => {
-                        save_frame!();
-                        let func = heap.clos[ix as usize].func;
-                        self.enter(
-                            code,
-                            &mut frames,
-                            &mut locals,
-                            stack.len(),
-                            func,
-                            None,
-                            ix,
-                            NONE,
-                        )?;
-                        reload!();
-                    }
-                    other => {
-                        return Err(EvalError::Stuck(format!(
-                            "type application of non-type-abstraction {}",
-                            show(other, heap)
-                        )))
-                    }
-                },
-                Instr::Ret => {
-                    let result = stack.pop().expect("return value");
-                    do_ret!(result);
-                }
-                Instr::Jump(t) => ip = t as usize,
-                Instr::JumpIfFalse(t) => match stack.pop().expect("branch condition") {
-                    Word::Bool(true) => {}
-                    Word::Bool(false) => ip = t as usize,
-                    other => {
-                        return Err(EvalError::Stuck(format!(
-                            "if on non-boolean {}",
-                            show(other, heap)
-                        )))
-                    }
-                },
-                Instr::Bin(op) => {
-                    let b = stack.pop().expect("right operand");
-                    let a = stack.pop().expect("left operand");
-                    stack.push(binop_w(op, a, b, heap)?);
-                }
-                Instr::Un(op) => {
-                    let v = stack.pop().expect("unary operand");
-                    stack.push(match (op, v) {
-                        (UnOp::Not, Word::Bool(b)) => Word::Bool(!b),
-                        (UnOp::Neg, Word::Int(n)) => Word::Int(-n),
-                        (UnOp::IntToStr, Word::Int(n)) => {
-                            heap.strs.push(Rc::from(n.to_string()));
-                            Word::Str((heap.strs.len() - 1) as u32)
-                        }
-                        (op, v) => {
-                            return Err(EvalError::Stuck(format!("{op:?} on {}", show(v, heap))))
-                        }
-                    });
-                }
-                Instr::MakePair => {
-                    let b = stack.pop().expect("pair right");
-                    let a = stack.pop().expect("pair left");
-                    heap.pairs.push((a, b));
-                    stack.push(Word::Pair((heap.pairs.len() - 1) as u32));
-                }
-                Instr::Fst => match stack.pop().expect("fst operand") {
-                    Word::Pair(p) => stack.push(heap.pairs[p as usize].0),
-                    other => return Err(EvalError::Stuck(format!("fst on {}", show(other, heap)))),
-                },
-                Instr::Snd => match stack.pop().expect("snd operand") {
-                    Word::Pair(p) => stack.push(heap.pairs[p as usize].1),
-                    other => return Err(EvalError::Stuck(format!("snd on {}", show(other, heap)))),
-                },
-                Instr::PushNil => stack.push(Word::Nil),
-                Instr::ConsList => {
-                    let t = stack.pop().expect("cons tail");
-                    let h = stack.pop().expect("cons head");
-                    match t {
-                        Word::Nil | Word::Cons(_) => {
-                            heap.conses.push((h, t));
-                            stack.push(Word::Cons((heap.conses.len() - 1) as u32));
-                        }
-                        other => {
-                            return Err(EvalError::Stuck(format!(
-                                "cons onto {}",
-                                show(other, heap)
-                            )))
-                        }
-                    }
-                }
-                Instr::CaseList {
-                    head,
-                    tail,
-                    nil_target,
-                } => match stack.pop().expect("case scrutinee") {
-                    Word::Nil => ip = nil_target as usize,
-                    Word::Cons(c) => {
-                        let (hv, tv) = heap.conses[c as usize];
-                        locals[locals_base + head as usize] = hv;
-                        locals[locals_base + tail as usize] = tv;
-                    }
-                    other => {
-                        return Err(EvalError::Stuck(format!("case on {}", show(other, heap))))
-                    }
-                },
-                Instr::MakeRecord { name, fields } => {
-                    let syms = &code.field_lists[fields as usize];
-                    let vals = stack.split_off(stack.len() - syms.len());
-                    heap.records.push(HRecord {
-                        name,
-                        fields: syms.clone(),
-                        vals,
-                    });
-                    stack.push(Word::Record((heap.records.len() - 1) as u32));
-                }
-                Instr::Project(field) => match stack.pop().expect("projection operand") {
-                    Word::Record(r) => {
-                        let rec = &heap.records[r as usize];
-                        let Some(pos) = rec.fields.iter().position(|u| *u == field) else {
-                            return Err(EvalError::Stuck(format!(
-                                "record {} has no field {field}",
-                                rec.name
-                            )));
-                        };
-                        stack.push(rec.vals[pos]);
-                    }
-                    other => {
-                        return Err(EvalError::Stuck(format!(
-                            "projection on {}",
-                            show(other, heap)
-                        )))
-                    }
-                },
-                Instr::Inject { ctor, argc } => {
-                    let vals = stack.split_off(stack.len() - argc as usize);
-                    heap.datas.push(HData { ctor, fields: vals });
-                    stack.push(Word::Data((heap.datas.len() - 1) as u32));
-                }
-                Instr::Match(tbl) => match stack.pop().expect("match scrutinee") {
-                    Word::Data(d) => {
-                        let ctor = heap.datas[d as usize].ctor;
-                        let table = &code.match_tables[tbl as usize];
-                        // Monomorphic inline cache: probe the arm this
-                        // table selected last before the linear scan.
-                        let cached = table.ic.get();
-                        let pos = if cached != u32::MAX
-                            && table
-                                .arms
-                                .get(cached as usize)
-                                .is_some_and(|a| a.ctor == ctor)
-                        {
-                            self.match_ic_hits += 1;
-                            cached as usize
-                        } else {
-                            let Some(pos) = table.arms.iter().position(|a| a.ctor == ctor) else {
-                                return Err(EvalError::Stuck(format!("no arm for `{ctor}`")));
-                            };
-                            self.match_ic_misses += 1;
-                            table.ic.set(pos as u32);
-                            pos
-                        };
-                        let arm = &table.arms[pos];
-                        let nfields = heap.datas[d as usize].fields.len();
-                        if arm.binders as usize != nfields {
-                            return Err(EvalError::Stuck(format!(
-                                "arm `{ctor}` binder count mismatch"
-                            )));
-                        }
-                        let base = locals_base + arm.binder_base as usize;
-                        locals[base..base + nfields]
-                            .copy_from_slice(&heap.datas[d as usize].fields);
-                        ip = arm.target as usize;
-                    }
-                    other => {
-                        return Err(EvalError::Stuck(format!("match on {}", show(other, heap))))
-                    }
-                },
-                // --- Superinstructions (see `compile::fuse`). Each
-                // is exactly its two constituents back to back, with
-                // one dispatch and the intermediate push elided.
-                Instr::LocalConst { slot, konst } => {
-                    stack.push(locals[locals_base + slot as usize]);
-                    stack.push(wconsts[konst as usize]);
-                }
-                Instr::LocalLocal { a, b } => {
-                    stack.push(locals[locals_base + a as usize]);
-                    stack.push(locals[locals_base + b as usize]);
-                }
-                Instr::ConstBin { konst, op } => {
-                    let b = wconsts[konst as usize];
-                    let a = stack.pop().expect("left operand");
-                    stack.push(binop_w(op, a, b, heap)?);
-                }
-                Instr::LocalBin { slot, op } => {
-                    let b = locals[locals_base + slot as usize];
-                    let a = stack.pop().expect("left operand");
-                    stack.push(binop_w(op, a, b, heap)?);
-                }
-                Instr::BinJumpIfFalse { op, target } => {
-                    let b = stack.pop().expect("right operand");
-                    let a = stack.pop().expect("left operand");
-                    match binop_w(op, a, b, heap)? {
-                        Word::Bool(true) => {}
-                        Word::Bool(false) => ip = target as usize,
-                        other => {
-                            return Err(EvalError::Stuck(format!(
-                                "if on non-boolean {}",
-                                show(other, heap)
-                            )))
-                        }
-                    }
-                }
-                Instr::ConstRet { konst } => {
-                    let result = wconsts[konst as usize];
-                    do_ret!(result);
-                }
-                Instr::LocalRet { slot } => {
-                    let result = locals[locals_base + slot as usize];
-                    do_ret!(result);
-                }
-                Instr::LocalConstBin { slot, konst, op } => {
-                    let a = locals[locals_base + slot as usize];
-                    let b = wconsts[konst as usize];
-                    stack.push(binop_w(op, a, b, heap)?);
-                }
-                Instr::LocalLocalBin { a, b, op } => {
-                    let x = locals[locals_base + a as usize];
-                    let y = locals[locals_base + b as usize];
-                    stack.push(binop_w(op, x, y, heap)?);
-                }
-                Instr::LocalConstBinTail { slot, konst, op } => {
-                    let a = locals[locals_base + slot as usize];
-                    let b = wconsts[konst as usize];
-                    let arg = binop_w(op, a, b, heap)?;
-                    let callee = stack.pop().expect("call function");
-                    do_tailcall!(callee, arg);
-                }
-                Instr::LocalConstBinJump {
-                    slot,
-                    konst,
-                    op,
-                    target,
-                } => {
-                    let a = locals[locals_base + slot as usize];
-                    let b = wconsts[konst as usize];
-                    match binop_w(op, a, b, heap)? {
-                        Word::Bool(true) => {}
-                        Word::Bool(false) => ip = target as usize,
-                        other => {
-                            return Err(EvalError::Stuck(format!(
-                                "if on non-boolean {}",
-                                show(other, heap)
-                            )))
-                        }
-                    }
-                }
-                other => unreachable!("register-ISA instruction {other:?} in stack code"),
-            }
-        }
-    }
-
-    /// The stackless register-ISA dispatch loop. One flat `regs`
-    /// vector holds every live frame's register window; results
-    /// travel through each frame's `ret_dst` instead of an operand
-    /// stack. `PROFILE` selects the dispatch-histogram
-    /// instrumentation at monomorphization time, so the unprofiled
-    /// loop carries no check at all.
+    /// The stackless dispatch loop. One flat `regs` vector holds every
+    /// live frame's register window; results travel through each
+    /// frame's `ret_dst` instead of an operand stack. `PROFILE`
+    /// selects the dispatch-histogram instrumentation at
+    /// monomorphization time, so the unprofiled loop carries no check
+    /// at all.
     #[allow(clippy::too_many_lines)]
     fn run_regs<const PROFILE: bool>(
         &mut self,
@@ -1054,9 +571,13 @@ impl Vm {
         let mut regs: Vec<Word> = Vec::new();
         let mut frames: Vec<RFrame> = Vec::new();
         self.enter_regs(code, &mut frames, &mut regs, main, None, NONE, NONE, 0)?;
-        // Dispatch registers, exactly as in the stack loop: written
-        // back to the `RFrame` on a call, reloaded on push/pop,
-        // authoritative in between.
+        // Dispatch registers: the hot loop reads these instead of
+        // chasing `frames.last()` and double-indexing `code.funcs` on
+        // every instruction. The mutable ones are written back to the
+        // `RFrame` on a call (so a return can resume the caller) and
+        // all are reloaded on every frame push/pop; in between —
+        // notably across the tail calls of a compiled loop — the
+        // `RFrame` may be stale and the registers are authoritative.
         let mut ip: usize = 0;
         let mut base: usize = 0;
         let mut cur_func: u32 = main;
@@ -1542,13 +1063,11 @@ impl Vm {
                         }
                     }
                 }
-                other => unreachable!("stack-ISA instruction {other:?} in register code"),
             }
         }
     }
 
-    /// Pushes a register-ISA activation record, charging one fuel
-    /// unit (the same discipline as [`Vm::enter`]).
+    /// Pushes an activation record, charging one fuel unit.
     #[allow(clippy::too_many_arguments)]
     fn enter_regs(
         &mut self,
@@ -1585,44 +1104,6 @@ impl Vm {
         });
         Ok(())
     }
-
-    /// Pushes a new activation record, charging one fuel unit.
-    #[allow(clippy::too_many_arguments)]
-    fn enter(
-        &mut self,
-        code: &CodeObject,
-        frames: &mut Vec<Frame>,
-        locals: &mut Vec<Word>,
-        stack_base: usize,
-        func: u32,
-        arg: Option<Word>,
-        clo: u32,
-        rec: u32,
-    ) -> Result<(), EvalError> {
-        if self.fuel == 0 {
-            return Err(EvalError::OutOfFuel);
-        }
-        self.fuel -= 1;
-        let f = &code.funcs[func as usize];
-        let locals_base = locals.len();
-        let mut filled = 0;
-        if let Some(a) = arg {
-            locals.push(a);
-            filled = 1;
-        }
-        for _ in filled..f.nslots {
-            locals.push(Word::Unit);
-        }
-        frames.push(Frame {
-            func,
-            ip: 0,
-            stack_base,
-            locals_base,
-            clo,
-            rec,
-        });
-        Ok(())
-    }
 }
 
 /// Executes a function's capture directives against the creating
@@ -1631,17 +1112,17 @@ impl Vm {
 fn materialize_captures(
     code: &CodeObject,
     func: u32,
-    locals_base: usize,
+    base: usize,
     clo: u32,
     rec: u32,
-    locals: &[Word],
+    regs: &[Word],
     heap: &Heap,
 ) -> Vec<Word> {
     code.funcs[func as usize]
         .captures
         .iter()
         .map(|src| match src {
-            CapSrc::Local(s) => locals[locals_base + *s as usize],
+            CapSrc::Local(s) => regs[base + *s as usize],
             CapSrc::Capture(i) => {
                 debug_assert_ne!(clo, NONE, "transitive capture");
                 heap.clos[clo as usize].captures[*i as usize]
@@ -1663,18 +1144,7 @@ fn materialize_captures(
 /// tree-walker reports the same term the same way, just later);
 /// otherwise see [`Vm::run`].
 pub fn compile_and_run(e: &FExpr) -> Result<Value, EvalError> {
-    compile_and_run_isa(e, Isa::default())
-}
-
-/// Like [`compile_and_run`] but pinning the instruction set, so
-/// differential harnesses can run the register and stack backends
-/// against each other explicitly.
-///
-/// # Errors
-///
-/// See [`compile_and_run`].
-pub fn compile_and_run_isa(e: &FExpr, isa: Isa) -> Result<Value, EvalError> {
-    let mut compiler = Compiler::new_with_isa(isa);
+    let mut compiler = Compiler::new();
     let main = compiler.compile(e).map_err(|err| match err {
         CompileError::Unbound(x) => EvalError::UnboundVar(x),
     })?;
@@ -2076,85 +1546,85 @@ mod tests {
 
     #[test]
     fn fusion_emits_superinstructions_and_preserves_results() {
-        // The factorial loop contains the canonical fusable shapes
-        // on both ISAs (a compare feeding a branch, an arithmetic op
-        // feeding the recursive tail call); fusion must shorten the
-        // code without changing the result or the fuel charged.
+        // The factorial loop contains the canonical fusable shapes (a
+        // compare feeding a branch, an arithmetic op feeding the
+        // recursive tail call); fusion must shorten the code without
+        // changing the result or the fuel charged.
         let e = FExpr::app(fac_expr(), FExpr::Int(10));
-        for (isa, mined_pair) in [
-            (Isa::Register, ("r.bin", "r.jumpiffalse")),
-            (Isa::Stack, ("local", "const")),
-        ] {
-            let mut fused = Compiler::new_with_isa(isa);
-            let mut plain = Compiler::new_with_isa(isa);
-            plain.set_fusion(false);
-            let mf = fused.compile(&e).unwrap();
-            let mp = plain.compile(&e).unwrap();
-            let mut vm_f = Vm::new();
-            let mut vm_p = Vm::new();
-            let out_f = vm_f.run(fused.code(), mf, &[]).unwrap();
-            let out_p = vm_p.run(plain.code(), mp, &[]).unwrap();
-            assert_eq!(out_f.to_string(), out_p.to_string());
-            assert_eq!(vm_f.stats().fuel_used, vm_p.stats().fuel_used);
-            assert!(
-                fused.fusion_stats().fused > 0,
-                "no superinstructions emitted for {isa:?}"
-            );
-            assert_eq!(plain.fusion_stats().fused, 0);
-            let total_fused: usize = fused.code().funcs.iter().map(|f| f.code.len()).sum();
-            let total_plain: usize = plain.code().funcs.iter().map(|f| f.code.len()).sum();
-            assert!(
-                total_fused < total_plain,
-                "fused stream not shorter for {isa:?}: {total_fused} vs {total_plain}"
-            );
-            // The mining table saw the pairs each fused set was built for.
-            assert!(
-                fused.fusion_stats().pair_counts.contains_key(&mined_pair),
-                "{isa:?} mining table missing {mined_pair:?}"
-            );
-        }
+        let mut fused = Compiler::new();
+        let mut plain = Compiler::new();
+        plain.set_fusion(false);
+        let mf = fused.compile(&e).unwrap();
+        let mp = plain.compile(&e).unwrap();
+        let mut vm_f = Vm::new();
+        let mut vm_p = Vm::new();
+        let out_f = vm_f.run(fused.code(), mf, &[]).unwrap();
+        let out_p = vm_p.run(plain.code(), mp, &[]).unwrap();
+        assert_eq!(out_f.to_string(), out_p.to_string());
+        assert_eq!(vm_f.stats().fuel_used, vm_p.stats().fuel_used);
+        assert!(
+            fused.fusion_stats().fused > 0,
+            "no superinstructions emitted"
+        );
+        assert_eq!(plain.fusion_stats().fused, 0);
+        let total_fused: usize = fused.code().funcs.iter().map(|f| f.code.len()).sum();
+        let total_plain: usize = plain.code().funcs.iter().map(|f| f.code.len()).sum();
+        assert!(
+            total_fused < total_plain,
+            "fused stream not shorter: {total_fused} vs {total_plain}"
+        );
     }
 
     #[test]
-    fn register_and_stack_backends_agree_with_equal_fuel() {
-        // The register ISA must be observably identical to the stack
-        // ISA: same values, same errors, and the same fuel bill (both
-        // charge one unit per frame entry and per tail call).
+    fn values_errors_and_fuel_are_pinned() {
+        // Values, errors and fuel bills (one unit per frame entry and
+        // per tail call). The pinned numbers are the ones a second,
+        // independent ISA also produced for these programs.
         let cases = vec![
-            FExpr::app(fac_expr(), FExpr::Int(12)),
-            FExpr::Pair(
-                Rc::new(FExpr::BinOp(
-                    BinOp::Add,
-                    Rc::new(FExpr::Int(2)),
-                    Rc::new(FExpr::Int(3)),
-                )),
-                Rc::new(FExpr::Str(String::from("hi"))),
+            (FExpr::app(fac_expr(), FExpr::Int(12)), Ok("479001600"), 15),
+            (
+                FExpr::Pair(
+                    Rc::new(FExpr::BinOp(
+                        BinOp::Add,
+                        Rc::new(FExpr::Int(2)),
+                        Rc::new(FExpr::Int(3)),
+                    )),
+                    Rc::new(FExpr::Str(String::from("hi"))),
+                ),
+                Ok("(5, \"hi\")"),
+                1,
             ),
-            FExpr::Cons(
-                Rc::new(FExpr::Int(1)),
-                Rc::new(FExpr::Cons(
-                    Rc::new(FExpr::Int(2)),
-                    Rc::new(FExpr::Nil(FType::Int)),
-                )),
+            (
+                FExpr::Cons(
+                    Rc::new(FExpr::Int(1)),
+                    Rc::new(FExpr::Cons(
+                        Rc::new(FExpr::Int(2)),
+                        Rc::new(FExpr::Nil(FType::Int)),
+                    )),
+                ),
+                Ok("[1, 2]"),
+                1,
             ),
-            FExpr::app(FExpr::Int(1), FExpr::Int(2)),
+            (
+                FExpr::app(FExpr::Int(1), FExpr::Int(2)),
+                Err("cannot apply non-function value 1"),
+                1,
+            ),
         ];
-        for e in cases {
-            let run = |isa: Isa| {
-                let mut compiler = Compiler::new_with_isa(isa);
-                let main = compiler.compile(&e).unwrap();
-                let mut vm = Vm::new();
-                let out = vm.run(compiler.code(), main, &[]);
-                (
-                    out.map(|value| value.to_string())
-                        .map_err(|err| err.to_string()),
-                    vm.stats().fuel_used,
-                )
-            };
-            let (reg_out, reg_fuel) = run(Isa::Register);
-            let (stack_out, stack_fuel) = run(Isa::Stack);
-            assert_eq!(reg_out, stack_out, "ISAs disagree on {e}");
-            assert_eq!(reg_fuel, stack_fuel, "fuel differs on {e}");
+        for (e, want, fuel) in cases {
+            let mut compiler = Compiler::new();
+            let main = compiler.compile(&e).unwrap();
+            let mut vm = Vm::new();
+            let out = vm
+                .run(compiler.code(), main, &[])
+                .map(|value| value.to_string())
+                .map_err(|err| err.to_string());
+            assert_eq!(
+                out.as_deref(),
+                want.map_err(str::to_owned).as_deref(),
+                "on {e}"
+            );
+            assert_eq!(vm.stats().fuel_used, fuel, "fuel on {e}");
         }
     }
 

@@ -3,8 +3,7 @@
 //! Extends the core wire format ([`implicit_core::wire`]) with the
 //! elaborated-language types this crate owns: [`FType`]/[`FExpr`]
 //! trees, runtime [`Value`] graphs (including closures and their
-//! captured [`Env`] spines), and compiled [`CodeParts`] for either
-//! ISA.
+//! captured [`Env`] spines), and compiled [`CodeParts`].
 //!
 //! Value graphs share structure aggressively — environment spines are
 //! built incrementally, so every closure in the prelude environment
@@ -31,13 +30,36 @@ use implicit_core::symbol::Symbol;
 use implicit_core::syntax::TyCon;
 use implicit_core::wire::{cap, Dec, Enc, WireError};
 
-use crate::compile::{CapSrc, CodeParts, FuncCode, FuncKind, Instr, Isa, MatchArmCode, MatchTable};
+use crate::compile::{
+    CapSrc, CodeParts, FuncCode, FuncKind, Instr, Isa, MatchArmCode, MatchTable, RK_CONST, RK_MASK,
+};
 use crate::eval::{Binding, Env, EnvNode, Value};
 use crate::syntax::{FExpr, FMatchArm, FType};
 use crate::vm::VmClosure;
 
 fn err<T>(msg: String) -> Result<T, WireError> {
     Err(WireError(msg))
+}
+
+/// The wire tag of an [`Isa`]: the first byte of every encoded
+/// [`CodeParts`], and the ISA byte of an artifact's header and
+/// content key.
+pub fn isa_tag(isa: Isa) -> u8 {
+    match isa {
+        Isa::Register => 0,
+    }
+}
+
+/// Reads back an [`isa_tag`].
+///
+/// # Errors
+///
+/// Any byte that is not an ISA's tag.
+pub fn isa_from_tag(tag: u8) -> Result<Isa, WireError> {
+    match tag {
+        0 => Ok(Isa::Register),
+        t => err(format!("unknown isa tag {t}")),
+    }
 }
 
 /// Encoder context for System F data: wraps a core [`Enc`] with the
@@ -452,10 +474,7 @@ impl<'a> SfEnc<'a> {
 
     /// Writes compiled code parts for rehydrating a [`crate::compile::Compiler`].
     pub fn code_parts(&mut self, p: &CodeParts) {
-        self.e.u8(match p.isa {
-            Isa::Register => 0,
-            Isa::Stack => 1,
-        });
+        self.e.u8(isa_tag(Isa::Register));
         self.e.bool(p.fusion);
         self.e.len(p.globals.len());
         for g in &p.globals {
@@ -521,150 +540,9 @@ impl<'a> SfEnc<'a> {
     pub fn instr(&mut self, i: &Instr) {
         let e = &mut *self.e;
         match *i {
-            Instr::Const(k) => {
-                e.u8(0);
-                e.u32(k);
-            }
-            Instr::Local(s) => {
-                e.u8(1);
-                e.u16(s);
-            }
-            Instr::Capture(s) => {
-                e.u8(2);
-                e.u16(s);
-            }
-            Instr::Global(g) => {
-                e.u8(3);
-                e.u32(g);
-            }
-            Instr::Rec => e.u8(4),
-            Instr::Closure(f) => {
-                e.u8(5);
-                e.u32(f);
-            }
-            Instr::TyClosure(f) => {
-                e.u8(6);
-                e.u32(f);
-            }
-            Instr::EnterFix(f) => {
-                e.u8(7);
-                e.u32(f);
-            }
-            Instr::Call => e.u8(8),
-            Instr::TailCall => e.u8(9),
-            Instr::Force => e.u8(10),
-            Instr::Ret => e.u8(11),
             Instr::Jump(t) => {
                 e.u8(12);
                 e.u32(t);
-            }
-            Instr::JumpIfFalse(t) => {
-                e.u8(13);
-                e.u32(t);
-            }
-            Instr::Bin(op) => {
-                e.u8(14);
-                e.binop(op);
-            }
-            Instr::Un(op) => {
-                e.u8(15);
-                e.unop(op);
-            }
-            Instr::MakePair => e.u8(16),
-            Instr::Fst => e.u8(17),
-            Instr::Snd => e.u8(18),
-            Instr::PushNil => e.u8(19),
-            Instr::ConsList => e.u8(20),
-            Instr::CaseList {
-                head,
-                tail,
-                nil_target,
-            } => {
-                e.u8(21);
-                e.u16(head);
-                e.u16(tail);
-                e.u32(nil_target);
-            }
-            Instr::MakeRecord { name, fields } => {
-                e.u8(22);
-                e.sym(name);
-                e.u32(fields);
-            }
-            Instr::Project(f) => {
-                e.u8(23);
-                e.sym(f);
-            }
-            Instr::Inject { ctor, argc } => {
-                e.u8(24);
-                e.sym(ctor);
-                e.u16(argc);
-            }
-            Instr::Match(t) => {
-                e.u8(25);
-                e.u32(t);
-            }
-            Instr::LocalConst { slot, konst } => {
-                e.u8(26);
-                e.u16(slot);
-                e.u32(konst);
-            }
-            Instr::LocalLocal { a, b } => {
-                e.u8(27);
-                e.u16(a);
-                e.u16(b);
-            }
-            Instr::ConstBin { konst, op } => {
-                e.u8(28);
-                e.u32(konst);
-                e.binop(op);
-            }
-            Instr::LocalBin { slot, op } => {
-                e.u8(29);
-                e.u16(slot);
-                e.binop(op);
-            }
-            Instr::BinJumpIfFalse { op, target } => {
-                e.u8(30);
-                e.binop(op);
-                e.u32(target);
-            }
-            Instr::ConstRet { konst } => {
-                e.u8(31);
-                e.u32(konst);
-            }
-            Instr::LocalRet { slot } => {
-                e.u8(32);
-                e.u16(slot);
-            }
-            Instr::LocalConstBin { slot, konst, op } => {
-                e.u8(33);
-                e.u16(slot);
-                e.u32(konst);
-                e.binop(op);
-            }
-            Instr::LocalLocalBin { a, b, op } => {
-                e.u8(34);
-                e.u16(a);
-                e.u16(b);
-                e.binop(op);
-            }
-            Instr::LocalConstBinJump {
-                slot,
-                konst,
-                op,
-                target,
-            } => {
-                e.u8(35);
-                e.u16(slot);
-                e.u32(konst);
-                e.binop(op);
-                e.u32(target);
-            }
-            Instr::LocalConstBinTail { slot, konst, op } => {
-                e.u8(36);
-                e.u16(slot);
-                e.u32(konst);
-                e.binop(op);
             }
             Instr::RConst { dst, konst } => {
                 e.u8(37);
@@ -847,10 +725,15 @@ impl<'a> SfEnc<'a> {
 pub struct SfDec<'a, 'b> {
     /// The underlying byte decoder.
     pub d: &'b mut Dec<'a>,
-    /// When set, decoded VM-closure function indices must be below
-    /// this bound (set it after decoding [`CodeParts`] so a corrupted
-    /// artifact cannot smuggle an out-of-range code pointer).
-    pub func_limit: Option<u32>,
+    /// Kind and capture count of each function of the code object
+    /// read by [`SfDec::code_parts`]. Compiled closures decoded after
+    /// it are checked against this table on the spot, so a corrupted
+    /// artifact cannot smuggle in a code pointer the VM would misuse.
+    funcs: Option<Vec<(FuncKind, usize)>>,
+    /// Compiled closures decoded before the function table (the
+    /// constant pool's), with the kind their value tag requires;
+    /// checked once the table is read.
+    unchecked: Vec<(Rc<VmClosure>, FuncKind)>,
     envs: Vec<Rc<EnvNode>>,
     vals: Vec<Rc<Value>>,
     valvecs: Vec<Rc<Vec<Value>>>,
@@ -864,7 +747,8 @@ impl<'a, 'b> SfDec<'a, 'b> {
     pub fn new(d: &'b mut Dec<'a>) -> SfDec<'a, 'b> {
         SfDec {
             d,
-            func_limit: None,
+            funcs: None,
+            unchecked: Vec::new(),
             envs: Vec::new(),
             vals: Vec::new(),
             valvecs: Vec::new(),
@@ -1100,9 +984,9 @@ impl<'a, 'b> SfDec<'a, 'b> {
                 let fields = self.valvec()?;
                 Value::Data { ctor, fields }
             }
-            10 => Value::CompiledClosure(self.vmclosure()?),
-            11 => Value::CompiledTyClosure(self.vmclosure()?),
-            12 => Value::CompiledRec(self.vmclosure()?),
+            10 => Value::CompiledClosure(self.vmclosure(FuncKind::Lambda)?),
+            11 => Value::CompiledTyClosure(self.vmclosure(FuncKind::TyAbs)?),
+            12 => Value::CompiledRec(self.vmclosure(FuncKind::FixBody)?),
             t => return err(format!("bad value tag {t}")),
         })
     }
@@ -1173,22 +1057,19 @@ impl<'a, 'b> SfDec<'a, 'b> {
         }
     }
 
-    fn vmclosure(&mut self) -> Result<Rc<VmClosure>, WireError> {
-        match self.d.u8()? {
+    /// Reads a compiled closure whose value tag requires a function
+    /// of `kind`.
+    fn vmclosure(&mut self, kind: FuncKind) -> Result<Rc<VmClosure>, WireError> {
+        let rc = match self.d.u8()? {
             0 => {
                 let ix = self.d.u32()? as usize;
                 self.vmclosures
                     .get(ix)
                     .cloned()
-                    .ok_or_else(|| WireError(format!("vmclosure backref {ix} out of range")))
+                    .ok_or_else(|| WireError(format!("vmclosure backref {ix} out of range")))?
             }
             1 => {
                 let func = self.d.u32()?;
-                if let Some(limit) = self.func_limit {
-                    if func >= limit {
-                        return err(format!("vm closure func {func} out of range (< {limit})"));
-                    }
-                }
                 let n = self.d.len()?;
                 let mut captures = Vec::with_capacity(n.min(1 << 16));
                 for _ in 0..n {
@@ -1196,10 +1077,15 @@ impl<'a, 'b> SfDec<'a, 'b> {
                 }
                 let rc = Rc::new(VmClosure { func, captures });
                 self.vmclosures.push(rc.clone());
-                Ok(rc)
+                rc
             }
-            t => err(format!("bad vmclosure memo tag {t}")),
+            t => return err(format!("bad vmclosure memo tag {t}")),
+        };
+        match &self.funcs {
+            Some(funcs) => check_closure(funcs, &rc, kind)?,
+            None => self.unchecked.push((rc.clone(), kind)),
         }
+        Ok(rc)
     }
 
     /// Reads an environment spine.
@@ -1240,13 +1126,10 @@ impl<'a, 'b> SfDec<'a, 'b> {
         Ok(env)
     }
 
-    /// Reads compiled code parts.
+    /// Reads compiled code parts, and checks every index the VM will
+    /// take from them (see `check_code`).
     pub fn code_parts(&mut self) -> Result<CodeParts, WireError> {
-        let isa = match self.d.u8()? {
-            0 => Isa::Register,
-            1 => Isa::Stack,
-            t => return err(format!("bad isa tag {t}")),
-        };
+        isa_from_tag(self.d.u8()?)?;
         let fusion = self.d.bool()?;
         let ng = self.d.len()?;
         let mut globals = Vec::with_capacity(ng.min(1 << 16));
@@ -1296,31 +1179,25 @@ impl<'a, 'b> SfDec<'a, 'b> {
         for _ in 0..nf {
             funcs.push(self.func_code()?);
         }
-        // VM closures decoded after this point must reference one of
-        // these functions.
-        let limit = u32::try_from(funcs.len()).unwrap_or(u32::MAX);
-        self.func_limit = Some(limit);
-        // The constant pool decodes before the function table, so its
-        // closures bypassed the inline bounds check in `vmclosure`;
-        // the memo table holds every closure decoded so far (however
-        // deeply nested), so sweep it now that the limit is known.
-        for c in &self.vmclosures {
-            if c.func >= limit {
-                return err(format!(
-                    "const-pool vm closure func {} out of range (< {limit})",
-                    c.func
-                ));
-            }
-        }
-        Ok(CodeParts {
-            isa,
+        let parts = CodeParts {
             funcs,
             consts,
             field_lists,
             match_tables,
             globals,
             fusion,
-        })
+        };
+        check_code(&parts)?;
+        let funcs: Vec<(FuncKind, usize)> = parts
+            .funcs
+            .iter()
+            .map(|f| (f.kind, f.captures.len()))
+            .collect();
+        for (c, kind) in std::mem::take(&mut self.unchecked) {
+            check_closure(&funcs, &c, kind)?;
+        }
+        self.funcs = Some(funcs);
+        Ok(parts)
     }
 
     fn func_code(&mut self) -> Result<FuncCode, WireError> {
@@ -1360,106 +1237,7 @@ impl<'a, 'b> SfDec<'a, 'b> {
     pub fn instr(&mut self) -> Result<Instr, WireError> {
         let d = &mut *self.d;
         Ok(match d.u8()? {
-            0 => Instr::Const(d.u32()?),
-            1 => Instr::Local(d.u16()?),
-            2 => Instr::Capture(d.u16()?),
-            3 => Instr::Global(d.u32()?),
-            4 => Instr::Rec,
-            5 => Instr::Closure(d.u32()?),
-            6 => Instr::TyClosure(d.u32()?),
-            7 => Instr::EnterFix(d.u32()?),
-            8 => Instr::Call,
-            9 => Instr::TailCall,
-            10 => Instr::Force,
-            11 => Instr::Ret,
             12 => Instr::Jump(d.u32()?),
-            13 => Instr::JumpIfFalse(d.u32()?),
-            14 => Instr::Bin(d.binop()?),
-            15 => Instr::Un(d.unop()?),
-            16 => Instr::MakePair,
-            17 => Instr::Fst,
-            18 => Instr::Snd,
-            19 => Instr::PushNil,
-            20 => Instr::ConsList,
-            21 => {
-                let head = d.u16()?;
-                let tail = d.u16()?;
-                let nil_target = d.u32()?;
-                Instr::CaseList {
-                    head,
-                    tail,
-                    nil_target,
-                }
-            }
-            22 => {
-                let name = d.sym()?;
-                let fields = d.u32()?;
-                Instr::MakeRecord { name, fields }
-            }
-            23 => Instr::Project(d.sym()?),
-            24 => {
-                let ctor = d.sym()?;
-                let argc = d.u16()?;
-                Instr::Inject { ctor, argc }
-            }
-            25 => Instr::Match(d.u32()?),
-            26 => {
-                let slot = d.u16()?;
-                let konst = d.u32()?;
-                Instr::LocalConst { slot, konst }
-            }
-            27 => {
-                let a = d.u16()?;
-                let b = d.u16()?;
-                Instr::LocalLocal { a, b }
-            }
-            28 => {
-                let konst = d.u32()?;
-                let op = d.binop()?;
-                Instr::ConstBin { konst, op }
-            }
-            29 => {
-                let slot = d.u16()?;
-                let op = d.binop()?;
-                Instr::LocalBin { slot, op }
-            }
-            30 => {
-                let op = d.binop()?;
-                let target = d.u32()?;
-                Instr::BinJumpIfFalse { op, target }
-            }
-            31 => Instr::ConstRet { konst: d.u32()? },
-            32 => Instr::LocalRet { slot: d.u16()? },
-            33 => {
-                let slot = d.u16()?;
-                let konst = d.u32()?;
-                let op = d.binop()?;
-                Instr::LocalConstBin { slot, konst, op }
-            }
-            34 => {
-                let a = d.u16()?;
-                let b = d.u16()?;
-                let op = d.binop()?;
-                Instr::LocalLocalBin { a, b, op }
-            }
-            35 => {
-                let slot = d.u16()?;
-                let konst = d.u32()?;
-                let op = d.binop()?;
-                let target = d.u32()?;
-                Instr::LocalConstBinJump {
-                    slot,
-                    konst,
-                    op,
-                    target,
-                }
-            }
-            36 => {
-                let slot = d.u16()?;
-                let konst = d.u32()?;
-                let op = d.binop()?;
-                Instr::LocalConstBinTail { slot, konst, op }
-            }
             37 => {
                 let dst = d.u16()?;
                 let konst = d.u32()?;
@@ -1632,6 +1410,156 @@ impl<'a, 'b> SfDec<'a, 'b> {
     }
 }
 
+/// Checks that a compiled closure names a function of the kind its
+/// value tag requires and carries exactly that function's captures —
+/// the VM indexes a closure's captures by the function's operands.
+fn check_closure(
+    funcs: &[(FuncKind, usize)],
+    c: &VmClosure,
+    kind: FuncKind,
+) -> Result<(), WireError> {
+    match funcs.get(c.func as usize) {
+        Some(&(k, n)) if k == kind && n == c.captures.len() => Ok(()),
+        _ => err(format!(
+            "vm closure of func {} with {} captures is not a {kind:?} closure",
+            c.func,
+            c.captures.len()
+        )),
+    }
+}
+
+/// Checks every index the VM takes from decoded code against the
+/// table it indexes, so that code which passed the checksum but not
+/// the compiler cannot make [`crate::vm::Vm::run`] index out of
+/// bounds. Per function:
+///
+/// * register operands are below `nslots`, and register windows
+///   (record fields, constructor arguments, match-arm binders) end
+///   at or below it;
+/// * constant, global, field-list and match-table indices are in
+///   range, and every jump, nil and arm target is inside the code;
+/// * the last instruction cannot fall through, so `ip` never runs
+///   off the end;
+/// * captures are read only where a closure is running — `RCapture`
+///   and `RCapBinTail` indices are below the function's capture
+///   count, and an entry function has none;
+/// * `RRec` and `CapSrc::Rec` appear only in fix bodies, whose frames
+///   always carry their recursive closure;
+/// * `RClosure`, `RTyClosure` and `REnterFix` name a function of kind
+///   `Lambda`, `TyAbs` and `FixBody` respectively, whose capture
+///   directives read the creator's registers and captures in range;
+/// * `RCapBinTail` has a scratch register to park its unfold in.
+fn check_code(p: &CodeParts) -> Result<(), WireError> {
+    for (fi, f) in p.funcs.iter().enumerate() {
+        let nslots = usize::from(f.nslots);
+        let len = f.code.len();
+        let reg = |r: u16| usize::from(r) < nslots;
+        let rk = |x: u16| {
+            if x & RK_CONST != 0 {
+                usize::from(x & RK_MASK) < p.consts.len()
+            } else {
+                reg(x)
+            }
+        };
+        let window = |base: u16, n: usize| usize::from(base) + n <= nslots;
+        let target = |t: u32| (t as usize) < len;
+        let cap = |i: u16| usize::from(i) < f.captures.len();
+        let creates = |func: u32, kind: FuncKind| {
+            p.funcs.get(func as usize).is_some_and(|g| {
+                g.kind == kind
+                    && g.captures.iter().all(|c| match *c {
+                        CapSrc::Local(s) => reg(s),
+                        CapSrc::Capture(i) => cap(i),
+                        CapSrc::Rec => f.kind == FuncKind::FixBody,
+                    })
+            })
+        };
+        if f.kind == FuncKind::Main && !f.captures.is_empty() {
+            return err(format!("func {fi}: entry function with captures"));
+        }
+        if !matches!(
+            f.code.last(),
+            Some(
+                Instr::RRet { .. }
+                    | Instr::RTailCall { .. }
+                    | Instr::Jump(_)
+                    | Instr::RMatch { .. }
+                    | Instr::RBinRet { .. }
+                    | Instr::RBinTail { .. }
+                    | Instr::RCapBinTail { .. }
+            )
+        ) {
+            return err(format!("func {fi}: code can run off its end"));
+        }
+        for (ip, i) in f.code.iter().enumerate() {
+            let ok = match *i {
+                Instr::RConst { dst, konst } => reg(dst) && (konst as usize) < p.consts.len(),
+                Instr::RMove { dst, src }
+                | Instr::RForce { dst, src }
+                | Instr::RFst { dst, src }
+                | Instr::RSnd { dst, src }
+                | Instr::RProject { dst, src, .. } => reg(dst) && reg(src),
+                Instr::RCapture { dst, idx } => reg(dst) && cap(idx),
+                Instr::RGlobal { dst, idx } => reg(dst) && (idx as usize) < p.globals.len(),
+                Instr::RRec { dst } => reg(dst) && f.kind == FuncKind::FixBody,
+                Instr::RClosure { dst, func } => reg(dst) && creates(func, FuncKind::Lambda),
+                Instr::RTyClosure { dst, func } => reg(dst) && creates(func, FuncKind::TyAbs),
+                Instr::REnterFix { dst, func } => reg(dst) && creates(func, FuncKind::FixBody),
+                Instr::RCall { dst, f, arg } => reg(dst) && reg(f) && rk(arg),
+                Instr::RTailCall { f, arg } => reg(f) && rk(arg),
+                Instr::RRet { src } => rk(src),
+                Instr::Jump(t) => target(t),
+                Instr::RJumpIfFalse { cond, target: t } => rk(cond) && target(t),
+                Instr::RBin { dst, a, b, .. }
+                | Instr::RPair { dst, a, b }
+                | Instr::RCons {
+                    dst,
+                    head: a,
+                    tail: b,
+                } => reg(dst) && rk(a) && rk(b),
+                Instr::RUn { dst, src, .. } => reg(dst) && rk(src),
+                Instr::RCaseList {
+                    src,
+                    head,
+                    tail,
+                    nil_target,
+                } => rk(src) && reg(head) && reg(tail) && target(nil_target),
+                Instr::RMakeRecord {
+                    dst, base, fields, ..
+                } => {
+                    reg(dst)
+                        && p.field_lists
+                            .get(fields as usize)
+                            .is_some_and(|fl| window(base, fl.len()))
+                }
+                Instr::RInject {
+                    dst, base, argc, ..
+                } => reg(dst) && window(base, usize::from(argc)),
+                Instr::RMatch { src, tbl } => {
+                    reg(src)
+                        && p.match_tables.get(tbl as usize).is_some_and(|t| {
+                            t.arms.iter().all(|a| {
+                                window(a.binder_base, usize::from(a.binders)) && target(a.target)
+                            })
+                        })
+                }
+                Instr::RBinJump {
+                    a, b, target: t, ..
+                } => rk(a) && rk(b) && target(t),
+                Instr::RBinRet { a, b, .. } => rk(a) && rk(b),
+                Instr::RBinTail { f, a, b, .. } => reg(f) && rk(a) && rk(b),
+                Instr::RCapBinTail { idx, a, b, .. } => cap(idx) && rk(a) && rk(b) && nslots > 0,
+            };
+            if !ok {
+                return err(format!(
+                    "func {fi} instr {ip}: operand out of range in {i:?}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1721,12 +1649,11 @@ mod tests {
         assert_eq!(a.try_eq(&b), Some(true));
     }
 
-    #[test]
-    fn compiled_code_roundtrips_on_both_isas() {
+    /// `(λx. x * x) 12` — exercises funcs, consts and captures.
+    fn square_of_twelve() -> FExpr {
         use implicit_core::syntax::BinOp;
-        // (λx. x * x) 12 — exercises funcs, consts and captures.
         let x = sym("x");
-        let prog = FExpr::App(
+        FExpr::App(
             Rc::new(FExpr::Lam(
                 x,
                 FType::Int,
@@ -1737,47 +1664,111 @@ mod tests {
                 )),
             )),
             Rc::new(FExpr::Int(12)),
-        );
-        for isa in [Isa::Register, Isa::Stack] {
-            let mut c = Compiler::new_with_isa(isa);
-            let main = c.compile(&prog).expect("compile");
-            let snap = c.snapshot();
-            let parts = c.export_parts(&snap);
-
-            let mut e = Enc::new();
-            {
-                let mut sf = SfEnc::new(&mut e);
-                sf.code_parts(&parts);
-            }
-            let bytes = e.finish();
-            let mut d = Dec::new(&bytes).expect("checksum");
-            let mut sf = SfDec::new(&mut d);
-            let parts2 = sf.code_parts().expect("decode");
-            let c2 = Compiler::from_parts(parts2);
-
-            let mut vm = Vm::new();
-            let v1 = vm.run(c.code(), main, &[]).expect("run original");
-            let v2 = vm.run(c2.code(), main, &[]).expect("run decoded");
-            assert_eq!(v1.try_eq(&v2), Some(true));
-            assert_eq!(format!("{v1:?}"), format!("{v2:?}"));
-        }
+        )
     }
 
     #[test]
-    fn vmclosure_func_limit_is_enforced() {
-        let clo = Value::CompiledClosure(Rc::new(VmClosure {
-            func: 5,
-            captures: vec![],
-        }));
+    fn compiled_code_roundtrips() {
+        let mut c = Compiler::new();
+        let main = c.compile(&square_of_twelve()).expect("compile");
+        let snap = c.snapshot();
+        let parts = c.export_parts(&snap);
+
         let mut e = Enc::new();
         {
             let mut sf = SfEnc::new(&mut e);
-            sf.value(&clo);
+            sf.code_parts(&parts);
         }
         let bytes = e.finish();
         let mut d = Dec::new(&bytes).expect("checksum");
         let mut sf = SfDec::new(&mut d);
-        sf.func_limit = Some(3);
-        assert!(sf.value().is_err(), "out-of-range func index accepted");
+        let parts2 = sf.code_parts().expect("decode");
+        let c2 = Compiler::from_parts(parts2);
+
+        let mut vm = Vm::new();
+        let v1 = vm.run(c.code(), main, &[]).expect("run original");
+        let v2 = vm.run(c2.code(), main, &[]).expect("run decoded");
+        assert_eq!(v1.try_eq(&v2), Some(true));
+        assert_eq!(format!("{v1:?}"), format!("{v2:?}"));
+    }
+
+    #[test]
+    fn compiled_closures_must_match_their_function() {
+        // Function 0 is the lambda, function 1 the entry.
+        let mut c = Compiler::new();
+        c.compile(&square_of_twelve()).expect("compile");
+        let parts = c.export_parts(&c.snapshot());
+        assert_eq!(parts.funcs[0].kind, FuncKind::Lambda);
+        assert_eq!(parts.funcs[1].kind, FuncKind::Main);
+        let decode_after_code = |v: &Value| {
+            let mut e = Enc::new();
+            {
+                let mut sf = SfEnc::new(&mut e);
+                sf.code_parts(&parts);
+                sf.value(v);
+            }
+            let bytes = e.finish();
+            let mut d = Dec::new(&bytes).expect("checksum");
+            let mut sf = SfDec::new(&mut d);
+            sf.code_parts().expect("code decodes");
+            sf.value()
+        };
+        let clo = |func: u32, captures: Vec<Value>| Rc::new(VmClosure { func, captures });
+        assert!(decode_after_code(&Value::CompiledClosure(clo(0, vec![]))).is_ok());
+        for (what, v) in [
+            ("out of range", Value::CompiledClosure(clo(5, vec![]))),
+            ("entry function", Value::CompiledClosure(clo(1, vec![]))),
+            (
+                "extra capture",
+                Value::CompiledClosure(clo(0, vec![Value::Unit])),
+            ),
+            (
+                "thunk of a lambda",
+                Value::CompiledTyClosure(clo(0, vec![])),
+            ),
+            (
+                "fix sentinel of a lambda",
+                Value::CompiledRec(clo(0, vec![])),
+            ),
+        ] {
+            assert!(decode_after_code(&v).is_err(), "{what} accepted");
+        }
+    }
+
+    #[test]
+    fn removed_isa_and_instruction_tags_are_rejected() {
+        // A hand-encoded code object: the isa byte, then one entry
+        // function whose single instruction is `instr`.
+        let code = |isa: u8, instr: &[u8]| {
+            let mut e = Enc::new();
+            e.u8(isa);
+            e.bool(true);
+            for _ in 0..4 {
+                e.len(0); // globals, consts, field lists, match tables
+            }
+            e.len(1);
+            e.u8(3); // FuncKind::Main
+            e.u16(1);
+            e.len(0);
+            e.len(1);
+            for b in instr {
+                e.u8(*b);
+            }
+            let bytes = e.finish();
+            let mut d = Dec::new(&bytes).expect("checksum");
+            SfDec::new(&mut d).code_parts().map(drop)
+        };
+        let ret_r0 = [48, 0, 0];
+        assert!(
+            code(0, &ret_r0).is_ok(),
+            "the well-formed object must decode"
+        );
+        assert!(code(1, &ret_r0).is_err(), "isa tag 1 accepted");
+        for tag in (0..=11).chain(13..=36) {
+            assert!(
+                code(0, &[tag, 0, 0, 0, 0, 0, 0]).is_err(),
+                "tag {tag} accepted"
+            );
+        }
     }
 }

@@ -10,7 +10,7 @@
 //! The same workloads also run through the bytecode backend, with
 //! separate budgets for compilation (instruction buffers, constant
 //! pool, capture lists) and execution (value heap only — frames and
-//! operand stacks amortize to a handful of `Vec` growths).
+//! the register file amortize to a handful of `Vec` growths).
 //!
 //! Counts are per thread, so tests running in parallel do not land in
 //! each other's budgets.
@@ -310,11 +310,9 @@ fn vm_path_allocation_budget() {
 
     // Run cost is the per-run bump arena: tagged words are `Copy`, so
     // ints/bools/pairs/conses cost amortized `Vec` doublings instead
-    // of one `Rc` box per value. The register loop measures 34 / 39 /
-    // 434 allocations — fewer than the stack loop's 40 / 44 / 433,
-    // since one flat register file replaces the locals + operand-stack
-    // pair (the match loop still pays one args-`Vec` per `Inject` and
-    // one fields-`Vec` per `Make`). Byte traffic on the deep non-tail
+    // of one `Rc` box per value. The dispatch loop measures 34 / 39 /
+    // 434 allocations (the match loop pays one args-`Vec` per
+    // `Inject` and one fields-`Vec` per `Make`). Byte traffic on the deep non-tail
     // recursion is a little higher (each of the 500 live windows is a
     // full frame's registers, and the file doubles through them);
     // budgets leave ~40% headroom.

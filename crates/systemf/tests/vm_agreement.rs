@@ -1,14 +1,18 @@
 //! Backend-agreement differential test: for generated λ⇒ programs,
-//! the register VM, the stack VM, the tree-walking System F
-//! evaluator, and the direct operational semantics must compute the
-//! same value — under every resolution policy, since each policy may
-//! elaborate to a *different* System F term (different evidence), and
-//! both VM ISAs have to agree with the tree-walker on whichever term
-//! it is handed.
+//! the bytecode VM, the tree-walking System F evaluator, and the
+//! direct operational semantics must compute the same value — under
+//! every resolution policy, since each policy may elaborate to a
+//! *different* System F term (different evidence), and the VM has to
+//! agree with the tree-walker on whichever term it is handed. The VM
+//! runs the compiled code after a trip through the artifact wire
+//! format, whose decoder bounds-checks every operand: it must accept
+//! everything the compiler emits.
 
 use implicit_core::resolve::ResolutionPolicy;
+use implicit_core::wire::{Dec, Enc};
 use implicit_opsem::Interpreter;
-use systemf::Isa;
+use systemf::wire::{SfDec, SfEnc};
+use systemf::{Compiler, Vm};
 
 const PROGRAMS: usize = 1000;
 
@@ -52,23 +56,27 @@ fn body() {
                 .unwrap_or_else(|e| panic!("program {i} [{name}]: elaboration leg failed: {e}"));
             let tree = out.value.to_string();
 
-            let vm = systemf::compile_and_run_isa(&out.target, Isa::Register).unwrap_or_else(|e| {
-                panic!("program {i} [{name}]: register vm failed: {e}\n{}", p.expr)
+            let mut compiler = Compiler::new();
+            let main = compiler
+                .compile(&out.target)
+                .unwrap_or_else(|e| panic!("program {i} [{name}]: compile failed: {e}"));
+            let mut enc = Enc::new();
+            SfEnc::new(&mut enc).code_parts(&compiler.export_parts(&compiler.snapshot()));
+            let bytes = enc.finish();
+            let mut dec = Dec::new(&bytes).expect("checksum");
+            let parts = SfDec::new(&mut dec).code_parts().unwrap_or_else(|e| {
+                panic!(
+                    "program {i} [{name}]: decoder rejected compiled code: {e}\n{}",
+                    p.expr
+                )
             });
+            let vm = Vm::new()
+                .run(Compiler::from_parts(parts).code(), main, &[])
+                .unwrap_or_else(|e| panic!("program {i} [{name}]: vm failed: {e}\n{}", p.expr));
             assert_eq!(
                 vm.to_string(),
                 tree,
-                "program {i} [{name}]: register vm vs tree-walk on\n{}",
-                p.expr
-            );
-
-            let stack = systemf::compile_and_run_isa(&out.target, Isa::Stack).unwrap_or_else(|e| {
-                panic!("program {i} [{name}]: stack vm failed: {e}\n{}", p.expr)
-            });
-            assert_eq!(
-                stack.to_string(),
-                tree,
-                "program {i} [{name}]: stack vm vs register vm/tree on\n{}",
+                "program {i} [{name}]: vm vs tree-walk on\n{}",
                 p.expr
             );
 

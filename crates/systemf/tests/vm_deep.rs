@@ -14,8 +14,7 @@
 use std::rc::Rc;
 
 use systemf::syntax::{BinOp, FExpr, FType};
-use systemf::vm::compile_and_run_isa;
-use systemf::Isa;
+use systemf::vm::compile_and_run;
 
 const N: i64 = 100_000;
 
@@ -67,36 +66,28 @@ fn on_small_stack(work: impl FnOnce() -> String + Send + 'static) -> String {
 #[test]
 fn non_tail_fold_of_100k_steps_runs_in_constant_host_stack() {
     // sum n = n + sum (n - 1): the addition happens *after* the
-    // recursive call returns, so the VM's frame stack (heap frames on
-    // the stack ISA, register-file windows on the register ISA)
-    // genuinely grows 100k deep — only the host stack stays flat.
-    for isa in [Isa::Register, Isa::Stack] {
-        let out = on_small_stack(move || {
-            let step = FExpr::BinOp(
-                BinOp::Add,
-                Rc::new(FExpr::var("n")),
-                Rc::new(recurse_on(n_minus_1())),
-            );
-            let e = countdown(step, FExpr::Int(0));
-            compile_and_run_isa(&e, isa)
-                .map(|v| v.to_string())
-                .expect("vm")
-        });
-        assert_eq!(out, (N * (N + 1) / 2).to_string(), "{isa:?}");
-    }
+    // recursive call returns, so the VM's frame stack (register-file
+    // windows on the heap) genuinely grows 100k deep — only the host
+    // stack stays flat.
+    let out = on_small_stack(|| {
+        let step = FExpr::BinOp(
+            BinOp::Add,
+            Rc::new(FExpr::var("n")),
+            Rc::new(recurse_on(n_minus_1())),
+        );
+        let e = countdown(step, FExpr::Int(0));
+        compile_and_run(&e).map(|v| v.to_string()).expect("vm")
+    });
+    assert_eq!(out, (N * (N + 1) / 2).to_string());
 }
 
 #[test]
 fn tail_loop_of_100k_steps_runs_in_constant_host_stack() {
     // f n = f (n - 1): compiled to a tail call, so even the frame
-    // stack stays at depth 1 the whole way down, on both ISAs.
-    for isa in [Isa::Register, Isa::Stack] {
-        let out = on_small_stack(move || {
-            let e = countdown(recurse_on(n_minus_1()), FExpr::Int(42));
-            compile_and_run_isa(&e, isa)
-                .map(|v| v.to_string())
-                .expect("vm")
-        });
-        assert_eq!(out, "42", "{isa:?}");
-    }
+    // stack stays at depth 1 the whole way down.
+    let out = on_small_stack(|| {
+        let e = countdown(recurse_on(n_minus_1()), FExpr::Int(42));
+        compile_and_run(&e).map(|v| v.to_string()).expect("vm")
+    });
+    assert_eq!(out, "42");
 }

@@ -13,13 +13,10 @@
 //!   --semantics elab|opsem|both
 //!                          evaluation route (default: both, compared)
 //!   --policy paper|most-specific|env-extension
-//!   --backend tree|vm|vm-stack
-//!                          how the elaborated System F term is
+//!   --backend tree|vm      how the elaborated System F term is
 //!                          evaluated: the tree-walking evaluator
-//!                          (default), the closure-converted bytecode
-//!                          VM on its register ISA, or the same VM on
-//!                          the legacy stack ISA (kept for one
-//!                          release for differential testing)
+//!                          (default) or the closure-converted
+//!                          register bytecode VM
 //!   --strict               enable strict static checks (termination,
 //!                          coherence)
 //!   --batch <DIR>          compile every core program (*.imp, *.lc)
@@ -56,7 +53,7 @@
 //!                          compiler's fusion totals (instructions
 //!                          scanned, fusion rate, emitted
 //!                          superinstructions by mnemonic); requires
-//!                          --backend vm or vm-stack
+//!                          --backend vm
 //!   --xcheck               cross-check every query site with the
 //!                          intersection-subtyping resolver (the
 //!                          conformance harness's fifth leg): the
@@ -129,7 +126,7 @@ enum Input {
 fn usage() -> String {
     "usage: implicitc [--lang core|source] [--emit value|type|core|systemf|explain] \
      [--semantics elab|opsem|both] [--policy paper|most-specific|env-extension] \
-     [--backend tree|vm|vm-stack] [--strict] [--trace <file.json>] [--metrics] [--vm-stats] \
+     [--backend tree|vm] [--strict] [--trace <file.json>] [--metrics] [--vm-stats] \
      [--xcheck] [--cache-dir <d>] [--connect <host:port>] \
      (<file> | -e <program> | --batch <dir> [--jobs <m>])"
         .to_owned()
@@ -205,7 +202,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--backend" => {
                 opts.backend = match it.next().map(String::as_str).and_then(Backend::parse) {
                     Some(b) => b,
-                    None => return Err("--backend: expected tree|vm|vm-stack".to_owned()),
+                    None => return Err("--backend: expected tree|vm".to_owned()),
                 }
             }
             "--strict" => opts.strict = true,
@@ -271,8 +268,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     } else {
         opts.input = Some(input.ok_or_else(usage)?);
     }
-    if opts.vm_stats && opts.backend.isa().is_none() {
-        return Err("--vm-stats requires --backend vm or vm-stack".to_owned());
+    if opts.vm_stats && opts.backend != Backend::Vm {
+        return Err("--vm-stats requires --backend vm".to_owned());
     }
     if opts.xcheck && opts.batch.is_some() {
         return Err("--xcheck verifies a single program; drop --batch".to_owned());
@@ -564,9 +561,8 @@ fn run(opts: &Options) -> Result<(), String> {
             // The VM evaluates instead of (not after) the
             // tree-walker, so deep recursion never touches the host
             // stack; preservation is still checked before erasure.
-            Backend::Vm | Backend::VmStack => {
-                let isa = opts.backend.isa().expect("VM backends have an ISA");
-                let mut compiler = systemf::Compiler::new_with_isa(isa);
+            Backend::Vm => {
+                let mut compiler = systemf::Compiler::new();
                 let main = tracer
                     .span(Phase::Compile, || compiler.compile(&target))
                     .map_err(|e| format!("vm: {e}"))?;
@@ -702,7 +698,6 @@ fn run_single_cached(
         &prelude,
         true,
         false,
-        opts.backend.isa().unwrap_or_default(),
     )
     .map_err(|e| e.to_string())?;
     eprintln!(
@@ -1033,13 +1028,7 @@ fn run_batch_mode(opts: &Options, dir: &str) -> Result<(), String> {
             // phase.
             Some(store) => {
                 let (session, outcome) = implicit_pipeline::artifact::load_or_build(
-                    store,
-                    &decls,
-                    policy,
-                    &prelude,
-                    true,
-                    false,
-                    backend.isa().unwrap_or_default(),
+                    store, &decls, policy, &prelude, true, false,
                 )
                 .map_err(|e| format!("prelude: {e}"))?;
                 let label = match outcome {
@@ -1050,15 +1039,8 @@ fn run_batch_mode(opts: &Options, dir: &str) -> Result<(), String> {
                 (session, Some(label))
             }
             None => (
-                implicit_pipeline::Session::new_configured_isa(
-                    &decls,
-                    policy.clone(),
-                    &prelude,
-                    true,
-                    false,
-                    backend.isa().unwrap_or_default(),
-                )
-                .map_err(|e| format!("prelude: {e}"))?,
+                implicit_pipeline::Session::new(&decls, policy.clone(), &prelude)
+                    .map_err(|e| format!("prelude: {e}"))?,
                 None,
             ),
         };

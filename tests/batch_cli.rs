@@ -3,7 +3,8 @@
 //! and before anything is saved to the artifact store — whatever the
 //! worker count, with or without `--cache-dir`. Each worker parses and
 //! builds the prelude itself, so this pins that the workers' errors
-//! collapse to the one line a single up-front check would print.
+//! collapse to the one line a single up-front check would print. An
+//! option value that does not exist is refused before any of that.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -106,4 +107,15 @@ fn valid_prelude_runs_every_program() {
             )
         );
     }
+    let out = Command::new(IMPLICITC)
+        .args(["--backend", "vm-stack", "--batch"])
+        .arg(&dir)
+        .output()
+        .expect("run implicitc");
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "--backend: expected tree|vm\n"
+    );
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "");
 }
