@@ -173,6 +173,12 @@ fn main() -> ExitCode {
             .collect::<Vec<_>>()
             .join(", ")
     );
+    if cli.daemon {
+        println!(
+            "  daemon leg skipped {} seed(s): printed program did not parse",
+            legs.daemon_skips
+        );
+    }
     for d in &report.divergences {
         println!(
             "  {}: seed {} shard {} — {} ({} -> {} nodes{})",

@@ -522,10 +522,11 @@ fn daemon_err_string(e: &implicit_elab::RunError) -> String {
 /// protocol on its own thread — must agree with the in-process warm
 /// session on every program it can be asked about.
 ///
-/// The daemon serves *source text*, so the leg only fires when the
-/// pretty-printed program parses back to the identical AST (the same
-/// replayability bar the shrinker applies); programs that don't
-/// round-trip are skipped, not failed.
+/// The daemon serves *source text*, so both sides run the program as
+/// its printed text parses back. Fresh binders (`g%12`) print as their
+/// base name, so that tree can differ from `expr` by a renaming of
+/// binders. Returns `Ok(false)`, the leg skipped, only when the
+/// printed text does not parse at all; callers count those.
 ///
 /// # Errors
 ///
@@ -537,15 +538,12 @@ pub fn run_daemon_oracle(
     tenant: &str,
     warm: &mut implicit_pipeline::Session<'_>,
     expr: &Expr,
-) -> Result<(), Divergence> {
+) -> Result<bool, Divergence> {
     let printed = expr.to_string();
-    let roundtrips = implicit_core::parse::parse_expr(&printed)
-        .map(|p| &p == expr)
-        .unwrap_or(false);
-    if !roundtrips {
-        return Ok(());
-    }
-    let w = warm.run(expr);
+    let Ok(reparsed) = implicit_core::parse::parse_expr(&printed) else {
+        return Ok(false);
+    };
+    let w = warm.run(&reparsed);
     let d = client.eval(tenant, &printed);
     match (&w, &d) {
         (Ok(w), Ok((value, ty))) => {
@@ -581,7 +579,7 @@ pub fn run_daemon_oracle(
             ));
         }
     }
-    Ok(())
+    Ok(true)
 }
 
 /// What the resolution oracle observed when all legs agreed.

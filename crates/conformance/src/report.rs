@@ -40,6 +40,9 @@ pub struct LegTimings {
     /// must agree with the in-process warm session (daemon sweeps
     /// only).
     pub daemon_us: u64,
+    /// Not a time: the seeds the daemon oracle skipped because the
+    /// printed program did not parse back.
+    pub daemon_skips: u64,
 }
 
 impl LegTimings {
@@ -52,6 +55,7 @@ impl LegTimings {
         self.restart_us += other.restart_us;
         self.wild_us += other.wild_us;
         self.daemon_us += other.daemon_us;
+        self.daemon_skips += other.daemon_skips;
     }
 
     /// `(leg name, accumulated microseconds)` pairs in report order.
@@ -68,12 +72,16 @@ impl LegTimings {
     }
 
     fn to_json(self) -> Json {
-        Json::Obj(
-            self.as_pairs()
-                .into_iter()
-                .map(|(k, us)| (format!("{k}_ms"), Json::Num(us as f64 / 1000.0)))
-                .collect(),
-        )
+        let mut fields: Vec<(String, Json)> = self
+            .as_pairs()
+            .into_iter()
+            .map(|(k, us)| (format!("{k}_ms"), Json::Num(us as f64 / 1000.0)))
+            .collect();
+        fields.push((
+            "daemon_skips".to_owned(),
+            Json::Int(self.daemon_skips as i64),
+        ));
+        Json::Obj(fields)
     }
 }
 
@@ -337,6 +345,7 @@ mod tests {
                         restart_us: 1_000,
                         wild_us: 0,
                         daemon_us: 400,
+                        daemon_skips: 1,
                     },
                 },
                 ShardReport {
@@ -360,6 +369,7 @@ mod tests {
                         restart_us: 1_500,
                         wild_us: 0,
                         daemon_us: 600,
+                        daemon_skips: 2,
                     },
                 },
             ],
@@ -387,6 +397,10 @@ mod tests {
         assert!(json.contains("\"restart_ms\":2.500"), "got {json}");
         assert!(json.contains("\"program_ms\":62.500"), "got {json}");
         assert!(json.contains("\"wild_ms\":0.000"), "got {json}");
-        assert!(json.contains("\"daemon_ms\":1.000"), "got {json}");
+        // The daemon leg's skip count sits next to its time.
+        assert!(
+            json.contains("\"daemon_ms\":1.000,\"daemon_skips\":3"),
+            "got {json}"
+        );
     }
 }

@@ -176,10 +176,12 @@ fn run_seed(
     // over the wire (daemon sweeps only).
     if divergence.is_none() {
         if let Some((client, tenant)) = daemon {
-            if let Err(d) = timed(&mut timings.daemon_us, || {
+            match timed(&mut timings.daemon_us, || {
                 run_daemon_oracle(client, tenant, session, &program.expr)
             }) {
-                divergence = Some(session_record(d));
+                Ok(true) => {}
+                Ok(false) => timings.daemon_skips += 1,
+                Err(d) => divergence = Some(session_record(d)),
             }
         }
     }
@@ -590,6 +592,9 @@ mod tests {
         // The wire leg actually ran and its cost is reported.
         let t = r.total_leg_timings();
         assert!(t.daemon_us > 0, "daemon leg never ran: {t:?}");
+        // Every generated program prints as text that parses, so the
+        // leg ran on every seed.
+        assert_eq!(t.daemon_skips, 0, "daemon leg skipped seeds: {t:?}");
         // A daemon-less sweep reports zero daemon time.
         let r2 = run(&RunnerConfig {
             daemon: false,
@@ -597,6 +602,44 @@ mod tests {
         })
         .unwrap();
         assert_eq!(r2.total_leg_timings().daemon_us, 0);
+    }
+
+    #[test]
+    fn the_daemon_leg_skips_only_text_that_does_not_parse() {
+        let daemon =
+            implicit_pipeline::service::Daemon::start(implicit_pipeline::service::DaemonConfig {
+                addr: "127.0.0.1:0".to_owned(),
+                ..implicit_pipeline::service::DaemonConfig::default()
+            })
+            .unwrap();
+        let mut client = implicit_pipeline::service::Client::connect(daemon.addr()).unwrap();
+        let prelude = session_prelude();
+        let source = implicit_pipeline::service::prelude_source(&prelude);
+        client
+            .open_prelude("t", &source, implicit_pipeline::Backend::Vm)
+            .unwrap();
+        let decls = Declarations::new();
+        let mut session = Session::new(&decls, ResolutionPolicy::paper(), &prelude).unwrap();
+        let run = |session: &mut Session<'_>, client: &mut _, e: &Expr| {
+            run_daemon_oracle(client, "t", session, e).unwrap()
+        };
+        // A negative literal prints where it parses back.
+        let neg = Expr::app(
+            Expr::lam("x", implicit_core::syntax::Type::Int, Expr::var("x")),
+            Expr::Int(-51),
+        );
+        assert!(run(&mut session, &mut client, &neg));
+        // A fresh binder prints as its base name: the reparsed tree is
+        // a renaming of this one, and the leg runs on it.
+        let x = implicit_core::symbol::fresh("x");
+        let renamed = Expr::app(
+            Expr::lam(x, implicit_core::syntax::Type::Int, Expr::Var(x)),
+            Expr::Int(1),
+        );
+        assert!(run(&mut session, &mut client, &renamed));
+        // `i64::MIN`'s magnitude overflows the lexer's literals: the
+        // one skip, counted by the caller.
+        assert!(!run(&mut session, &mut client, &Expr::Int(i64::MIN)));
     }
 
     #[test]

@@ -62,15 +62,35 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting either parser accepts.
+///
+/// Every pass after parsing (type checking, resolution, elaboration,
+/// both evaluators, even dropping the tree) recurses once per level
+/// of the tree, so the parsers bound the nesting of what they build
+/// and no input can overflow the host stack. A level is one enclosing
+/// construct: a parenthesis or bracket, a binder, a body, a type, or
+/// one step of an operator, application, `with`, `::` or postfix
+/// chain, since a chain nests its tree one level per step. The
+/// top-level expression or type is level 1. Deeper input is the
+/// [`ParseError`] `nesting deeper than 1024`, raised before the deeper
+/// tree is built.
+pub const MAX_NESTING: usize = 1024;
+
+/// A token of the concrete syntax, shared by the core and source
+/// parsers. Identifiers and keywords borrow their text from the input;
+/// only a string literal owns its text, with its escapes resolved.
+/// Each punctuation variant is named after the text its `Display`
+/// prints.
+#[allow(missing_docs)]
 #[derive(Clone, Debug, PartialEq)]
-enum Tok {
+pub enum Tok<'s> {
+    /// Integer literal (a magnitude: `-` is a token of its own).
     Int(i64),
     Str(String),
     /// Lowercase identifier (term/type variable) or keyword.
-    Lower(String),
+    Lower(&'s str),
     /// Capitalized identifier (interface name or base type).
-    Upper(String),
-    // punctuation
+    Upper(&'s str),
     LParen,
     RParen,
     LBracket,
@@ -101,12 +121,37 @@ enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
+impl Tok<'_> {
+    /// The binary operator this token spells, with its precedence
+    /// level as the pretty printer uses it (2 `||`, 3 `&&`,
+    /// 4 comparisons, 5 `++` and `::`, 6 `+`/`-`, 7 `*`/`/`/`%`).
+    /// `::` builds a cons cell rather than a [`BinOp`], and is the one
+    /// right-associative operator.
+    pub fn binary_op(&self) -> Option<(u8, Option<BinOp>)> {
+        Some(match self {
+            Tok::OrOr => (2, Some(BinOp::Or)),
+            Tok::AndAnd => (3, Some(BinOp::And)),
+            Tok::EqEq => (4, Some(BinOp::Eq)),
+            Tok::Lt => (4, Some(BinOp::Lt)),
+            Tok::Le => (4, Some(BinOp::Le)),
+            Tok::PlusPlus => (5, Some(BinOp::Concat)),
+            Tok::ColonColon => (5, None),
+            Tok::Plus => (6, Some(BinOp::Add)),
+            Tok::Minus => (6, Some(BinOp::Sub)),
+            Tok::Star => (7, Some(BinOp::Mul)),
+            Tok::Slash => (7, Some(BinOp::Div)),
+            Tok::Percent => (7, Some(BinOp::Mod)),
+            _ => return None,
+        })
+    }
+}
+
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Int(n) => write!(f, "{n}"),
             Tok::Str(s) => write!(f, "{s:?}"),
-            Tok::Lower(s) | Tok::Upper(s) => write!(f, "{s}"),
+            Tok::Lower(s) | Tok::Upper(s) => f.write_str(s),
             Tok::LParen => f.write_str("("),
             Tok::RParen => f.write_str(")"),
             Tok::LBracket => f.write_str("["),
@@ -140,7 +185,7 @@ impl fmt::Display for Tok {
 }
 
 struct Lexer<'s> {
-    src: &'s [u8],
+    src: &'s str,
     pos: usize,
     line: usize,
     col: usize,
@@ -149,7 +194,7 @@ struct Lexer<'s> {
 impl<'s> Lexer<'s> {
     fn new(src: &'s str) -> Lexer<'s> {
         Lexer {
-            src: src.as_bytes(),
+            src,
             pos: 0,
             line: 1,
             col: 1,
@@ -165,7 +210,7 @@ impl<'s> Lexer<'s> {
     }
 
     fn peek_byte(&self) -> Option<u8> {
-        self.src.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -186,7 +231,7 @@ impl<'s> Lexer<'s> {
                 Some(b) if b.is_ascii_whitespace() => {
                     self.bump();
                 }
-                Some(b'-') if self.src.get(self.pos + 1) == Some(&b'-') => {
+                Some(b'-') if self.src.as_bytes().get(self.pos + 1) == Some(&b'-') => {
                     while let Some(b) = self.peek_byte() {
                         if b == b'\n' {
                             break;
@@ -199,7 +244,7 @@ impl<'s> Lexer<'s> {
         }
     }
 
-    fn next_token(&mut self) -> Result<(Tok, usize, usize), ParseError> {
+    fn next_token(&mut self) -> Result<(Tok<'s>, usize, usize), ParseError> {
         self.skip_ws();
         let (line, col) = (self.line, self.col);
         let Some(b) = self.peek_byte() else {
@@ -254,10 +299,12 @@ impl<'s> Lexer<'s> {
                         break;
                     }
                 }
-                let word = std::str::from_utf8(&self.src[start..self.pos])
-                    .expect("ascii")
-                    .to_owned();
-                if word.as_bytes()[0].is_ascii_uppercase() {
+                // Both ends sit next to ASCII bytes, so on char boundaries.
+                let word = self
+                    .src
+                    .get(start..self.pos)
+                    .expect("identifiers are ASCII");
+                if b.is_ascii_uppercase() {
                     Tok::Upper(word)
                 } else {
                     Tok::Lower(word)
@@ -348,88 +395,244 @@ impl<'s> Lexer<'s> {
         };
         Ok((tok, line, col))
     }
-}
 
-fn tokenize(src: &str) -> Result<Vec<(Tok, usize, usize)>, ParseError> {
-    let mut lx = Lexer::new(src);
-    let mut out = Vec::new();
-    loop {
-        let t = lx.next_token()?;
-        let done = t.0 == Tok::Eof;
-        out.push(t);
-        if done {
-            return Ok(out);
+    /// Lexes the rest of the input, returning its first error.
+    fn rest_error(&mut self) -> Option<ParseError> {
+        loop {
+            match self.next_token() {
+                Ok((Tok::Eof, ..)) => return None,
+                Ok(_) => {}
+                Err(e) => return Some(e),
+            }
         }
     }
 }
 
-struct Parser {
-    toks: Vec<(Tok, usize, usize)>,
-    pos: usize,
+/// The reading state both parsers share: the lexer, one token of
+/// lookahead, and the nesting count that [`MAX_NESTING`] bounds.
+///
+/// Tokens are lexed as the parser asks for them. A lexical error ends
+/// the stream (the parser then sees [`Tok::Eof`]); [`Cursor::finish`]
+/// reports it in place of any parse error, and after a parse error it
+/// lexes the rest of the input, so that a lexical error anywhere
+/// always wins.
+pub struct Cursor<'s> {
+    lexer: Lexer<'s>,
+    tok: Tok<'s>,
+    line: usize,
+    col: usize,
+    lex_error: Option<ParseError>,
+    /// Level of the node being parsed.
+    depth: usize,
+    /// Deepest level of the tree built so far; a chain step moves the
+    /// whole chain one level down.
+    peak: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].0
+impl<'s> Cursor<'s> {
+    /// A cursor on the first token of `src`.
+    pub fn new(src: &'s str) -> Cursor<'s> {
+        let mut cur = Cursor {
+            lexer: Lexer::new(src),
+            tok: Tok::Eof,
+            line: 1,
+            col: 1,
+            lex_error: None,
+            depth: 0,
+            peak: 0,
+        };
+        cur.bump();
+        cur
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].0.clone();
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
+    /// The current token.
+    pub fn peek(&self) -> &Tok<'s> {
+        &self.tok
+    }
+
+    /// Moves to the next token.
+    pub fn bump(&mut self) {
+        if self.lex_error.is_some() {
+            return;
         }
-        t
+        match self.lexer.next_token() {
+            Ok((tok, line, col)) => {
+                self.tok = tok;
+                self.line = line;
+                self.col = col;
+            }
+            Err(e) => {
+                self.tok = Tok::Eof;
+                self.lex_error = Some(e);
+            }
+        }
     }
 
-    fn error(&self, message: impl Into<String>) -> ParseError {
-        let (_, line, col) = &self.toks[self.pos];
+    /// The current token's line and column.
+    pub fn pos(&self) -> (usize, usize) {
+        (self.line, self.col)
+    }
+
+    /// An error at the current token.
+    pub fn error(&self, message: impl Into<String>) -> ParseError {
         ParseError {
-            line: *line,
-            col: *col,
+            line: self.line,
+            col: self.col,
             message: message.into(),
         }
     }
 
-    fn expect(&mut self, t: &Tok) -> Result<(), ParseError> {
-        if self.peek() == t {
+    /// Consumes `t` if it is the current token.
+    pub fn eat(&mut self, t: &Tok<'_>) -> bool {
+        let here = self.tok == *t;
+        if here {
+            self.bump();
+        }
+        here
+    }
+
+    /// Consumes `t`, or fails naming what was found instead.
+    ///
+    /// # Errors
+    ///
+    /// `expected `t`, found …` at the current token.
+    pub fn expect(&mut self, t: &Tok<'_>) -> Result<(), ParseError> {
+        if self.eat(t) {
+            Ok(())
+        } else {
+            Err(self.error(format!("expected `{t}`, found `{}`", self.tok)))
+        }
+    }
+
+    /// Steps through a comma-separated list that `close` ends, which
+    /// may be empty: whether another item follows. `first` is true
+    /// before the first item. Consumes the comma, or the closing
+    /// token at the end.
+    ///
+    /// # Errors
+    ///
+    /// `expected `close`, found …` after an item.
+    pub fn comma_item(&mut self, close: &Tok<'_>, first: bool) -> Result<bool, ParseError> {
+        if first {
+            Ok(!self.eat(close))
+        } else if self.eat(&Tok::Comma) {
+            Ok(true)
+        } else {
+            self.expect(close).map(|()| false)
+        }
+    }
+
+    /// Consumes the keyword `kw`, or fails naming what was found.
+    ///
+    /// # Errors
+    ///
+    /// `expected `kw`, found …` at the current token.
+    pub fn expect_kw(&mut self, kw: &str) -> Result<(), ParseError> {
+        if self.at_kw(kw) {
             self.bump();
             Ok(())
         } else {
-            Err(self.error(format!("expected `{t}`, found `{}`", self.peek())))
+            Err(self.error(format!("expected `{kw}`, found `{}`", self.tok)))
         }
     }
 
-    fn expect_kw(&mut self, kw: &str) -> Result<(), ParseError> {
-        match self.peek() {
-            Tok::Lower(w) if w == kw => {
-                self.bump();
-                Ok(())
-            }
-            other => Err(self.error(format!("expected `{kw}`, found `{other}`"))),
+    /// Whether the current token is the keyword `kw`.
+    pub fn at_kw(&self, kw: &str) -> bool {
+        matches!(self.tok, Tok::Lower(w) if w == kw)
+    }
+
+    /// Enters a child node, one level deeper; [`Cursor::ascend`]
+    /// leaves it.
+    ///
+    /// # Errors
+    ///
+    /// `nesting deeper than MAX_NESTING`.
+    pub fn descend(&mut self) -> Result<(), ParseError> {
+        self.depth += 1;
+        self.reach(self.depth)
+    }
+
+    /// Leaves the node the matching [`Cursor::descend`] entered.
+    pub fn ascend(&mut self) {
+        self.depth -= 1;
+    }
+
+    /// Starts a left-nested chain (`a + b`, `f x`, `e.u`, …) whose
+    /// first operand is parsed next; hand the result to
+    /// [`Cursor::chain_end`].
+    pub fn chain_start(&mut self) -> usize {
+        std::mem::replace(&mut self.peak, self.depth)
+    }
+
+    /// One more step of the current chain: everything the chain has
+    /// built so far moves one level down.
+    ///
+    /// # Errors
+    ///
+    /// `nesting deeper than MAX_NESTING`.
+    pub fn chain_step(&mut self) -> Result<(), ParseError> {
+        self.reach(self.peak + 1)
+    }
+
+    /// Ends the chain [`Cursor::chain_start`] began.
+    pub fn chain_end(&mut self, outer: usize) {
+        self.peak = self.peak.max(outer);
+    }
+
+    fn reach(&mut self, level: usize) -> Result<(), ParseError> {
+        self.peak = self.peak.max(level);
+        if self.peak > MAX_NESTING {
+            return Err(self.error(format!("nesting deeper than {MAX_NESTING}")));
+        }
+        Ok(())
+    }
+
+    /// Ends a parse with `out`, unless input is left over or the input
+    /// has a lexical error, which is reported in place of any parse
+    /// error.
+    ///
+    /// # Errors
+    ///
+    /// The first lexical error in the input; else the parse error, or
+    /// `unexpected trailing …` at the first token left over.
+    pub fn finish<T>(mut self, out: Result<T, ParseError>) -> Result<T, ParseError> {
+        let out = out.and_then(|v| match self.tok {
+            Tok::Eof => Ok(v),
+            ref t => Err(self.error(format!("unexpected trailing `{t}`"))),
+        });
+        match self.lex_error.take().or_else(|| self.lexer.rest_error()) {
+            Some(e) => Err(e),
+            None => out,
         }
     }
+}
 
-    fn at_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Tok::Lower(w) if w == kw)
-    }
+struct Parser<'s> {
+    cur: Cursor<'s>,
+}
 
+impl<'s> Parser<'s> {
     fn lower_ident(&mut self) -> Result<Symbol, ParseError> {
-        match self.peek().clone() {
-            Tok::Lower(w) if !is_keyword(&w) => {
-                self.bump();
-                Ok(Symbol::intern(&w))
+        match *self.cur.peek() {
+            Tok::Lower(w) if !is_keyword(w) => {
+                self.cur.bump();
+                Ok(Symbol::intern(w))
             }
-            other => Err(self.error(format!("expected identifier, found `{other}`"))),
+            ref other => Err(self
+                .cur
+                .error(format!("expected identifier, found `{other}`"))),
         }
     }
 
     fn upper_ident(&mut self) -> Result<Symbol, ParseError> {
-        match self.peek().clone() {
-            Tok::Upper(w) if !is_base_type(&w) => {
-                self.bump();
-                Ok(Symbol::intern(&w))
+        match *self.cur.peek() {
+            Tok::Upper(w) if !is_base_type(w) => {
+                self.cur.bump();
+                Ok(Symbol::intern(w))
             }
-            other => Err(self.error(format!("expected interface name, found `{other}`"))),
+            ref other => Err(self
+                .cur
+                .error(format!("expected interface name, found `{other}`"))),
         }
     }
 
@@ -441,44 +644,37 @@ impl Parser {
     }
 
     fn parse_rule_type(&mut self) -> Result<RuleType, ParseError> {
+        self.cur.descend()?;
         let mut vars = Vec::new();
-        if self.at_kw("forall") {
-            self.bump();
-            while matches!(self.peek(), Tok::Lower(w) if !is_keyword(w)) {
+        if self.cur.at_kw("forall") {
+            self.cur.bump();
+            while matches!(*self.cur.peek(), Tok::Lower(w) if !is_keyword(w)) {
                 vars.push(self.lower_ident()?);
             }
             if vars.is_empty() {
-                return Err(self.error("`forall` needs at least one variable"));
+                return Err(self.cur.error("`forall` needs at least one variable"));
             }
-            self.expect(&Tok::Dot)?;
+            self.cur.expect(&Tok::Dot)?;
         }
         let mut context = Vec::new();
-        let has_context = *self.peek() == Tok::LBrace;
-        if has_context {
-            self.bump();
-            if *self.peek() != Tok::RBrace {
-                loop {
-                    context.push(self.parse_rule_type()?);
-                    if *self.peek() == Tok::Comma {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
+        if self.cur.eat(&Tok::LBrace) {
+            while self.cur.comma_item(&Tok::RBrace, context.is_empty())? {
+                context.push(self.parse_rule_type()?);
             }
-            self.expect(&Tok::RBrace)?;
-            self.expect(&Tok::FatArrow)?;
+            self.cur.expect(&Tok::FatArrow)?;
         }
         let head = self.parse_arrow_type()?;
+        self.cur.ascend();
         Ok(RuleType::new(vars, context, head))
     }
 
     /// arrow := prod ['->' arrow]
     fn parse_arrow_type(&mut self) -> Result<Type, ParseError> {
         let left = self.parse_prod_type()?;
-        if *self.peek() == Tok::Arrow {
-            self.bump();
+        if self.cur.eat(&Tok::Arrow) {
+            self.cur.descend()?;
             let right = self.parse_arrow_type()?;
+            self.cur.ascend();
             Ok(Type::arrow(left, right))
         } else {
             Ok(left)
@@ -487,80 +683,84 @@ impl Parser {
 
     /// prod := app ('*' app)*
     fn parse_prod_type(&mut self) -> Result<Type, ParseError> {
+        let outer = self.cur.chain_start();
         let mut left = self.parse_app_type()?;
-        while *self.peek() == Tok::Star {
-            self.bump();
+        while *self.cur.peek() == Tok::Star {
+            self.cur.chain_step()?;
+            self.cur.bump();
             let right = self.parse_app_type()?;
             left = Type::prod(left, right);
         }
+        self.cur.chain_end(outer);
         Ok(left)
     }
 
     /// app := Upper atom* | lower atom+ | atom
     fn parse_app_type(&mut self) -> Result<Type, ParseError> {
-        if let Tok::Upper(w) = self.peek().clone() {
-            if w == "List" {
+        match *self.cur.peek() {
+            Tok::Upper("List") => {
                 // `List` is the built-in constructor: bare it is a
                 // constructor reference, applied it is the list type.
-                self.bump();
+                self.cur.bump();
                 if self.starts_atom_type() {
                     let arg = self.parse_atom_type()?;
                     return Ok(Type::list(arg));
                 }
-                return Ok(Type::Ctor(crate::syntax::TyCon::List));
+                Ok(Type::Ctor(crate::syntax::TyCon::List))
             }
-            if !is_base_type(&w) {
+            Tok::Upper(w) if !is_base_type(w) => {
                 let name = self.upper_ident()?;
                 let mut args = Vec::new();
                 while self.starts_atom_type() {
                     args.push(self.parse_atom_type()?);
                 }
-                return Ok(Type::Con(name, args));
+                Ok(Type::Con(name, args))
             }
-        }
-        if let Tok::Lower(w) = self.peek().clone() {
-            if !is_keyword(&w) {
+            Tok::Lower(w) if !is_keyword(w) => {
                 let head = self.lower_ident()?;
                 let mut args = Vec::new();
                 while self.starts_atom_type() {
                     args.push(self.parse_atom_type()?);
                 }
-                return Ok(if args.is_empty() {
+                Ok(if args.is_empty() {
                     Type::var(head)
                 } else {
                     Type::VarApp(head, args)
-                });
+                })
             }
+            _ => self.parse_atom_type(),
         }
-        self.parse_atom_type()
     }
 
     fn starts_atom_type(&self) -> bool {
-        matches!(self.peek(), Tok::Upper(_) | Tok::LParen | Tok::LBracket)
-            || matches!(self.peek(), Tok::Lower(w) if !is_keyword(w))
+        match *self.cur.peek() {
+            Tok::Upper(_) | Tok::LParen | Tok::LBracket => true,
+            Tok::Lower(w) => !is_keyword(w),
+            _ => false,
+        }
     }
 
     fn parse_atom_type(&mut self) -> Result<Type, ParseError> {
-        match self.peek().clone() {
-            Tok::Upper(w) => match w.as_str() {
+        match *self.cur.peek() {
+            Tok::Upper(w) => match w {
                 "Int" => {
-                    self.bump();
+                    self.cur.bump();
                     Ok(Type::Int)
                 }
                 "Bool" => {
-                    self.bump();
+                    self.cur.bump();
                     Ok(Type::Bool)
                 }
                 "String" => {
-                    self.bump();
+                    self.cur.bump();
                     Ok(Type::Str)
                 }
                 "Unit" => {
-                    self.bump();
+                    self.cur.bump();
                     Ok(Type::Unit)
                 }
                 "List" => {
-                    self.bump();
+                    self.cur.bump();
                     Ok(Type::Ctor(crate::syntax::TyCon::List))
                 }
                 _ => {
@@ -569,235 +769,200 @@ impl Parser {
                     Ok(Type::Con(name, Vec::new()))
                 }
             },
-            Tok::Lower(w) if !is_keyword(&w) => {
-                self.bump();
-                Ok(Type::var(Symbol::intern(&w)))
+            Tok::Lower(w) if !is_keyword(w) => {
+                self.cur.bump();
+                Ok(Type::var(Symbol::intern(w)))
             }
             Tok::LBracket => {
-                self.bump();
+                self.cur.bump();
                 let t = self.parse_type()?;
-                self.expect(&Tok::RBracket)?;
+                self.cur.expect(&Tok::RBracket)?;
                 Ok(Type::list(t))
             }
             Tok::LParen => {
-                self.bump();
+                self.cur.bump();
                 let t = self.parse_type()?;
-                self.expect(&Tok::RParen)?;
+                self.cur.expect(&Tok::RParen)?;
                 Ok(t)
             }
-            other => Err(self.error(format!("expected a type, found `{other}`"))),
+            ref other => Err(self.cur.error(format!("expected a type, found `{other}`"))),
         }
     }
 
     // ---------- expressions ----------
 
     fn parse_expr(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
+        self.cur.descend()?;
+        let e = match *self.cur.peek() {
             Tok::Lambda => {
-                self.bump();
+                self.cur.bump();
                 let x = self.lower_ident()?;
-                self.expect(&Tok::Colon)?;
+                self.cur.expect(&Tok::Colon)?;
                 let t = self.parse_type()?;
-                self.expect(&Tok::Dot)?;
+                self.cur.expect(&Tok::Dot)?;
                 let body = self.parse_expr()?;
-                Ok(Expr::lam(x, t, body))
+                Expr::lam(x, t, body)
             }
-            Tok::Lower(w) if w == "fix" => {
-                self.bump();
+            Tok::Lower("fix") => {
+                self.cur.bump();
                 let x = self.lower_ident()?;
-                self.expect(&Tok::Colon)?;
+                self.cur.expect(&Tok::Colon)?;
                 let t = self.parse_type()?;
-                self.expect(&Tok::Dot)?;
+                self.cur.expect(&Tok::Dot)?;
                 let body = self.parse_expr()?;
-                Ok(Expr::Fix(x, t, Rc::new(body)))
+                Expr::Fix(x, t, Rc::new(body))
             }
-            Tok::Lower(w) if w == "if" => {
-                self.bump();
+            Tok::Lower("if") => {
+                self.cur.bump();
                 let c = self.parse_with_expr()?;
-                self.expect_kw("then")?;
+                self.cur.expect_kw("then")?;
                 let t = self.parse_with_expr()?;
-                self.expect_kw("else")?;
+                self.cur.expect_kw("else")?;
                 let e = self.parse_expr()?;
-                Ok(Expr::if_(c, t, e))
+                Expr::if_(c, t, e)
             }
-            Tok::Lower(w) if w == "case" => {
-                self.bump();
+            Tok::Lower("case") => {
+                self.cur.bump();
                 let scrut = self.parse_with_expr()?;
-                self.expect_kw("of")?;
-                self.expect_kw("nil")?;
-                self.expect(&Tok::Arrow)?;
+                self.cur.expect_kw("of")?;
+                self.cur.expect_kw("nil")?;
+                self.cur.expect(&Tok::Arrow)?;
                 let nil = self.parse_with_expr()?;
-                self.expect(&Tok::Pipe)?;
+                self.cur.expect(&Tok::Pipe)?;
                 let h = self.lower_ident()?;
-                self.expect(&Tok::ColonColon)?;
+                self.cur.expect(&Tok::ColonColon)?;
                 let t = self.lower_ident()?;
-                self.expect(&Tok::Arrow)?;
+                self.cur.expect(&Tok::Arrow)?;
                 let cons = self.parse_expr()?;
-                Ok(Expr::ListCase {
+                Expr::ListCase {
                     scrut: Rc::new(scrut),
                     nil: Rc::new(nil),
                     head: h,
                     tail: t,
                     cons: Rc::new(cons),
-                })
-            }
-            Tok::Lower(w) if w == "let" => {
-                self.bump();
-                let x = self.lower_ident()?;
-                self.expect(&Tok::Colon)?;
-                let t = self.parse_type()?;
-                self.expect(&Tok::Eq)?;
-                let bound = self.parse_expr()?;
-                self.expect_kw("in")?;
-                let body = self.parse_expr()?;
-                Ok(Expr::let_(x, t, bound, body))
-            }
-            Tok::Lower(w) if w == "implicit" => {
-                self.bump();
-                self.expect(&Tok::LBrace)?;
-                let mut args = Vec::new();
-                if *self.peek() != Tok::RBrace {
-                    loop {
-                        let e = self.parse_arg_expr()?;
-                        self.expect(&Tok::Colon)?;
-                        let r = self.parse_rule_type()?;
-                        args.push((e, r));
-                        if *self.peek() == Tok::Comma {
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
                 }
-                self.expect(&Tok::RBrace)?;
-                self.expect_kw("in")?;
-                let body = self.parse_expr()?;
-                self.expect(&Tok::Colon)?;
-                let ty = self.parse_type()?;
-                Ok(Expr::implicit(args, body, ty))
             }
-            _ => self.parse_with_expr(),
-        }
+            Tok::Lower("let") => {
+                self.cur.bump();
+                let x = self.lower_ident()?;
+                self.cur.expect(&Tok::Colon)?;
+                let t = self.parse_type()?;
+                self.cur.expect(&Tok::Eq)?;
+                let bound = self.parse_expr()?;
+                self.cur.expect_kw("in")?;
+                let body = self.parse_expr()?;
+                Expr::let_(x, t, bound, body)
+            }
+            Tok::Lower("implicit") => {
+                self.cur.bump();
+                let args = self.parse_rule_args()?;
+                self.cur.expect_kw("in")?;
+                let body = self.parse_expr()?;
+                self.cur.expect(&Tok::Colon)?;
+                let ty = self.parse_type()?;
+                Expr::implicit(args, body, ty)
+            }
+            _ => self.parse_with_expr()?,
+        };
+        self.cur.ascend();
+        Ok(e)
     }
 
-    /// An argument expression in `with { e : rho }` / `implicit`
-    /// lists: a full expression, except that a top-level `implicit`
-    /// body annotation would swallow the `:` separator, so `implicit`
-    /// arguments must be parenthesized there.
-    fn parse_arg_expr(&mut self) -> Result<Expr, ParseError> {
-        if self.at_kw("implicit") {
-            return Err(
-                self.error("parenthesize an `implicit` expression used as a `with` argument")
-            );
+    /// The `{ e : rho, … }` argument list of `with` and `implicit`.
+    /// Each `e` is a full expression, except that a top-level
+    /// `implicit` body annotation would swallow the `:` separator, so
+    /// `implicit` arguments must be parenthesized there.
+    fn parse_rule_args(&mut self) -> Result<Vec<(Expr, RuleType)>, ParseError> {
+        self.cur.expect(&Tok::LBrace)?;
+        let mut args = Vec::new();
+        while self.cur.comma_item(&Tok::RBrace, args.is_empty())? {
+            if self.cur.at_kw("implicit") {
+                return Err(self
+                    .cur
+                    .error("parenthesize an `implicit` expression used as a `with` argument"));
+            }
+            let e = self.parse_expr()?;
+            self.cur.expect(&Tok::Colon)?;
+            args.push((e, self.parse_rule_type()?));
         }
-        self.parse_expr()
+        Ok(args)
     }
 
     /// withexpr := binary ('with' '{' args '}')*
     fn parse_with_expr(&mut self) -> Result<Expr, ParseError> {
+        let outer = self.cur.chain_start();
         let mut e = self.parse_binary(2)?;
-        while self.at_kw("with") {
-            self.bump();
-            self.expect(&Tok::LBrace)?;
-            let mut args = Vec::new();
-            if *self.peek() != Tok::RBrace {
-                loop {
-                    let a = self.parse_arg_expr()?;
-                    self.expect(&Tok::Colon)?;
-                    let r = self.parse_rule_type()?;
-                    args.push((a, r));
-                    if *self.peek() == Tok::Comma {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-            }
-            self.expect(&Tok::RBrace)?;
-            e = Expr::with(e, args);
+        while self.cur.at_kw("with") {
+            self.cur.chain_step()?;
+            self.cur.bump();
+            e = Expr::with(e, self.parse_rule_args()?);
         }
+        self.cur.chain_end(outer);
         Ok(e)
     }
 
-    /// Precedence-climbing binary expressions; levels match the
-    /// pretty printer (2 `||`, 3 `&&`, 4 comparisons, 5 `++`/`::`,
-    /// 6 `+`/`-`, 7 `*`/`/`/`%`).
+    /// binary := app (op binary)*, by precedence climbing: an operator
+    /// at level `l` takes as its right operand everything binding
+    /// tighter than `l` (everything at `l` or tighter for the
+    /// right-associative `::`), and operators bind left to right.
     fn parse_binary(&mut self, min_level: u8) -> Result<Expr, ParseError> {
-        if min_level > 7 {
-            return self.parse_app();
-        }
-        let mut left = self.parse_binary(min_level + 1)?;
-        loop {
-            let op = match (min_level, self.peek()) {
-                (2, Tok::OrOr) => Some(BinOp::Or),
-                (3, Tok::AndAnd) => Some(BinOp::And),
-                (4, Tok::EqEq) => Some(BinOp::Eq),
-                (4, Tok::Lt) => Some(BinOp::Lt),
-                (4, Tok::Le) => Some(BinOp::Le),
-                (5, Tok::PlusPlus) => Some(BinOp::Concat),
-                (6, Tok::Plus) => Some(BinOp::Add),
-                (6, Tok::Minus) => Some(BinOp::Sub),
-                (7, Tok::Star) => Some(BinOp::Mul),
-                (7, Tok::Slash) => Some(BinOp::Div),
-                (7, Tok::Percent) => Some(BinOp::Mod),
-                _ => None,
+        let outer = self.cur.chain_start();
+        let mut left = self.parse_app()?;
+        while let Some((level, op)) = self.cur.peek().binary_op() {
+            if level < min_level {
+                break;
+            }
+            self.cur.chain_step()?;
+            self.cur.bump();
+            self.cur.descend()?;
+            let right = self.parse_binary(if op.is_some() { level + 1 } else { level })?;
+            self.cur.ascend();
+            left = match op {
+                Some(op) => Expr::binop(op, left, right),
+                None => Expr::Cons(Rc::new(left), Rc::new(right)),
             };
-            if let Some(op) = op {
-                self.bump();
-                let right = self.parse_binary(min_level + 1)?;
-                left = Expr::binop(op, left, right);
-                continue;
-            }
-            // Cons is right-associative at level 5.
-            if min_level == 5 && *self.peek() == Tok::ColonColon {
-                self.bump();
-                let right = self.parse_binary(5)?;
-                left = Expr::Cons(Rc::new(left), Rc::new(right));
-                continue;
-            }
-            return Ok(left);
         }
+        self.cur.chain_end(outer);
+        Ok(left)
     }
 
     /// app := prefix postfix* (application is left-associative;
     /// postfix is type application `[τ̄]` or projection `.field`)
     fn parse_app(&mut self) -> Result<Expr, ParseError> {
         // Prefix keyword operators.
-        for (kw, op) in [
-            ("not", UnOp::Not),
-            ("neg", UnOp::Neg),
-            ("showInt", UnOp::IntToStr),
-        ] {
-            if self.at_kw(kw) {
-                self.bump();
-                let e = self.parse_postfix()?;
-                return Ok(Expr::UnOp(op, Rc::new(e)));
-            }
+        let prefix: Option<fn(Rc<Expr>) -> Expr> = match *self.cur.peek() {
+            Tok::Lower("not") => Some(|e| Expr::UnOp(UnOp::Not, e)),
+            Tok::Lower("neg") => Some(|e| Expr::UnOp(UnOp::Neg, e)),
+            Tok::Lower("showInt") => Some(|e| Expr::UnOp(UnOp::IntToStr, e)),
+            Tok::Lower("fst") => Some(Expr::Fst),
+            Tok::Lower("snd") => Some(Expr::Snd),
+            _ => None,
+        };
+        if let Some(prefix) = prefix {
+            self.cur.bump();
+            return Ok(prefix(Rc::new(self.parse_postfix()?)));
         }
-        if self.at_kw("fst") {
-            self.bump();
-            return Ok(Expr::Fst(Rc::new(self.parse_postfix()?)));
-        }
-        if self.at_kw("snd") {
-            self.bump();
-            return Ok(Expr::Snd(Rc::new(self.parse_postfix()?)));
-        }
+        let outer = self.cur.chain_start();
         let mut e = self.parse_postfix()?;
         while self.starts_atom_expr() {
+            self.cur.chain_step()?;
+            self.cur.descend()?;
             let arg = self.parse_postfix()?;
+            self.cur.ascend();
             e = Expr::app(e, arg);
         }
+        self.cur.chain_end(outer);
         Ok(e)
     }
 
     fn starts_atom_expr(&self) -> bool {
-        match self.peek() {
+        match *self.cur.peek() {
             Tok::Int(_) | Tok::Str(_) | Tok::LParen | Tok::Question => true,
             Tok::Upper(w) => !is_base_type(w),
             Tok::Lower(w) => {
                 !is_keyword(w)
                     || matches!(
-                        w.as_str(),
+                        w,
                         "true" | "false" | "unit" | "nil" | "rule" | "con" | "match"
                     )
             }
@@ -806,205 +971,191 @@ impl Parser {
     }
 
     fn parse_postfix(&mut self) -> Result<Expr, ParseError> {
+        let outer = self.cur.chain_start();
         let mut e = self.parse_atom_expr()?;
         loop {
-            match self.peek() {
+            match *self.cur.peek() {
                 Tok::LBracket => {
-                    self.bump();
-                    let mut ts = Vec::new();
-                    if *self.peek() != Tok::RBracket {
-                        loop {
-                            ts.push(self.parse_type()?);
-                            if *self.peek() == Tok::Comma {
-                                self.bump();
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(&Tok::RBracket)?;
+                    self.cur.chain_step()?;
+                    let ts = self.parse_type_args()?;
                     e = Expr::TyApp(Rc::new(e), ts);
                 }
                 Tok::Dot => {
-                    self.bump();
+                    self.cur.chain_step()?;
+                    self.cur.bump();
                     let field = self.lower_ident()?;
                     e = Expr::Proj(Rc::new(e), field);
                 }
-                _ => return Ok(e),
+                _ => break,
             }
+        }
+        self.cur.chain_end(outer);
+        Ok(e)
+    }
+
+    /// `[τ, …]`: the type arguments of a type application.
+    fn parse_type_args(&mut self) -> Result<Vec<Type>, ParseError> {
+        self.cur.expect(&Tok::LBracket)?;
+        let mut ts = Vec::new();
+        while self.cur.comma_item(&Tok::RBracket, ts.is_empty())? {
+            ts.push(self.parse_type()?);
+        }
+        Ok(ts)
+    }
+
+    /// Type arguments `[τ, …]` if present, else none.
+    fn parse_opt_type_args(&mut self) -> Result<Vec<Type>, ParseError> {
+        if *self.cur.peek() == Tok::LBracket {
+            self.parse_type_args()
+        } else {
+            Ok(Vec::new())
         }
     }
 
     fn parse_atom_expr(&mut self) -> Result<Expr, ParseError> {
-        match self.peek().clone() {
+        match *self.cur.peek() {
             Tok::Int(n) => {
-                self.bump();
+                self.cur.bump();
                 Ok(Expr::Int(n))
             }
-            Tok::Str(s) => {
-                self.bump();
+            Tok::Minus => {
+                // A negative literal. Only in atom position: after an
+                // operand, `-` is subtraction (`f -1` is `f - 1`).
+                let (line, col) = self.cur.pos();
+                self.cur.bump();
+                match *self.cur.peek() {
+                    Tok::Int(n) => {
+                        self.cur.bump();
+                        Ok(Expr::Int(-n))
+                    }
+                    _ => Err(ParseError {
+                        line,
+                        col,
+                        message: "expected an expression, found `-`".to_owned(),
+                    }),
+                }
+            }
+            Tok::Str(ref s) => {
+                let s = s.clone();
+                self.cur.bump();
                 Ok(Expr::Str(s))
             }
             Tok::Question => {
-                self.bump();
-                self.expect(&Tok::LParen)?;
+                self.cur.bump();
+                self.cur.expect(&Tok::LParen)?;
                 let r = self.parse_rule_type()?;
-                self.expect(&Tok::RParen)?;
+                self.cur.expect(&Tok::RParen)?;
                 Ok(Expr::Query(r))
             }
-            Tok::Lower(w) => match w.as_str() {
+            Tok::Lower(w) => match w {
                 "true" => {
-                    self.bump();
+                    self.cur.bump();
                     Ok(Expr::Bool(true))
                 }
                 "false" => {
-                    self.bump();
+                    self.cur.bump();
                     Ok(Expr::Bool(false))
                 }
                 "unit" => {
-                    self.bump();
+                    self.cur.bump();
                     Ok(Expr::Unit)
                 }
                 "nil" => {
-                    self.bump();
-                    self.expect(&Tok::LBracket)?;
+                    self.cur.bump();
+                    self.cur.expect(&Tok::LBracket)?;
                     let t = self.parse_type()?;
-                    self.expect(&Tok::RBracket)?;
+                    self.cur.expect(&Tok::RBracket)?;
                     Ok(Expr::Nil(t))
                 }
                 "rule" => {
-                    self.bump();
-                    self.expect(&Tok::LParen)?;
+                    self.cur.bump();
+                    self.cur.expect(&Tok::LParen)?;
                     let r = self.parse_rule_type()?;
-                    self.expect(&Tok::RParen)?;
-                    self.expect(&Tok::LParen)?;
+                    self.cur.expect(&Tok::RParen)?;
+                    self.cur.expect(&Tok::LParen)?;
                     let body = self.parse_expr()?;
-                    self.expect(&Tok::RParen)?;
+                    self.cur.expect(&Tok::RParen)?;
                     if r.is_trivial() {
-                        return Err(
-                            self.error("trivial rule abstraction (empty quantifier and context)")
-                        );
+                        return Err(self
+                            .cur
+                            .error("trivial rule abstraction (empty quantifier and context)"));
                     }
                     Ok(Expr::rule_abs(r, body))
                 }
                 "con" => {
                     // con C [τ̄] (e₁, …, eₙ)
-                    self.bump();
+                    self.cur.bump();
                     let ctor = self.upper_ident()?;
-                    let mut targs = Vec::new();
-                    if *self.peek() == Tok::LBracket {
-                        self.bump();
-                        if *self.peek() != Tok::RBracket {
-                            loop {
-                                targs.push(self.parse_type()?);
-                                if *self.peek() == Tok::Comma {
-                                    self.bump();
-                                } else {
-                                    break;
-                                }
-                            }
-                        }
-                        self.expect(&Tok::RBracket)?;
-                    }
-                    self.expect(&Tok::LParen)?;
+                    let targs = self.parse_opt_type_args()?;
+                    self.cur.expect(&Tok::LParen)?;
                     let mut args = Vec::new();
-                    if *self.peek() != Tok::RParen {
-                        loop {
-                            args.push(self.parse_expr()?);
-                            if *self.peek() == Tok::Comma {
-                                self.bump();
-                            } else {
-                                break;
-                            }
-                        }
+                    while self.cur.comma_item(&Tok::RParen, args.is_empty())? {
+                        args.push(self.parse_expr()?);
                     }
-                    self.expect(&Tok::RParen)?;
                     Ok(Expr::Inject(ctor, targs, args))
                 }
                 "match" => {
                     // match e { C x̄ -> e | … }
-                    self.bump();
+                    self.cur.bump();
+                    self.cur.descend()?;
                     let scrut = self.parse_binary(2)?;
-                    self.expect(&Tok::LBrace)?;
+                    self.cur.ascend();
+                    self.cur.expect(&Tok::LBrace)?;
                     let mut arms = Vec::new();
                     loop {
                         let ctor = self.upper_ident()?;
                         let mut binders = Vec::new();
-                        while matches!(self.peek(), Tok::Lower(w) if !is_keyword(w)) {
+                        while matches!(*self.cur.peek(), Tok::Lower(w) if !is_keyword(w)) {
                             binders.push(self.lower_ident()?);
                         }
-                        self.expect(&Tok::Arrow)?;
+                        self.cur.expect(&Tok::Arrow)?;
                         let body = self.parse_expr()?;
                         arms.push(crate::syntax::MatchArm {
                             ctor,
                             binders,
                             body,
                         });
-                        if *self.peek() == Tok::Pipe {
-                            self.bump();
-                        } else {
+                        if !self.cur.eat(&Tok::Pipe) {
                             break;
                         }
                     }
-                    self.expect(&Tok::RBrace)?;
+                    self.cur.expect(&Tok::RBrace)?;
                     Ok(Expr::Match(Rc::new(scrut), arms))
                 }
-                _ if !is_keyword(&w) => {
-                    self.bump();
-                    Ok(Expr::var(Symbol::intern(&w)))
+                _ if !is_keyword(w) => {
+                    self.cur.bump();
+                    Ok(Expr::var(Symbol::intern(w)))
                 }
-                _ => Err(self.error(format!("unexpected keyword `{w}`"))),
+                _ => Err(self.cur.error(format!("unexpected keyword `{w}`"))),
             },
-            Tok::Upper(w) if !is_base_type(&w) => {
+            Tok::Upper(w) if !is_base_type(w) => {
                 // Record construction: I [τ̄]? { u = e, … }
                 let name = self.upper_ident()?;
-                let mut args = Vec::new();
-                if *self.peek() == Tok::LBracket {
-                    self.bump();
-                    if *self.peek() != Tok::RBracket {
-                        loop {
-                            args.push(self.parse_type()?);
-                            if *self.peek() == Tok::Comma {
-                                self.bump();
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    self.expect(&Tok::RBracket)?;
-                }
-                self.expect(&Tok::LBrace)?;
+                let args = self.parse_opt_type_args()?;
+                self.cur.expect(&Tok::LBrace)?;
                 let mut fields = Vec::new();
-                if *self.peek() != Tok::RBrace {
-                    loop {
-                        let u = self.lower_ident()?;
-                        self.expect(&Tok::Eq)?;
-                        let e = self.parse_expr()?;
-                        fields.push((u, e));
-                        if *self.peek() == Tok::Comma {
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
+                while self.cur.comma_item(&Tok::RBrace, fields.is_empty())? {
+                    let u = self.lower_ident()?;
+                    self.cur.expect(&Tok::Eq)?;
+                    fields.push((u, self.parse_expr()?));
                 }
-                self.expect(&Tok::RBrace)?;
                 Ok(Expr::Make(name, args, fields))
             }
             Tok::LParen => {
-                self.bump();
+                self.cur.bump();
                 let e = self.parse_expr()?;
-                if *self.peek() == Tok::Comma {
-                    self.bump();
+                if self.cur.eat(&Tok::Comma) {
                     let e2 = self.parse_expr()?;
-                    self.expect(&Tok::RParen)?;
+                    self.cur.expect(&Tok::RParen)?;
                     Ok(Expr::pair(e, e2))
                 } else {
-                    self.expect(&Tok::RParen)?;
+                    self.cur.expect(&Tok::RParen)?;
                     Ok(e)
                 }
             }
-            other => Err(self.error(format!("expected an expression, found `{other}`"))),
+            ref other => Err(self
+                .cur
+                .error(format!("expected an expression, found `{other}`"))),
         }
     }
 
@@ -1012,13 +1163,13 @@ impl Parser {
 
     /// data D p₁ … pₙ = C₁ T̄₁ | … | Cₖ T̄ₖ
     fn parse_data(&mut self) -> Result<ParsedData, ParseError> {
-        self.expect_kw("data")?;
+        self.cur.expect_kw("data")?;
         let name = self.upper_ident()?;
         let mut params = Vec::new();
-        while matches!(self.peek(), Tok::Lower(w) if !is_keyword(w)) {
+        while matches!(*self.cur.peek(), Tok::Lower(w) if !is_keyword(w)) {
             params.push(self.lower_ident()?);
         }
-        self.expect(&Tok::Eq)?;
+        self.cur.expect(&Tok::Eq)?;
         let mut ctors = Vec::new();
         loop {
             let ctor = self.upper_ident()?;
@@ -1027,9 +1178,7 @@ impl Parser {
                 args.push(self.parse_atom_type()?);
             }
             ctors.push((ctor, args));
-            if *self.peek() == Tok::Pipe {
-                self.bump();
-            } else {
+            if !self.cur.eat(&Tok::Pipe) {
                 break;
             }
         }
@@ -1037,29 +1186,20 @@ impl Parser {
     }
 
     fn parse_interface(&mut self) -> Result<InterfaceDecl, ParseError> {
-        self.expect_kw("interface")?;
+        self.cur.expect_kw("interface")?;
         let name = self.upper_ident()?;
         let mut vars = Vec::new();
-        while matches!(self.peek(), Tok::Lower(w) if !is_keyword(w)) {
+        while matches!(*self.cur.peek(), Tok::Lower(w) if !is_keyword(w)) {
             vars.push(self.lower_ident()?);
         }
-        self.expect(&Tok::Eq)?;
-        self.expect(&Tok::LBrace)?;
+        self.cur.expect(&Tok::Eq)?;
+        self.cur.expect(&Tok::LBrace)?;
         let mut fields = Vec::new();
-        if *self.peek() != Tok::RBrace {
-            loop {
-                let u = self.lower_ident()?;
-                self.expect(&Tok::Colon)?;
-                let t = self.parse_type()?;
-                fields.push((u, t));
-                if *self.peek() == Tok::Comma {
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
+        while self.cur.comma_item(&Tok::RBrace, fields.is_empty())? {
+            let u = self.lower_ident()?;
+            self.cur.expect(&Tok::Colon)?;
+            fields.push((u, self.parse_type()?));
         }
-        self.expect(&Tok::RBrace)?;
         Ok(InterfaceDecl { name, vars, fields })
     }
 }
@@ -1095,21 +1235,20 @@ fn is_keyword(w: &str) -> bool {
     )
 }
 
-fn is_base_type(w: &str) -> bool {
+/// Whether `w` names a base type (`Int`, `Bool`, `String`, `Unit`).
+pub fn is_base_type(w: &str) -> bool {
     matches!(w, "Int" | "Bool" | "String" | "Unit")
 }
 
-fn run_parser<T>(
-    src: &str,
-    f: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+fn run_parser<'s, T>(
+    src: &'s str,
+    f: impl FnOnce(&mut Parser<'s>) -> Result<T, ParseError>,
 ) -> Result<T, ParseError> {
-    let toks = tokenize(src)?;
-    let mut p = Parser { toks, pos: 0 };
-    let out = f(&mut p)?;
-    if *p.peek() != Tok::Eof {
-        return Err(p.error(format!("unexpected trailing `{}`", p.peek())));
-    }
-    Ok(out)
+    let mut p = Parser {
+        cur: Cursor::new(src),
+    };
+    let out = f(&mut p);
+    p.cur.finish(out)
 }
 
 /// Parses a type.
@@ -1160,13 +1299,10 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 pub fn parse_program(src: &str) -> Result<(Declarations, Expr), ParseError> {
     run_parser(src, |p| {
         let mut decls = Declarations::new();
-        while p.at_kw("interface") || p.at_kw("data") {
-            let (line, col) = {
-                let (_, l, c) = &p.toks[p.pos];
-                (*l, *c)
-            };
+        while p.cur.at_kw("interface") || p.cur.at_kw("data") {
+            let (line, col) = p.cur.pos();
             let fail = |message: String| ParseError { line, col, message };
-            if p.at_kw("interface") {
+            if p.cur.at_kw("interface") {
                 let d = p.parse_interface()?;
                 decls.declare(d).map_err(fail)?;
             } else {
@@ -1336,5 +1472,147 @@ mod tests {
     #[test]
     fn integer_overflow_is_reported() {
         assert!(parse_expr("99999999999999999999999").is_err());
+    }
+
+    #[test]
+    fn every_parse_error_text_is_pinned() {
+        let cases = [
+            ("(1", "1:3: expected `)`, found `<end of input>`"),
+            (
+                "if true then 1 1",
+                "1:17: expected `else`, found `<end of input>`",
+            ),
+            ("1 )", "1:3: unexpected trailing `)`"),
+            (
+                "rule (Int) (1)",
+                "1:15: trivial rule abstraction (empty quantifier and context)",
+            ),
+            (
+                "interface A = { x : Int }\ninterface A = { y : Int }\n1",
+                "2:1: type `A` is already declared",
+            ),
+            (
+                "data D = C Int | C Bool\n1",
+                "1:1: duplicate constructor `C` in data type `D`",
+            ),
+            (
+                "?(forall . Int)",
+                "1:10: `forall` needs at least one variable",
+            ),
+            ("\\1 : Int. 1", "1:2: expected identifier, found `1`"),
+            ("con int (1)", "1:5: expected interface name, found `int`"),
+            ("?(->)", "1:3: expected a type, found `->`"),
+            (
+                "implicit {1 : Int} in ?(Int) with {implicit {1 : Int} in 1 : Int : Int} : Int",
+                "1:36: parenthesize an `implicit` expression used as a `with` argument",
+            ),
+            ("let x : Int = 1 in then", "1:20: unexpected keyword `then`"),
+            ("Int", "1:1: expected an expression, found `Int`"),
+            ("1 - -x", "1:5: expected an expression, found `-`"),
+            // Lexical errors, at the position where lexing stopped.
+            (
+                "99999999999999999999999",
+                "1:19: integer literal overflows i64",
+            ),
+            ("\"abc", "1:5: unterminated string literal"),
+            ("\"a\\q\"", "1:5: invalid escape `\\q`"),
+            ("\"abc\\", "1:6: invalid escape `\\ `"),
+            ("true & false", "1:7: expected `&&`"),
+            ("1 # 2", "1:4: unexpected character `#`"),
+            // A lexical error anywhere wins over an earlier parse error.
+            ("1 + ) #", "1:8: unexpected character `#`"),
+            ("(1 2 3 ) ) \n  &", "2:4: expected `&&`"),
+        ];
+        for (src, expected) in cases {
+            let err = parse_program(src).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("parse error at {expected}"),
+                "{src:?}"
+            );
+        }
+    }
+
+    /// Texts whose nesting is exactly `n` levels, one per shape.
+    fn nested_shapes(n: usize) -> Vec<(&'static str, String)> {
+        let k = n - 1;
+        vec![
+            (
+                "parentheses",
+                format!("{}1{}", "(".repeat(k), ")".repeat(k)),
+            ),
+            ("pairs", format!("{}1{}", "(1, ".repeat(k), ")".repeat(k))),
+            ("lambdas", format!("{}x", "\\x : Int. ".repeat(k))),
+            ("lets", format!("{}x", "let x : Int = 1 in ".repeat(k))),
+            ("sums", vec!["1"; n].join(" + ")),
+            ("conses", format!("{}nil [Int]", "1 :: ".repeat(n - 2))),
+            ("applications", format!("f{}", " 1".repeat(k))),
+            ("with", format!("x{}", " with {1 : Int}".repeat(k))),
+            ("projections", format!("r{}", ".u".repeat(k))),
+            (
+                "arrow types",
+                format!("\\f : {}. f", vec!["Int"; k].join(" -> ")),
+            ),
+            (
+                "list types",
+                format!("nil [{}Int{}]", "[".repeat(n - 2), "]".repeat(n - 2)),
+            ),
+        ]
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_nesting() {
+        // The size of the main thread's stack, where `implicitc` parses.
+        std::thread::Builder::new()
+            .stack_size(8 << 20)
+            .spawn(|| {
+                for (shape, src) in nested_shapes(MAX_NESTING) {
+                    if let Err(e) = parse_expr(&src) {
+                        panic!("{shape} at {MAX_NESTING} levels: {e}");
+                    }
+                }
+                for (shape, src) in nested_shapes(MAX_NESTING + 1) {
+                    let err = parse_expr(&src).unwrap_err();
+                    assert_eq!(err.message, "nesting deeper than 1024", "{shape}");
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn negative_literals_parse_where_an_operand_starts() {
+        let int = Expr::Int;
+        let f = || Expr::var(Symbol::intern("f"));
+        let a = || Expr::var(Symbol::intern("a"));
+        let cases = [
+            ("35 * -68", Expr::binop(BinOp::Mul, int(35), int(-68))),
+            ("f (-51)", Expr::app(f(), int(-51))),
+            ("1 - -2", Expr::binop(BinOp::Sub, int(1), int(-2))),
+            // After an operand `-` is subtraction.
+            ("a -1", Expr::binop(BinOp::Sub, a(), int(1))),
+            ("f -1", Expr::binop(BinOp::Sub, f(), int(1))),
+            (
+                "99 :: -37 :: nil [Int]",
+                Expr::Cons(
+                    Rc::new(int(99)),
+                    Rc::new(Expr::Cons(Rc::new(int(-37)), Rc::new(Expr::Nil(Type::Int)))),
+                ),
+            ),
+        ];
+        for (src, expected) in cases {
+            let e = parse_expr(src).unwrap();
+            assert_eq!(e, expected, "{src}");
+            // The printer puts a negative literal where it parses back.
+            assert_eq!(parse_expr(&e.to_string()).unwrap(), e, "{src}");
+        }
+        assert_eq!(Expr::app(f(), int(-51)).to_string(), "f (-51)");
+        assert_eq!(
+            Expr::binop(BinOp::Mul, int(35), int(-68)).to_string(),
+            "35 * -68"
+        );
+        // `i64::MIN`'s magnitude overflows the lexer's literals.
+        assert!(parse_expr(&int(i64::MIN).to_string()).is_err());
     }
 }

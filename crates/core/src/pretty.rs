@@ -129,6 +129,9 @@ fn expr_prec(e: &Expr) -> u8 {
         Expr::Cons(..) => 5,
         Expr::App(..) | Expr::TyApp(..) | Expr::Proj(..) | Expr::UnOp(..) => 8,
         Expr::Inject(..) | Expr::Match(..) => 8,
+        // `-1` parses only where an operand starts: `f (-1)`, but
+        // `2 * -1`.
+        Expr::Int(n) if *n < 0 => 8,
         _ => 9,
     }
 }

@@ -290,7 +290,11 @@ impl RuleType {
             context,
             head,
         };
-        rt.canonicalize_context();
+        // Sorting and deduplicating fewer than two entries changes
+        // nothing, and every chain rule has a one-entry context.
+        if rt.context.len() > 1 {
+            rt.canonicalize_context();
+        }
         rt
     }
 

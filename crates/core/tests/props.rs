@@ -254,6 +254,23 @@ proptest! {
     }
 }
 
+/// Every program genprog writes prints as text that parses, and the
+/// parsed tree prints as the same text. Negative literals print where
+/// an operand starts; fresh binders print as their base name, so the
+/// parsed tree may differ from the generated one by a renaming.
+#[test]
+fn generated_programs_print_as_text_that_parses_back() {
+    let decls = genprog::data_prelude();
+    let config = genprog::GenConfig::default();
+    for seed in 0..10_000 {
+        let program = genprog::gen_program_with(&mut genprog::rng(seed), &config, &decls);
+        let printed = program.expr.to_string();
+        let reparsed = parse::parse_expr(&printed)
+            .unwrap_or_else(|e| panic!("seed {seed}: `{printed}` does not parse: {e}"));
+        assert_eq!(reparsed.to_string(), printed, "seed {seed}");
+    }
+}
+
 fn build_chain(n: usize) -> (ImplicitEnv, RuleType) {
     fn ty(k: usize) -> Type {
         let mut t = Type::Int;

@@ -8,6 +8,7 @@
 
 use std::io::Write;
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 use implicit_pipeline::service::{
     error_json, prelude_source, Client, Daemon, DaemonConfig, Json, MAX_FRAME,
@@ -145,7 +146,13 @@ fn truncated_frames_close_the_connection_but_not_the_daemon() {
     assert_eq!(probe(&mut warm, "t"), before);
     let mut fresh = Client::connect(d.addr()).unwrap();
     assert!(fresh.ping().unwrap());
-    assert!(counter(&mut warm, "bad_frames") >= 1);
+    // Each truncated frame is counted on its own connection's thread,
+    // which nothing here waits for: poll until the count shows.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while counter(&mut warm, "bad_frames") < 1 {
+        assert!(Instant::now() < deadline, "no truncated frame was counted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }
 
 #[test]
@@ -342,4 +349,30 @@ fn poisoned_program_never_panics_the_daemon_even_under_repeats() {
     }
     assert!(counter(&mut c, "panics") >= 8);
     let _ = error_json("smoke", "error_json is exported for harnesses");
+}
+
+#[test]
+fn deeply_nested_programs_are_parse_errors_not_stack_overflows() {
+    let d = daemon(false);
+    let mut c = Client::connect(d.addr()).unwrap();
+    open_chain(&mut c, "t");
+    let before = probe(&mut c, "t");
+    let n = 20_000;
+    let parens = format!("{}1{}", "(".repeat(n), ")".repeat(n));
+    let sum = vec!["1"; 100_000].join(" + ");
+    for program in [parens, sum] {
+        assert!(program.len() < MAX_FRAME, "{} bytes", program.len());
+        let r = c
+            .request(&Json::obj(vec![
+                ("op", Json::Str("eval".into())),
+                ("tenant", Json::Str("t".into())),
+                ("program", Json::Str(program)),
+            ]))
+            .unwrap();
+        assert_eq!(r.str_field("error"), Some("parse_error"), "{}", r.render());
+        let detail = r.render();
+        assert!(detail.contains("nesting deeper than 1024"), "{detail}");
+        assert_eq!(probe(&mut c, "t"), before);
+    }
+    assert_eq!(counter(&mut c, "panics"), 0);
 }

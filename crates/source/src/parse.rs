@@ -15,12 +15,16 @@
 //! query is a bare `?`, records need no explicit type arguments, and
 //! `nil` needs no element annotation. Comments run from `--` to end
 //! of line.
+//!
+//! The tokens, the error rules and the nesting bound are the core
+//! parser's ([`implicit_core::parse::Cursor`]).
 
 use std::fmt;
 use std::rc::Rc;
 
+use implicit_core::parse::{is_base_type, Cursor, ParseError, Tok};
 use implicit_core::symbol::Symbol;
-use implicit_core::syntax::{BinOp, Declarations, InterfaceDecl, RuleType, Type, UnOp};
+use implicit_core::syntax::{Declarations, InterfaceDecl, RuleType, Type, UnOp};
 
 use crate::ast::{scheme, SExpr, SProgram};
 
@@ -51,271 +55,13 @@ impl fmt::Display for SrcParseError {
 
 impl std::error::Error for SrcParseError {}
 
-#[derive(Clone, Debug, PartialEq)]
-enum Tok {
-    Int(i64),
-    Str(String),
-    Lower(String),
-    Upper(String),
-    LParen,
-    RParen,
-    LBracket,
-    RBracket,
-    LBrace,
-    RBrace,
-    Comma,
-    Dot,
-    Colon,
-    ColonColon,
-    FatArrow,
-    Arrow,
-    Lambda,
-    Question,
-    Star,
-    Plus,
-    Minus,
-    Slash,
-    Percent,
-    EqEq,
-    Eq,
-    Lt,
-    Le,
-    AndAnd,
-    OrOr,
-    PlusPlus,
-    Pipe,
-    Eof,
-}
-
-impl fmt::Display for Tok {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Tok::Int(n) => write!(f, "{n}"),
-            Tok::Str(s) => write!(f, "{s:?}"),
-            Tok::Lower(s) | Tok::Upper(s) => write!(f, "{s}"),
-            Tok::LParen => f.write_str("("),
-            Tok::RParen => f.write_str(")"),
-            Tok::LBracket => f.write_str("["),
-            Tok::RBracket => f.write_str("]"),
-            Tok::LBrace => f.write_str("{"),
-            Tok::RBrace => f.write_str("}"),
-            Tok::Comma => f.write_str(","),
-            Tok::Dot => f.write_str("."),
-            Tok::Colon => f.write_str(":"),
-            Tok::ColonColon => f.write_str("::"),
-            Tok::FatArrow => f.write_str("=>"),
-            Tok::Arrow => f.write_str("->"),
-            Tok::Lambda => f.write_str("\\"),
-            Tok::Question => f.write_str("?"),
-            Tok::Star => f.write_str("*"),
-            Tok::Plus => f.write_str("+"),
-            Tok::Minus => f.write_str("-"),
-            Tok::Slash => f.write_str("/"),
-            Tok::Percent => f.write_str("%"),
-            Tok::EqEq => f.write_str("=="),
-            Tok::Eq => f.write_str("="),
-            Tok::Lt => f.write_str("<"),
-            Tok::Le => f.write_str("<="),
-            Tok::AndAnd => f.write_str("&&"),
-            Tok::OrOr => f.write_str("||"),
-            Tok::PlusPlus => f.write_str("++"),
-            Tok::Pipe => f.write_str("|"),
-            Tok::Eof => f.write_str("<end of input>"),
+impl From<ParseError> for SrcParseError {
+    fn from(e: ParseError) -> SrcParseError {
+        SrcParseError {
+            line: e.line,
+            col: e.col,
+            message: e.message,
         }
-    }
-}
-
-fn tokenize(src: &str) -> Result<Vec<(Tok, usize, usize)>, SrcParseError> {
-    let bytes = src.as_bytes();
-    let mut pos = 0usize;
-    let mut line = 1usize;
-    let mut col = 1usize;
-    let mut out = Vec::new();
-    let err = |line: usize, col: usize, m: String| SrcParseError {
-        line,
-        col,
-        message: m,
-    };
-    macro_rules! bump {
-        () => {{
-            let b = bytes[pos];
-            pos += 1;
-            if b == b'\n' {
-                line += 1;
-                col = 1;
-            } else {
-                col += 1;
-            }
-            b
-        }};
-    }
-    loop {
-        // Skip whitespace and comments.
-        loop {
-            if pos < bytes.len() && bytes[pos].is_ascii_whitespace() {
-                bump!();
-            } else if pos + 1 < bytes.len() && bytes[pos] == b'-' && bytes[pos + 1] == b'-' {
-                while pos < bytes.len() && bytes[pos] != b'\n' {
-                    bump!();
-                }
-            } else {
-                break;
-            }
-        }
-        let (tl, tc) = (line, col);
-        if pos >= bytes.len() {
-            out.push((Tok::Eof, tl, tc));
-            return Ok(out);
-        }
-        let b = bytes[pos];
-        let tok = match b {
-            b'0'..=b'9' => {
-                let mut n: i64 = 0;
-                while pos < bytes.len() && bytes[pos].is_ascii_digit() {
-                    let d = bump!() - b'0';
-                    n = n
-                        .checked_mul(10)
-                        .and_then(|n| n.checked_add(i64::from(d)))
-                        .ok_or_else(|| err(tl, tc, "integer literal overflows i64".into()))?;
-                }
-                Tok::Int(n)
-            }
-            b'"' => {
-                bump!();
-                let mut s = String::new();
-                loop {
-                    if pos >= bytes.len() {
-                        return Err(err(tl, tc, "unterminated string literal".into()));
-                    }
-                    match bump!() {
-                        b'"' => break,
-                        b'\\' => {
-                            if pos >= bytes.len() {
-                                return Err(err(tl, tc, "unterminated escape".into()));
-                            }
-                            match bump!() {
-                                b'n' => s.push('\n'),
-                                b't' => s.push('\t'),
-                                b'\\' => s.push('\\'),
-                                b'"' => s.push('"'),
-                                other => {
-                                    return Err(err(
-                                        tl,
-                                        tc,
-                                        format!("invalid escape `\\{}`", char::from(other)),
-                                    ))
-                                }
-                            }
-                        }
-                        c => s.push(char::from(c)),
-                    }
-                }
-                Tok::Str(s)
-            }
-            b'a'..=b'z' | b'A'..=b'Z' | b'_' => {
-                let start = pos;
-                while pos < bytes.len()
-                    && (bytes[pos].is_ascii_alphanumeric()
-                        || bytes[pos] == b'_'
-                        || bytes[pos] == b'\'')
-                {
-                    bump!();
-                }
-                let w = std::str::from_utf8(&bytes[start..pos])
-                    .expect("ascii")
-                    .to_owned();
-                if w.as_bytes()[0].is_ascii_uppercase() {
-                    Tok::Upper(w)
-                } else {
-                    Tok::Lower(w)
-                }
-            }
-            _ => {
-                bump!();
-                match b {
-                    b'(' => Tok::LParen,
-                    b')' => Tok::RParen,
-                    b'[' => Tok::LBracket,
-                    b']' => Tok::RBracket,
-                    b'{' => Tok::LBrace,
-                    b'}' => Tok::RBrace,
-                    b',' => Tok::Comma,
-                    b'.' => Tok::Dot,
-                    b'\\' => Tok::Lambda,
-                    b'?' => Tok::Question,
-                    b'*' => Tok::Star,
-                    b'/' => Tok::Slash,
-                    b'%' => Tok::Percent,
-                    b':' => {
-                        if pos < bytes.len() && bytes[pos] == b':' {
-                            bump!();
-                            Tok::ColonColon
-                        } else {
-                            Tok::Colon
-                        }
-                    }
-                    b'=' => {
-                        if pos < bytes.len() && bytes[pos] == b'>' {
-                            bump!();
-                            Tok::FatArrow
-                        } else if pos < bytes.len() && bytes[pos] == b'=' {
-                            bump!();
-                            Tok::EqEq
-                        } else {
-                            Tok::Eq
-                        }
-                    }
-                    b'-' => {
-                        if pos < bytes.len() && bytes[pos] == b'>' {
-                            bump!();
-                            Tok::Arrow
-                        } else {
-                            Tok::Minus
-                        }
-                    }
-                    b'+' => {
-                        if pos < bytes.len() && bytes[pos] == b'+' {
-                            bump!();
-                            Tok::PlusPlus
-                        } else {
-                            Tok::Plus
-                        }
-                    }
-                    b'<' => {
-                        if pos < bytes.len() && bytes[pos] == b'=' {
-                            bump!();
-                            Tok::Le
-                        } else {
-                            Tok::Lt
-                        }
-                    }
-                    b'&' => {
-                        if pos < bytes.len() && bytes[pos] == b'&' {
-                            bump!();
-                            Tok::AndAnd
-                        } else {
-                            return Err(err(tl, tc, "expected `&&`".into()));
-                        }
-                    }
-                    b'|' => {
-                        if pos < bytes.len() && bytes[pos] == b'|' {
-                            bump!();
-                            Tok::OrOr
-                        } else {
-                            Tok::Pipe
-                        }
-                    }
-                    other => {
-                        return Err(err(
-                            tl,
-                            tc,
-                            format!("unexpected character `{}`", char::from(other)),
-                        ))
-                    }
-                }
-            }
-        };
-        out.push((tok, tl, tc));
     }
 }
 
@@ -348,199 +94,153 @@ fn is_keyword(w: &str) -> bool {
     )
 }
 
-fn is_base_type(w: &str) -> bool {
-    matches!(w, "Int" | "Bool" | "String" | "Unit")
+struct Parser<'s> {
+    cur: Cursor<'s>,
 }
 
-struct Parser {
-    toks: Vec<(Tok, usize, usize)>,
-    pos: usize,
-}
-
-impl Parser {
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].0
-    }
-
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].0.clone();
-        if self.pos + 1 < self.toks.len() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn error(&self, message: impl Into<String>) -> SrcParseError {
-        let (_, line, col) = &self.toks[self.pos];
-        SrcParseError {
-            line: *line,
-            col: *col,
-            message: message.into(),
-        }
-    }
-
-    fn expect(&mut self, t: &Tok) -> Result<(), SrcParseError> {
-        if self.peek() == t {
-            self.bump();
-            Ok(())
-        } else {
-            Err(self.error(format!("expected `{t}`, found `{}`", self.peek())))
-        }
-    }
-
-    fn expect_kw(&mut self, kw: &str) -> Result<(), SrcParseError> {
-        match self.peek() {
-            Tok::Lower(w) if w == kw => {
-                self.bump();
-                Ok(())
+impl<'s> Parser<'s> {
+    fn lower_ident(&mut self) -> Result<Symbol, ParseError> {
+        match *self.cur.peek() {
+            Tok::Lower(w) if !is_keyword(w) => {
+                self.cur.bump();
+                Ok(Symbol::intern(w))
             }
-            other => Err(self.error(format!("expected `{kw}`, found `{other}`"))),
+            ref other => Err(self
+                .cur
+                .error(format!("expected identifier, found `{other}`"))),
         }
     }
 
-    fn at_kw(&self, kw: &str) -> bool {
-        matches!(self.peek(), Tok::Lower(w) if w == kw)
-    }
-
-    fn lower_ident(&mut self) -> Result<Symbol, SrcParseError> {
-        match self.peek().clone() {
-            Tok::Lower(w) if !is_keyword(&w) => {
-                self.bump();
-                Ok(Symbol::intern(&w))
+    fn upper_ident(&mut self) -> Result<Symbol, ParseError> {
+        match *self.cur.peek() {
+            Tok::Upper(w) if !is_base_type(w) => {
+                self.cur.bump();
+                Ok(Symbol::intern(w))
             }
-            other => Err(self.error(format!("expected identifier, found `{other}`"))),
-        }
-    }
-
-    fn upper_ident(&mut self) -> Result<Symbol, SrcParseError> {
-        match self.peek().clone() {
-            Tok::Upper(w) if !is_base_type(&w) => {
-                self.bump();
-                Ok(Symbol::intern(&w))
-            }
-            other => Err(self.error(format!("expected interface name, found `{other}`"))),
+            ref other => Err(self
+                .cur
+                .error(format!("expected interface name, found `{other}`"))),
         }
     }
 
     // ---------- types and schemes ----------
 
     /// scheme := ['forall' ident+ '.'] ['{' scheme,* '}' '=>'] type
-    fn parse_scheme(&mut self) -> Result<RuleType, SrcParseError> {
+    fn parse_scheme(&mut self) -> Result<RuleType, ParseError> {
+        self.cur.descend()?;
         let mut vars = Vec::new();
-        if self.at_kw("forall") {
-            self.bump();
-            while matches!(self.peek(), Tok::Lower(w) if !is_keyword(w)) {
+        if self.cur.at_kw("forall") {
+            self.cur.bump();
+            while matches!(*self.cur.peek(), Tok::Lower(w) if !is_keyword(w)) {
                 vars.push(self.lower_ident()?);
             }
             if vars.is_empty() {
-                return Err(self.error("`forall` needs at least one variable"));
+                return Err(self.cur.error("`forall` needs at least one variable"));
             }
-            self.expect(&Tok::Dot)?;
+            self.cur.expect(&Tok::Dot)?;
         }
         let mut context = Vec::new();
-        if *self.peek() == Tok::LBrace {
-            self.bump();
-            if *self.peek() != Tok::RBrace {
-                loop {
-                    context.push(self.parse_scheme()?);
-                    if *self.peek() == Tok::Comma {
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
+        if self.cur.eat(&Tok::LBrace) {
+            while self.cur.comma_item(&Tok::RBrace, context.is_empty())? {
+                context.push(self.parse_scheme()?);
             }
-            self.expect(&Tok::RBrace)?;
-            self.expect(&Tok::FatArrow)?;
+            self.cur.expect(&Tok::FatArrow)?;
         }
         let body = self.parse_type()?;
+        self.cur.ascend();
         Ok(scheme(&vars, context, body))
     }
 
     /// type := prod ('->' type)?
-    fn parse_type(&mut self) -> Result<Type, SrcParseError> {
+    fn parse_type(&mut self) -> Result<Type, ParseError> {
+        self.cur.descend()?;
         let left = self.parse_prod_type()?;
-        if *self.peek() == Tok::Arrow {
-            self.bump();
+        let t = if self.cur.eat(&Tok::Arrow) {
             let right = self.parse_type()?;
-            Ok(Type::arrow(left, right))
+            Type::arrow(left, right)
         } else {
-            Ok(left)
-        }
+            left
+        };
+        self.cur.ascend();
+        Ok(t)
     }
 
-    fn parse_prod_type(&mut self) -> Result<Type, SrcParseError> {
+    fn parse_prod_type(&mut self) -> Result<Type, ParseError> {
+        let outer = self.cur.chain_start();
         let mut left = self.parse_app_type()?;
-        while *self.peek() == Tok::Star {
-            self.bump();
+        while *self.cur.peek() == Tok::Star {
+            self.cur.chain_step()?;
+            self.cur.bump();
             let right = self.parse_app_type()?;
             left = Type::prod(left, right);
         }
+        self.cur.chain_end(outer);
         Ok(left)
     }
 
-    fn parse_app_type(&mut self) -> Result<Type, SrcParseError> {
-        if let Tok::Upper(w) = self.peek().clone() {
-            if w == "List" {
-                self.bump();
+    fn parse_app_type(&mut self) -> Result<Type, ParseError> {
+        match *self.cur.peek() {
+            Tok::Upper("List") => {
+                self.cur.bump();
                 if self.starts_atom_type() {
                     let arg = self.parse_atom_type()?;
                     return Ok(Type::list(arg));
                 }
-                return Ok(Type::Ctor(implicit_core::syntax::TyCon::List));
+                Ok(Type::Ctor(implicit_core::syntax::TyCon::List))
             }
-            if !is_base_type(&w) {
+            Tok::Upper(w) if !is_base_type(w) => {
                 let name = self.upper_ident()?;
                 let mut args = Vec::new();
                 while self.starts_atom_type() {
                     args.push(self.parse_atom_type()?);
                 }
-                return Ok(Type::Con(name, args));
+                Ok(Type::Con(name, args))
             }
-        }
-        if let Tok::Lower(w) = self.peek().clone() {
-            if !is_keyword(&w) {
+            Tok::Lower(w) if !is_keyword(w) => {
                 let head = self.lower_ident()?;
                 let mut args = Vec::new();
                 while self.starts_atom_type() {
                     args.push(self.parse_atom_type()?);
                 }
-                return Ok(if args.is_empty() {
+                Ok(if args.is_empty() {
                     Type::var(head)
                 } else {
                     Type::VarApp(head, args)
-                });
+                })
             }
+            _ => self.parse_atom_type(),
         }
-        self.parse_atom_type()
     }
 
     fn starts_atom_type(&self) -> bool {
-        matches!(self.peek(), Tok::Upper(_) | Tok::LParen | Tok::LBracket)
-            || matches!(self.peek(), Tok::Lower(w) if !is_keyword(w))
+        match *self.cur.peek() {
+            Tok::Upper(_) | Tok::LParen | Tok::LBracket => true,
+            Tok::Lower(w) => !is_keyword(w),
+            _ => false,
+        }
     }
 
-    fn parse_atom_type(&mut self) -> Result<Type, SrcParseError> {
-        match self.peek().clone() {
-            Tok::Upper(w) => match w.as_str() {
+    fn parse_atom_type(&mut self) -> Result<Type, ParseError> {
+        match *self.cur.peek() {
+            Tok::Upper(w) => match w {
                 "Int" => {
-                    self.bump();
+                    self.cur.bump();
                     Ok(Type::Int)
                 }
                 "Bool" => {
-                    self.bump();
+                    self.cur.bump();
                     Ok(Type::Bool)
                 }
                 "String" => {
-                    self.bump();
+                    self.cur.bump();
                     Ok(Type::Str)
                 }
                 "Unit" => {
-                    self.bump();
+                    self.cur.bump();
                     Ok(Type::Unit)
                 }
                 "List" => {
-                    self.bump();
+                    self.cur.bump();
                     Ok(Type::Ctor(implicit_core::syntax::TyCon::List))
                 }
                 _ => {
@@ -548,349 +248,319 @@ impl Parser {
                     Ok(Type::Con(name, Vec::new()))
                 }
             },
-            Tok::Lower(w) if !is_keyword(&w) => {
-                self.bump();
-                Ok(Type::var(Symbol::intern(&w)))
+            Tok::Lower(w) if !is_keyword(w) => {
+                self.cur.bump();
+                Ok(Type::var(Symbol::intern(w)))
             }
             Tok::LBracket => {
-                self.bump();
+                self.cur.bump();
                 let t = self.parse_type()?;
-                self.expect(&Tok::RBracket)?;
+                self.cur.expect(&Tok::RBracket)?;
                 Ok(Type::list(t))
             }
             Tok::LParen => {
-                self.bump();
+                self.cur.bump();
                 // Allow parenthesized schemes inside types only as
                 // plain types; higher-order contexts live in scheme
                 // position.
-                let t = if self.at_kw("forall") || *self.peek() == Tok::LBrace {
+                let t = if self.cur.at_kw("forall") || *self.cur.peek() == Tok::LBrace {
                     Type::rule(self.parse_scheme()?)
                 } else {
                     self.parse_type()?
                 };
-                self.expect(&Tok::RParen)?;
+                self.cur.expect(&Tok::RParen)?;
                 Ok(t)
             }
-            other => Err(self.error(format!("expected a type, found `{other}`"))),
+            ref other => Err(self.cur.error(format!("expected a type, found `{other}`"))),
         }
     }
 
     // ---------- expressions ----------
 
-    fn parse_expr(&mut self) -> Result<SExpr, SrcParseError> {
-        match self.peek().clone() {
+    fn parse_expr(&mut self) -> Result<SExpr, ParseError> {
+        self.cur.descend()?;
+        let e = match *self.cur.peek() {
             Tok::Lambda => {
-                self.bump();
+                self.cur.bump();
                 let x = self.lower_ident()?;
-                let ann = if *self.peek() == Tok::Colon {
-                    self.bump();
+                let ann = if self.cur.eat(&Tok::Colon) {
                     Some(self.parse_type()?)
                 } else {
                     None
                 };
-                self.expect(&Tok::Dot)?;
+                self.cur.expect(&Tok::Dot)?;
                 let body = self.parse_expr()?;
-                Ok(SExpr::Lam(x, ann, Rc::new(body)))
+                SExpr::Lam(x, ann, Rc::new(body))
             }
-            Tok::Lower(w) if w == "letrec" => {
-                self.bump();
+            Tok::Lower("letrec") => {
+                self.cur.bump();
                 let name = self.lower_ident()?;
-                self.expect(&Tok::Colon)?;
+                self.cur.expect(&Tok::Colon)?;
                 let sigma = self.parse_scheme()?;
-                self.expect(&Tok::Eq)?;
+                self.cur.expect(&Tok::Eq)?;
                 let rhs = self.parse_expr()?;
-                self.expect_kw("in")?;
+                self.cur.expect_kw("in")?;
                 let body = self.parse_expr()?;
-                Ok(SExpr::LetRec {
+                SExpr::LetRec {
                     name,
                     scheme: sigma,
                     rhs: Rc::new(rhs),
                     body: Rc::new(body),
-                })
+                }
             }
-            Tok::Lower(w) if w == "match" => {
-                self.bump();
+            Tok::Lower("match") => {
+                self.cur.bump();
                 let scrut = self.parse_binary(2)?;
-                self.expect(&Tok::LBrace)?;
+                self.cur.expect(&Tok::LBrace)?;
                 let mut arms = Vec::new();
                 loop {
                     let ctor = self.upper_ident()?;
                     let mut binders = Vec::new();
-                    while matches!(self.peek(), Tok::Lower(w) if !is_keyword(w)) {
+                    while matches!(*self.cur.peek(), Tok::Lower(w) if !is_keyword(w)) {
                         binders.push(self.lower_ident()?);
                     }
-                    self.expect(&Tok::Arrow)?;
+                    self.cur.expect(&Tok::Arrow)?;
                     let body = self.parse_expr()?;
                     arms.push(crate::ast::SMatchArm {
                         ctor,
                         binders,
                         body,
                     });
-                    if *self.peek() == Tok::Pipe {
-                        self.bump();
-                    } else {
+                    if !self.cur.eat(&Tok::Pipe) {
                         break;
                     }
                 }
-                self.expect(&Tok::RBrace)?;
-                Ok(SExpr::Match(Rc::new(scrut), arms))
+                self.cur.expect(&Tok::RBrace)?;
+                SExpr::Match(Rc::new(scrut), arms)
             }
-            Tok::Lower(w) if w == "let" => {
-                self.bump();
+            Tok::Lower("let") => {
+                self.cur.bump();
                 let name = self.lower_ident()?;
-                if *self.peek() == Tok::Eq {
+                if self.cur.eat(&Tok::Eq) {
                     // Monomorphic, annotation-free let.
-                    self.bump();
                     let rhs = self.parse_expr()?;
-                    self.expect_kw("in")?;
+                    self.cur.expect_kw("in")?;
                     let body = self.parse_expr()?;
-                    return Ok(SExpr::LetMono {
+                    SExpr::LetMono {
                         name,
                         rhs: Rc::new(rhs),
                         body: Rc::new(body),
-                    });
+                    }
+                } else {
+                    self.cur.expect(&Tok::Colon)?;
+                    let sigma = self.parse_scheme()?;
+                    self.cur.expect(&Tok::Eq)?;
+                    let rhs = self.parse_expr()?;
+                    self.cur.expect_kw("in")?;
+                    let body = self.parse_expr()?;
+                    SExpr::Let {
+                        name,
+                        scheme: sigma,
+                        rhs: Rc::new(rhs),
+                        body: Rc::new(body),
+                    }
                 }
-                self.expect(&Tok::Colon)?;
-                let sigma = self.parse_scheme()?;
-                self.expect(&Tok::Eq)?;
-                let rhs = self.parse_expr()?;
-                self.expect_kw("in")?;
-                let body = self.parse_expr()?;
-                Ok(SExpr::Let {
-                    name,
-                    scheme: sigma,
-                    rhs: Rc::new(rhs),
-                    body: Rc::new(body),
-                })
             }
-            Tok::Lower(w) if w == "implicit" => {
-                self.bump();
-                let braced = *self.peek() == Tok::LBrace;
-                if braced {
-                    self.bump();
-                }
+            Tok::Lower("implicit") => {
+                self.cur.bump();
+                let braced = self.cur.eat(&Tok::LBrace);
                 let mut names = vec![self.lower_ident()?];
-                while *self.peek() == Tok::Comma {
-                    self.bump();
+                while self.cur.eat(&Tok::Comma) {
                     names.push(self.lower_ident()?);
                 }
                 if braced {
-                    self.expect(&Tok::RBrace)?;
+                    self.cur.expect(&Tok::RBrace)?;
                 }
-                self.expect_kw("in")?;
+                self.cur.expect_kw("in")?;
                 let body = self.parse_expr()?;
-                Ok(SExpr::Implicit(names, Rc::new(body)))
+                SExpr::Implicit(names, Rc::new(body))
             }
-            Tok::Lower(w) if w == "if" => {
-                self.bump();
+            Tok::Lower("if") => {
+                self.cur.bump();
                 let c = self.parse_binary(2)?;
-                self.expect_kw("then")?;
+                self.cur.expect_kw("then")?;
                 let t = self.parse_binary(2)?;
-                self.expect_kw("else")?;
+                self.cur.expect_kw("else")?;
                 let f = self.parse_expr()?;
-                Ok(SExpr::If(Rc::new(c), Rc::new(t), Rc::new(f)))
+                SExpr::If(Rc::new(c), Rc::new(t), Rc::new(f))
             }
-            Tok::Lower(w) if w == "case" => {
-                self.bump();
+            Tok::Lower("case") => {
+                self.cur.bump();
                 let scrut = self.parse_binary(2)?;
-                self.expect_kw("of")?;
-                self.expect_kw("nil")?;
-                self.expect(&Tok::Arrow)?;
+                self.cur.expect_kw("of")?;
+                self.cur.expect_kw("nil")?;
+                self.cur.expect(&Tok::Arrow)?;
                 let nil = self.parse_binary(2)?;
-                self.expect(&Tok::Pipe)?;
+                self.cur.expect(&Tok::Pipe)?;
                 let h = self.lower_ident()?;
-                self.expect(&Tok::ColonColon)?;
+                self.cur.expect(&Tok::ColonColon)?;
                 let t = self.lower_ident()?;
-                self.expect(&Tok::Arrow)?;
+                self.cur.expect(&Tok::Arrow)?;
                 let cons = self.parse_expr()?;
-                Ok(SExpr::ListCase {
+                SExpr::ListCase {
                     scrut: Rc::new(scrut),
                     nil: Rc::new(nil),
                     head: h,
                     tail: t,
                     cons: Rc::new(cons),
-                })
+                }
             }
-            Tok::Lower(w) if w == "fix" => {
-                self.bump();
+            Tok::Lower("fix") => {
+                self.cur.bump();
                 let x = self.lower_ident()?;
-                self.expect(&Tok::Colon)?;
+                self.cur.expect(&Tok::Colon)?;
                 let t = self.parse_type()?;
-                self.expect(&Tok::Dot)?;
+                self.cur.expect(&Tok::Dot)?;
                 let body = self.parse_expr()?;
-                Ok(SExpr::Fix(x, t, Rc::new(body)))
+                SExpr::Fix(x, t, Rc::new(body))
             }
-            _ => self.parse_binary(2),
-        }
+            _ => self.parse_binary(2)?,
+        };
+        self.cur.ascend();
+        Ok(e)
     }
 
-    fn parse_binary(&mut self, min_level: u8) -> Result<SExpr, SrcParseError> {
-        if min_level > 7 {
-            return self.parse_app();
-        }
-        let mut left = self.parse_binary(min_level + 1)?;
-        loop {
-            let op = match (min_level, self.peek()) {
-                (2, Tok::OrOr) => Some(BinOp::Or),
-                (3, Tok::AndAnd) => Some(BinOp::And),
-                (4, Tok::EqEq) => Some(BinOp::Eq),
-                (4, Tok::Lt) => Some(BinOp::Lt),
-                (4, Tok::Le) => Some(BinOp::Le),
-                (5, Tok::PlusPlus) => Some(BinOp::Concat),
-                (6, Tok::Plus) => Some(BinOp::Add),
-                (6, Tok::Minus) => Some(BinOp::Sub),
-                (7, Tok::Star) => Some(BinOp::Mul),
-                (7, Tok::Slash) => Some(BinOp::Div),
-                (7, Tok::Percent) => Some(BinOp::Mod),
-                _ => None,
+    /// Precedence climbing over the core's operator table
+    /// ([`Tok::binary_op`]).
+    fn parse_binary(&mut self, min_level: u8) -> Result<SExpr, ParseError> {
+        let outer = self.cur.chain_start();
+        let mut left = self.parse_app()?;
+        while let Some((level, op)) = self.cur.peek().binary_op() {
+            if level < min_level {
+                break;
+            }
+            self.cur.chain_step()?;
+            self.cur.bump();
+            self.cur.descend()?;
+            let right = self.parse_binary(if op.is_some() { level + 1 } else { level })?;
+            self.cur.ascend();
+            left = match op {
+                Some(op) => SExpr::BinOp(op, Rc::new(left), Rc::new(right)),
+                None => SExpr::Cons(Rc::new(left), Rc::new(right)),
             };
-            if let Some(op) = op {
-                self.bump();
-                let right = self.parse_binary(min_level + 1)?;
-                left = SExpr::BinOp(op, Rc::new(left), Rc::new(right));
-                continue;
-            }
-            if min_level == 5 && *self.peek() == Tok::ColonColon {
-                self.bump();
-                let right = self.parse_binary(5)?;
-                left = SExpr::Cons(Rc::new(left), Rc::new(right));
-                continue;
-            }
-            return Ok(left);
         }
+        self.cur.chain_end(outer);
+        Ok(left)
     }
 
-    fn parse_app(&mut self) -> Result<SExpr, SrcParseError> {
-        for (kw, op) in [
-            ("not", UnOp::Not),
-            ("neg", UnOp::Neg),
-            ("showInt", UnOp::IntToStr),
-        ] {
-            if self.at_kw(kw) {
-                self.bump();
-                let e = self.parse_atom()?;
-                return Ok(SExpr::UnOp(op, Rc::new(e)));
-            }
+    fn parse_app(&mut self) -> Result<SExpr, ParseError> {
+        let prefix: Option<fn(Rc<SExpr>) -> SExpr> = match *self.cur.peek() {
+            Tok::Lower("not") => Some(|e| SExpr::UnOp(UnOp::Not, e)),
+            Tok::Lower("neg") => Some(|e| SExpr::UnOp(UnOp::Neg, e)),
+            Tok::Lower("showInt") => Some(|e| SExpr::UnOp(UnOp::IntToStr, e)),
+            Tok::Lower("fst") => Some(SExpr::Fst),
+            Tok::Lower("snd") => Some(SExpr::Snd),
+            _ => None,
+        };
+        if let Some(prefix) = prefix {
+            self.cur.bump();
+            return Ok(prefix(Rc::new(self.parse_atom()?)));
         }
-        if self.at_kw("fst") {
-            self.bump();
-            return Ok(SExpr::Fst(Rc::new(self.parse_atom()?)));
-        }
-        if self.at_kw("snd") {
-            self.bump();
-            return Ok(SExpr::Snd(Rc::new(self.parse_atom()?)));
-        }
+        let outer = self.cur.chain_start();
         let mut e = self.parse_atom()?;
         while self.starts_atom() {
+            self.cur.chain_step()?;
+            self.cur.descend()?;
             let a = self.parse_atom()?;
+            self.cur.ascend();
             e = SExpr::app(e, a);
         }
+        self.cur.chain_end(outer);
         Ok(e)
     }
 
     fn starts_atom(&self) -> bool {
-        match self.peek() {
+        match *self.cur.peek() {
             Tok::Int(_) | Tok::Str(_) | Tok::LParen | Tok::Question => true,
             Tok::Upper(w) => !is_base_type(w),
-            Tok::Lower(w) => {
-                !is_keyword(w) || matches!(w.as_str(), "true" | "false" | "unit" | "nil")
-            }
+            Tok::Lower(w) => !is_keyword(w) || matches!(w, "true" | "false" | "unit" | "nil"),
             _ => false,
         }
     }
 
-    fn parse_atom(&mut self) -> Result<SExpr, SrcParseError> {
-        match self.peek().clone() {
+    fn parse_atom(&mut self) -> Result<SExpr, ParseError> {
+        match *self.cur.peek() {
             Tok::Int(n) => {
-                self.bump();
+                self.cur.bump();
                 Ok(SExpr::Int(n))
             }
-            Tok::Str(s) => {
-                self.bump();
+            Tok::Str(ref s) => {
+                let s = s.clone();
+                self.cur.bump();
                 Ok(SExpr::Str(s))
             }
             Tok::Question => {
-                self.bump();
+                self.cur.bump();
                 Ok(SExpr::Query)
             }
-            Tok::Lower(w) => match w.as_str() {
+            Tok::Lower(w) => match w {
                 "true" => {
-                    self.bump();
+                    self.cur.bump();
                     Ok(SExpr::Bool(true))
                 }
                 "false" => {
-                    self.bump();
+                    self.cur.bump();
                     Ok(SExpr::Bool(false))
                 }
                 "unit" => {
-                    self.bump();
+                    self.cur.bump();
                     Ok(SExpr::Unit)
                 }
                 "nil" => {
-                    self.bump();
+                    self.cur.bump();
                     Ok(SExpr::Nil)
                 }
-                _ if !is_keyword(&w) => {
-                    self.bump();
-                    Ok(SExpr::var(Symbol::intern(&w)))
+                _ if !is_keyword(w) => {
+                    self.cur.bump();
+                    Ok(SExpr::var(Symbol::intern(w)))
                 }
-                _ => Err(self.error(format!("unexpected keyword `{w}`"))),
+                _ => Err(self.cur.error(format!("unexpected keyword `{w}`"))),
             },
-            Tok::Upper(w) if !is_base_type(&w) => {
+            Tok::Upper(w) if !is_base_type(w) => {
                 let name = self.upper_ident()?;
-                if *self.peek() != Tok::LBrace {
+                if !self.cur.eat(&Tok::LBrace) {
                     // A data-constructor (or other capitalized
                     // let-bound) reference used as a value.
                     return Ok(SExpr::Var(name));
                 }
-                self.expect(&Tok::LBrace)?;
                 let mut fields = Vec::new();
-                if *self.peek() != Tok::RBrace {
-                    loop {
-                        let u = self.lower_ident()?;
-                        self.expect(&Tok::Eq)?;
-                        let e = self.parse_expr()?;
-                        fields.push((u, e));
-                        if *self.peek() == Tok::Comma {
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
+                while self.cur.comma_item(&Tok::RBrace, fields.is_empty())? {
+                    let u = self.lower_ident()?;
+                    self.cur.expect(&Tok::Eq)?;
+                    fields.push((u, self.parse_expr()?));
                 }
-                self.expect(&Tok::RBrace)?;
                 Ok(SExpr::Make(name, fields))
             }
             Tok::LParen => {
-                self.bump();
+                self.cur.bump();
                 let e = self.parse_expr()?;
-                if *self.peek() == Tok::Comma {
-                    self.bump();
+                if self.cur.eat(&Tok::Comma) {
                     let e2 = self.parse_expr()?;
-                    self.expect(&Tok::RParen)?;
+                    self.cur.expect(&Tok::RParen)?;
                     Ok(SExpr::Pair(Rc::new(e), Rc::new(e2)))
-                } else if *self.peek() == Tok::Colon {
-                    self.bump();
+                } else if self.cur.eat(&Tok::Colon) {
                     let t = self.parse_type()?;
-                    self.expect(&Tok::RParen)?;
+                    self.cur.expect(&Tok::RParen)?;
                     Ok(SExpr::Ann(Rc::new(e), t))
                 } else {
-                    self.expect(&Tok::RParen)?;
+                    self.cur.expect(&Tok::RParen)?;
                     Ok(e)
                 }
             }
-            other => Err(self.error(format!("expected an expression, found `{other}`"))),
+            ref other => Err(self
+                .cur
+                .error(format!("expected an expression, found `{other}`"))),
         }
     }
 
-    fn parse_data(&mut self) -> Result<ParsedData, SrcParseError> {
-        self.expect_kw("data")?;
+    fn parse_data(&mut self) -> Result<ParsedData, ParseError> {
+        self.cur.expect_kw("data")?;
         let name = self.upper_ident()?;
         let mut params = Vec::new();
-        while matches!(self.peek(), Tok::Lower(w) if !is_keyword(w)) {
+        while matches!(*self.cur.peek(), Tok::Lower(w) if !is_keyword(w)) {
             params.push(self.lower_ident()?);
         }
-        self.expect(&Tok::Eq)?;
+        self.cur.expect(&Tok::Eq)?;
         let mut ctors = Vec::new();
         loop {
             let ctor = self.upper_ident()?;
@@ -899,41 +569,43 @@ impl Parser {
                 args.push(self.parse_atom_type()?);
             }
             ctors.push((ctor, args));
-            if *self.peek() == Tok::Pipe {
-                self.bump();
-            } else {
+            if !self.cur.eat(&Tok::Pipe) {
                 break;
             }
         }
         Ok((name, params, ctors))
     }
 
-    fn parse_interface(&mut self) -> Result<InterfaceDecl, SrcParseError> {
-        self.expect_kw("interface")?;
+    fn parse_interface(&mut self) -> Result<InterfaceDecl, ParseError> {
+        self.cur.expect_kw("interface")?;
         let name = self.upper_ident()?;
         let mut vars = Vec::new();
-        while matches!(self.peek(), Tok::Lower(w) if !is_keyword(w)) {
+        while matches!(*self.cur.peek(), Tok::Lower(w) if !is_keyword(w)) {
             vars.push(self.lower_ident()?);
         }
-        self.expect(&Tok::Eq)?;
-        self.expect(&Tok::LBrace)?;
+        self.cur.expect(&Tok::Eq)?;
+        self.cur.expect(&Tok::LBrace)?;
         let mut fields = Vec::new();
-        if *self.peek() != Tok::RBrace {
-            loop {
-                let u = self.lower_ident()?;
-                self.expect(&Tok::Colon)?;
-                let t = self.parse_type()?;
-                fields.push((u, t));
-                if *self.peek() == Tok::Comma {
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
+        while self.cur.comma_item(&Tok::RBrace, fields.is_empty())? {
+            let u = self.lower_ident()?;
+            self.cur.expect(&Tok::Colon)?;
+            fields.push((u, self.parse_type()?));
         }
-        self.expect(&Tok::RBrace)?;
         Ok(InterfaceDecl { name, vars, fields })
     }
+}
+
+/// Runs `f` over the tokens of `src` with the core parser's error
+/// rules ([`Cursor::finish`]).
+fn run_parser<'s, T>(
+    src: &'s str,
+    f: impl FnOnce(&mut Parser<'s>) -> Result<T, ParseError>,
+) -> Result<T, SrcParseError> {
+    let mut p = Parser {
+        cur: Cursor::new(src),
+    };
+    let out = f(&mut p);
+    p.cur.finish(out).map_err(SrcParseError::from)
 }
 
 /// Parses a source expression.
@@ -942,13 +614,7 @@ impl Parser {
 ///
 /// Returns a [`SrcParseError`] with position information.
 pub fn parse_source_expr(src: &str) -> Result<SExpr, SrcParseError> {
-    let toks = tokenize(src)?;
-    let mut p = Parser { toks, pos: 0 };
-    let e = p.parse_expr()?;
-    if *p.peek() != Tok::Eof {
-        return Err(p.error(format!("unexpected trailing `{}`", p.peek())));
-    }
-    Ok(e)
+    run_parser(src, Parser::parse_expr)
 }
 
 /// Parses a source program (interface declarations + body).
@@ -957,29 +623,24 @@ pub fn parse_source_expr(src: &str) -> Result<SExpr, SrcParseError> {
 ///
 /// Returns a [`SrcParseError`] with position information.
 pub fn parse_source_program(src: &str) -> Result<SProgram, SrcParseError> {
-    let toks = tokenize(src)?;
-    let mut p = Parser { toks, pos: 0 };
-    let mut decls = Declarations::new();
-    while p.at_kw("interface") || p.at_kw("data") {
-        let (line, col) = {
-            let (_, l, c) = &p.toks[p.pos];
-            (*l, *c)
-        };
-        let fail = |message: String| SrcParseError { line, col, message };
-        if p.at_kw("interface") {
-            let d = p.parse_interface()?;
-            decls.declare(d).map_err(fail)?;
-        } else {
-            let (name, params, ctors) = p.parse_data()?;
-            let d = implicit_core::syntax::DataDecl::infer(name, params, ctors).map_err(fail)?;
-            decls.declare_data(d).map_err(fail)?;
+    run_parser(src, |p| {
+        let mut decls = Declarations::new();
+        while p.cur.at_kw("interface") || p.cur.at_kw("data") {
+            let (line, col) = p.cur.pos();
+            let fail = |message: String| ParseError { line, col, message };
+            if p.cur.at_kw("interface") {
+                let d = p.parse_interface()?;
+                decls.declare(d).map_err(fail)?;
+            } else {
+                let (name, params, ctors) = p.parse_data()?;
+                let d =
+                    implicit_core::syntax::DataDecl::infer(name, params, ctors).map_err(fail)?;
+                decls.declare_data(d).map_err(fail)?;
+            }
         }
-    }
-    let body = p.parse_expr()?;
-    if *p.peek() != Tok::Eof {
-        return Err(p.error(format!("unexpected trailing `{}`", p.peek())));
-    }
-    Ok(SProgram { decls, body })
+        let body = p.parse_expr()?;
+        Ok(SProgram { decls, body })
+    })
 }
 
 #[cfg(test)]
@@ -1059,5 +720,77 @@ mod tests {
     fn rejects_garbage_with_position() {
         let err = parse_source_expr("let x :").unwrap_err();
         assert!(err.to_string().contains("source parse error"));
+    }
+
+    #[test]
+    fn lexical_errors_are_the_core_lexers() {
+        // Positions are where lexing stopped, as in the core parser.
+        let cases = [
+            (
+                "99999999999999999999999",
+                "1:19: integer literal overflows i64",
+            ),
+            ("\"abc", "1:5: unterminated string literal"),
+            ("\"a\\q\"", "1:5: invalid escape `\\q`"),
+            ("\"abc\\", "1:6: invalid escape `\\ `"),
+            ("true & false", "1:7: expected `&&`"),
+            ("1 # 2", "1:4: unexpected character `#`"),
+            // A lexical error anywhere wins over an earlier parse error.
+            ("1 + ) #", "1:8: unexpected character `#`"),
+        ];
+        for (src, expected) in cases {
+            let err = parse_source_program(src).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("source parse error at {expected}"),
+                "{src:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_nesting() {
+        use implicit_core::parse::MAX_NESTING;
+        // Texts whose nesting is exactly `n` levels, one per shape.
+        fn shapes(n: usize) -> Vec<(&'static str, String)> {
+            let k = n - 1;
+            vec![
+                (
+                    "parentheses",
+                    format!("{}1{}", "(".repeat(k), ")".repeat(k)),
+                ),
+                ("pairs", format!("{}1{}", "(1, ".repeat(k), ")".repeat(k))),
+                ("lambdas", format!("{}x", "\\x. ".repeat(k))),
+                ("lets", format!("{}x", "let x = 1 in ".repeat(k))),
+                ("sums", vec!["1"; n].join(" + ")),
+                ("conses", format!("{}nil", "1 :: ".repeat(k))),
+                ("applications", format!("f{}", " 1".repeat(k))),
+                (
+                    "list types",
+                    format!(
+                        "let x : {}Int{} = nil in x",
+                        "[".repeat(n - 3),
+                        "]".repeat(n - 3)
+                    ),
+                ),
+            ]
+        }
+        // The size of the main thread's stack, where `implicitc` parses.
+        std::thread::Builder::new()
+            .stack_size(8 << 20)
+            .spawn(|| {
+                for (shape, src) in shapes(MAX_NESTING) {
+                    if let Err(e) = parse_source_program(&src) {
+                        panic!("{shape} at {MAX_NESTING} levels: {e}");
+                    }
+                }
+                for (shape, src) in shapes(MAX_NESTING + 1) {
+                    let err = parse_source_program(&src).unwrap_err();
+                    assert_eq!(err.message, "nesting deeper than 1024", "{shape}");
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }
