@@ -18,6 +18,7 @@
 //! | [`unify`] | Appendix "Unification" (one-way matching) |
 //! | [`env`](mod@env) | implicit environments Δ and lookup `Δ⟨τ⟩` |
 //! | [`intern`](mod@intern) | hash-consed types (performance layer, no paper counterpart) |
+//! | [`list`] | persistent list values of both interpreters (no paper counterpart) |
 //! | [`resolve`](mod@resolve) | the resolution judgment `Δ ⊢r ρ` (rule `TyRes`) |
 //! | [`typeck`] | Figure "Type System" |
 //! | [`termination`] | Appendix A termination conditions |
@@ -59,6 +60,7 @@ pub mod alpha;
 pub mod coherence;
 pub mod env;
 pub mod intern;
+pub mod list;
 pub mod logic;
 pub mod parse;
 pub mod pretty;

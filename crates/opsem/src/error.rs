@@ -45,6 +45,8 @@ pub enum OpsemError {
     /// Evaluation reached a stuck state (only possible for ill-typed
     /// input).
     Stuck(String),
+    /// Evaluation nested deeper than [`crate::MAX_EVAL_DEPTH`].
+    TooDeep,
 }
 
 impl fmt::Display for OpsemError {
@@ -71,6 +73,11 @@ impl fmt::Display for OpsemError {
             OpsemError::DivisionByZero => f.write_str("division by zero"),
             OpsemError::UnboundVar(x) => write!(f, "unbound variable `{x}` at runtime"),
             OpsemError::Stuck(m) => write!(f, "evaluation stuck: {m}"),
+            OpsemError::TooDeep => write!(
+                f,
+                "evaluation nested deeper than {} levels",
+                crate::MAX_EVAL_DEPTH
+            ),
         }
     }
 }

@@ -19,6 +19,7 @@ use std::rc::Rc;
 
 use implicit_core::env::OverlapPolicy;
 use implicit_core::intern;
+use implicit_core::list::List;
 use implicit_core::resolve::ResolutionPolicy;
 use implicit_core::subst::{freshen_rule, TySubst};
 use implicit_core::symbol::fresh;
@@ -32,13 +33,25 @@ use crate::value::{Closure, ImplStack, Lookup, RuleClosure, Subst, Value, VarEnv
 /// [`Interpreter::refuel`] to this between programs.
 pub const DEFAULT_FUEL: u64 = 10_000_000;
 
+/// How deeply [`Interpreter::eval_in`] and
+/// [`Interpreter::resolve_value`] may nest, together. The interpreter
+/// recurses on the host stack once per level, so a deep non-tail
+/// recursion in the program would overflow it and abort the process;
+/// past this bound evaluation returns [`OpsemError::TooDeep`] instead.
+/// Sized so that every shape of recursion runs at the bound on the
+/// 64 MiB stack of daemon tenants and `--batch` workers (release
+/// build).
+pub const MAX_EVAL_DEPTH: usize = 30_000;
+
 /// The interpreter.
 pub struct Interpreter<'d> {
     decls: &'d Declarations,
     policy: ResolutionPolicy,
     fuel: u64,
     memo: RuntimeMemo,
+    insts: InstMemo,
     trace: Option<implicit_core::trace::SharedSink>,
+    depth: usize,
 }
 
 /// Memo key: the identity of every frame in the runtime stack
@@ -117,6 +130,43 @@ impl RuntimeMemo {
     }
 }
 
+/// OpInst key: the identity of the rule closure and the type
+/// arguments it is applied to.
+type InstKey = (usize, Vec<Type>);
+
+/// A memo of OpInst results, `⟨ρ, e, Σ, η⟩[τ̄]`, one per rule closure
+/// and type arguments. OpInst is a pure function of the closure, the
+/// types and the interpreter's declarations: it takes no tick and
+/// reads no runtime environment, so a shared result is the result.
+/// (Fresh binder names, where a substitution would capture, make two
+/// computations differ only up to α-equivalence.) Each entry pins its
+/// closure, so no closure address is reused while its entries live.
+/// FIFO-bounded like [`RuntimeMemo`]; never exported, so it carries
+/// no version.
+struct InstMemo {
+    entries: HashMap<InstKey, (Rc<RuleClosure>, Rc<RuleClosure>)>,
+    order: VecDeque<InstKey>,
+}
+
+impl InstMemo {
+    fn new() -> InstMemo {
+        InstMemo {
+            entries: HashMap::new(),
+            order: VecDeque::new(),
+        }
+    }
+
+    fn insert(&mut self, key: InstKey, pin: Rc<RuleClosure>, inst: Rc<RuleClosure>) {
+        self.order.push_back(key.clone());
+        self.entries.insert(key, (pin, inst));
+        if self.order.len() > implicit_core::env::DEFAULT_CACHE_CAPACITY {
+            if let Some(old) = self.order.pop_front() {
+                self.entries.remove(&old);
+            }
+        }
+    }
+}
+
 /// One runtime-memo entry rooted in a persistent prelude stack,
 /// exported for session artifacts (see `implicit-pipeline`).
 ///
@@ -142,7 +192,9 @@ impl<'d> Interpreter<'d> {
             policy: ResolutionPolicy::paper(),
             fuel: DEFAULT_FUEL,
             memo: RuntimeMemo::new(),
+            insts: InstMemo::new(),
             trace: None,
+            depth: 0,
         }
     }
 
@@ -278,6 +330,24 @@ impl<'d> Interpreter<'d> {
         ienv: &ImplStack,
         e: &Expr,
     ) -> Result<Value, OpsemError> {
+        self.enter()?;
+        let out = self.step(venv, ienv, e);
+        self.depth -= 1;
+        out
+    }
+
+    /// Enters one more level of host-stack recursion: an evaluation
+    /// or a runtime resolution, which nest through each other.
+    fn enter(&mut self) -> Result<(), OpsemError> {
+        if self.depth == MAX_EVAL_DEPTH {
+            return Err(OpsemError::TooDeep);
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// One level of [`Interpreter::eval_in`].
+    fn step(&mut self, venv: &VarEnv, ienv: &ImplStack, e: &Expr) -> Result<Value, OpsemError> {
         self.tick()?;
         match e {
             Expr::Int(n) => Ok(Value::Int(*n)),
@@ -328,7 +398,7 @@ impl<'d> Interpreter<'d> {
                         args.len()
                     )));
                 }
-                let inst = instantiate(self.decls, &rc, args);
+                let inst = self.instantiate(&rc, args);
                 if inst.rty.context().is_empty() {
                     // The instantiated type `{} ⇒ τ` is identified
                     // with `τ` (the calculus collapses trivial rule
@@ -337,7 +407,7 @@ impl<'d> Interpreter<'d> {
                     let inner = inst.ienv.pushed(inst.partial.clone());
                     self.eval_in(&inst.venv, &inner, &inst.body)
                 } else {
-                    Ok(Value::Rule(Rc::new(inst)))
+                    Ok(Value::Rule(inst))
                 }
             }
             // OpRApp: supply the context and run the body under
@@ -402,22 +472,11 @@ impl<'d> Interpreter<'d> {
                 Value::Pair(_, r) => Ok(Rc::try_unwrap(r).unwrap_or_else(|rc| (*rc).clone())),
                 other => Err(OpsemError::Stuck(format!("snd on {other}"))),
             },
-            Expr::Nil(_) => Ok(Value::List(Rc::new(Vec::new()))),
+            Expr::Nil(_) => Ok(Value::List(List::new())),
             Expr::Cons(h, t) => {
                 let vh = self.eval_in(venv, ienv, h)?;
                 match self.eval_in(venv, ienv, t)? {
-                    Value::List(xs) => match Rc::try_unwrap(xs) {
-                        Ok(mut owned) => {
-                            owned.insert(0, vh);
-                            Ok(Value::List(Rc::new(owned)))
-                        }
-                        Err(shared) => {
-                            let mut out = Vec::with_capacity(shared.len() + 1);
-                            out.push(vh);
-                            out.extend(shared.iter().cloned());
-                            Ok(Value::List(Rc::new(out)))
-                        }
-                    },
+                    Value::List(xs) => Ok(Value::List(List::cons(vh, xs))),
                     other => Err(OpsemError::Stuck(format!("cons onto {other}"))),
                 }
             }
@@ -428,26 +487,12 @@ impl<'d> Interpreter<'d> {
                 tail,
                 cons,
             } => match self.eval_in(venv, ienv, scrut)? {
-                Value::List(xs) => match Rc::try_unwrap(xs) {
-                    Ok(mut owned) => {
-                        if owned.is_empty() {
-                            self.eval_in(venv, ienv, nil)
-                        } else {
-                            let h = owned.remove(0);
-                            let env2 = venv.bind(*head, h).bind(*tail, Value::List(Rc::new(owned)));
-                            self.eval_in(&env2, ienv, cons)
-                        }
+                Value::List(xs) => match xs.split_first() {
+                    Some((h, rest)) => {
+                        let env2 = venv.bind(*head, h.clone()).bind(*tail, Value::List(rest));
+                        self.eval_in(&env2, ienv, cons)
                     }
-                    Err(shared) => {
-                        if let Some((h, rest)) = shared.split_first() {
-                            let env2 = venv
-                                .bind(*head, h.clone())
-                                .bind(*tail, Value::List(Rc::new(rest.to_vec())));
-                            self.eval_in(&env2, ienv, cons)
-                        } else {
-                            self.eval_in(venv, ienv, nil)
-                        }
-                    }
+                    None => self.eval_in(venv, ienv, nil),
                 },
                 other => Err(OpsemError::Stuck(format!("case on {other}"))),
             },
@@ -540,6 +585,24 @@ impl<'d> Interpreter<'d> {
         }
     }
 
+    /// OpInst, computed once per rule closure and type arguments when
+    /// [`ResolutionPolicy::cache`] is on (see [`InstMemo`]): the §5
+    /// encoding instantiates a let-bound polymorphic value at every
+    /// use, and each instantiation substitutes the closure's body and
+    /// every captured environment.
+    fn instantiate(&mut self, rc: &Rc<RuleClosure>, args: &[Type]) -> Rc<RuleClosure> {
+        if !self.policy.cache {
+            return Rc::new(instantiate(self.decls, rc, args));
+        }
+        let key = (Rc::as_ptr(rc) as usize, args.to_vec());
+        if let Some((_, inst)) = self.insts.entries.get(&key) {
+            return inst.clone();
+        }
+        let inst = Rc::new(instantiate(self.decls, rc, args));
+        self.insts.insert(key, rc.clone(), inst.clone());
+        inst
+    }
+
     /// Runtime resolution `Σ ⊢r ρ ⇓ v` (rule `DynRes`).
     ///
     /// When [`ResolutionPolicy::cache`] is on (the default), successful
@@ -549,6 +612,19 @@ impl<'d> Interpreter<'d> {
     /// evaluation's budget (fuel is an engineering backstop, not an
     /// observable of the semantics).
     pub fn resolve_value(
+        &mut self,
+        ienv: &ImplStack,
+        query: &RuleType,
+        depth: usize,
+    ) -> Result<Value, OpsemError> {
+        self.enter()?;
+        let out = self.resolve_step(ienv, query, depth);
+        self.depth -= 1;
+        out
+    }
+
+    /// One level of [`Interpreter::resolve_value`].
+    fn resolve_step(
         &mut self,
         ienv: &ImplStack,
         query: &RuleType,
@@ -870,4 +946,59 @@ fn binop(op: BinOp, a: Value, b: Value) -> Result<Value, OpsemError> {
 /// See [`Interpreter::eval`].
 pub fn eval(decls: &Declarations, e: &Expr) -> Result<Value, OpsemError> {
     Interpreter::new(decls).eval(e)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use implicit_core::parse::parse_expr;
+    use implicit_core::symbol::Symbol;
+
+    fn pair_rule(interp: &mut Interpreter<'_>) -> Rc<RuleClosure> {
+        let e = parse_expr("rule (forall a. {a} => a * a) ((?(a), ?(a)))").unwrap();
+        match interp.eval(&e).unwrap() {
+            Value::Rule(rc) => rc,
+            other => panic!("expected a rule closure, got {other}"),
+        }
+    }
+
+    #[test]
+    fn a_closure_is_instantiated_once_per_type_arguments() {
+        let decls = Declarations::new();
+        let mut interp = Interpreter::new(&decls);
+        let rc = pair_rule(&mut interp);
+        let at_int = interp.instantiate(&rc, &[Type::Int]);
+        assert_eq!(at_int.rty.head(), &Type::prod(Type::Int, Type::Int));
+        assert!(Rc::ptr_eq(&at_int, &interp.instantiate(&rc, &[Type::Int])));
+        let at_bool = interp.instantiate(&rc, &[Type::Bool]);
+        assert!(!Rc::ptr_eq(&at_int, &at_bool));
+        assert_eq!(at_bool.rty.head(), &Type::prod(Type::Bool, Type::Bool));
+    }
+
+    #[test]
+    fn instantiation_is_memoised_only_with_the_cache_on() {
+        let decls = Declarations::new();
+        let mut interp =
+            Interpreter::new(&decls).with_policy(ResolutionPolicy::paper().without_cache());
+        let rc = pair_rule(&mut interp);
+        let a = interp.instantiate(&rc, &[Type::Int]);
+        assert!(!Rc::ptr_eq(&a, &interp.instantiate(&rc, &[Type::Int])));
+    }
+
+    #[test]
+    fn the_instantiation_memo_evicts_its_oldest_entry() {
+        let decls = Declarations::new();
+        let mut interp = Interpreter::new(&decls);
+        let rc = pair_rule(&mut interp);
+        let at = |i: usize| [Type::var(Symbol::intern(&format!("inst{i}")))];
+        let first = interp.instantiate(&rc, &at(0));
+        for i in 1..=implicit_core::env::DEFAULT_CACHE_CAPACITY {
+            interp.instantiate(&rc, &at(i));
+        }
+        assert_eq!(
+            interp.insts.entries.len(),
+            implicit_core::env::DEFAULT_CACHE_CAPACITY
+        );
+        assert!(!Rc::ptr_eq(&first, &interp.instantiate(&rc, &at(0))));
+    }
 }

@@ -33,7 +33,7 @@ pub mod value;
 pub mod wire;
 
 pub use error::OpsemError;
-pub use interp::{eval, Interpreter, DEFAULT_FUEL};
+pub use interp::{eval, Interpreter, DEFAULT_FUEL, MAX_EVAL_DEPTH};
 pub use value::{ImplStack, RuleClosure, Value, VarEnv};
 
 #[cfg(test)]
@@ -207,6 +207,36 @@ mod tests {
             matches!(err, OpsemError::DepthExceeded { .. }),
             "got {err:?}"
         );
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_eval_depth() {
+        // `(fix f. λn. if n <= 0 then 0 else 1 + f (n - 1)) n` nests
+        // 3n + 4 levels deep, and each `0 + (…)` around it one more.
+        let (n, w) = ((MAX_EVAL_DEPTH - 4) / 3, (MAX_EVAL_DEPTH - 4) % 3);
+        let deep = move |wrappers: usize| {
+            let sum =
+                format!("(fix f : Int -> Int. \\n : Int. if n <= 0 then 0 else 1 + f (n - 1)) {n}");
+            parse_expr(&format!(
+                "{}{sum}{}",
+                "0 + (".repeat(wrappers),
+                ")".repeat(wrappers)
+            ))
+            .unwrap()
+        };
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(move || {
+                let (at, past) = (deep(w), deep(w + 1));
+                let decls = Declarations::new();
+                let v = Interpreter::new(&decls).eval(&at).unwrap();
+                assert_eq!(v.to_string(), n.to_string());
+                let err = Interpreter::new(&decls).eval(&past).unwrap_err();
+                assert!(matches!(err, OpsemError::TooDeep), "got {err:?}");
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
+use implicit_core::list::List;
 use implicit_core::subst::TySubst;
 use implicit_core::symbol::Symbol;
 use implicit_core::syntax::{Expr, RuleType};
@@ -29,8 +30,8 @@ pub enum Value {
     Unit,
     /// Pair.
     Pair(Rc<Value>, Rc<Value>),
-    /// List (strict).
-    List(Rc<Vec<Value>>),
+    /// List (strict, persistent: tails are shared).
+    List(List<Value>),
     /// Function closure.
     Closure(Rc<Closure>),
     /// Rule closure `⟨ρ, e, Σ, η⟩`.
@@ -94,7 +95,7 @@ impl Value {
                 if xs.len() != ys.len() {
                     return Some(false);
                 }
-                for (x, y) in xs.iter().zip(ys.iter()) {
+                for (x, y) in xs.iter().zip(ys) {
                     if !x.try_eq(y)? {
                         return Some(false);
                     }
@@ -204,7 +205,7 @@ impl<'t> Subst<'t> {
         match v {
             Value::Int(_) | Value::Bool(_) | Value::Str(_) | Value::Unit => v.clone(),
             Value::Pair(a, b) => Value::Pair(Rc::new(self.value(a)), Rc::new(self.value(b))),
-            Value::List(xs) => Value::List(Rc::new(xs.iter().map(|v| self.value(v)).collect())),
+            Value::List(xs) => Value::List(xs.iter().map(|v| self.value(v)).collect()),
             Value::Closure(c) => Value::Closure(self.closure(c)),
             Value::Rule(rc) => Value::Rule(self.rule(rc)),
             Value::Record { name, fields } => Value::Record {
@@ -642,6 +643,16 @@ mod tests {
         let p3 = Value::Pair(Rc::new(Value::Int(2)), Rc::new(Value::Bool(false)));
         assert_eq!(p1.try_eq(&p2), Some(true));
         assert_eq!(p1.try_eq(&p3), Some(false));
+    }
+
+    #[test]
+    fn a_value_is_three_words() {
+        // A list is two words, so a value holding one is no wider than
+        // a pair of `Rc`s and its tag.
+        assert_eq!(
+            std::mem::size_of::<Value>(),
+            3 * std::mem::size_of::<usize>()
+        );
     }
 
     #[test]

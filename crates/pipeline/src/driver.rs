@@ -46,14 +46,19 @@ fn grab_size(total: usize, workers: usize) -> usize {
 /// preludes make derivations tens of levels deep — debug-build frames
 /// for those interleaved calls overflow the 2 MiB spawn default.
 ///
-/// The *tree-walking* System F evaluator is the other reason this is
-/// 64 MiB rather than the 8 MiB main-thread default: it recurses on
-/// the host stack once per `fix` unfold, so a 100k-iteration
-/// recursive program needs tens of megabytes of frames. The bytecode
-/// VM ([`systemf::vm`], `Session::run_compiled`) heap-allocates its
-/// frames and runs the same programs in constant host stack — see
-/// `systemf/tests/vm_deep.rs`, which executes a 100k-step fold on a
-/// deliberately small thread.
+/// The two *tree-walking* evaluators are the other reason this is
+/// 64 MiB rather than the 8 MiB main-thread default: they recurse on
+/// the host stack once per level of evaluation, and a non-tail
+/// recursion in the program nests a few levels per call. Each stops
+/// at its bound with a structured error — [`systemf::MAX_EVAL_DEPTH`]
+/// (75,000 levels) and [`implicit_opsem::MAX_EVAL_DEPTH`] (30,000
+/// levels, runtime resolutions included) — and every recursion shape
+/// runs at those bounds on this stack in a release build, using at
+/// most 34.3 MiB and 31.6 MiB of it (EXPERIMENTS.md §18). The
+/// bytecode VM ([`systemf::vm`], `Session::run_compiled`)
+/// heap-allocates its frames and runs the same programs in constant
+/// host stack — see `systemf/tests/vm_deep.rs`, which executes a
+/// 100k-step fold on a deliberately small thread.
 const WORKER_STACK: usize = 64 << 20;
 
 /// Spawns a detached *service* worker on the same deep stack the

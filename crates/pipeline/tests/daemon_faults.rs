@@ -376,3 +376,37 @@ fn deeply_nested_programs_are_parse_errors_not_stack_overflows() {
     }
     assert_eq!(counter(&mut c, "panics"), 0);
 }
+
+#[test]
+fn deep_recursion_is_an_evaluation_error_not_a_stack_overflow() {
+    // Well typed and within fuel, but `sum`'s and `range`'s non-tail
+    // recursions nest about 300,000 evaluation levels deep: the
+    // tree-walking evaluator and the operational semantics used to
+    // recurse until the tenant thread's stack overflowed, aborting
+    // the daemon and every tenant with it.
+    let program = "let range : Int -> [Int] = fix go : Int -> [Int]. \\n : Int. \
+                   if n <= 0 then nil [Int] else n :: go (n - 1) in \
+                   let sum : [Int] -> Int = fix s : [Int] -> Int. \\xs : [Int]. \
+                   case xs of nil -> 0 | h :: t -> h + s t in sum (range 100000)";
+    let d = daemon(false);
+    let mut c = Client::connect(d.addr()).unwrap();
+    open_chain(&mut c, "chain");
+    let before = probe(&mut c, "chain");
+    let load = c.open_prelude("t", "unit", Backend::Tree).unwrap();
+    assert_eq!(load, "cold");
+    for (op, code) in [("eval", "eval_error"), ("opsem", "opsem_error")] {
+        let r = c
+            .request(&Json::obj(vec![
+                ("op", Json::Str(op.into())),
+                ("tenant", Json::Str("t".into())),
+                ("program", Json::Str(program.into())),
+            ]))
+            .unwrap();
+        assert_eq!(r.str_field("error"), Some(code), "{}", r.render());
+        let detail = r.render();
+        assert!(detail.contains("evaluation nested deeper than"), "{detail}");
+        assert_eq!(c.eval("t", "40 + 2").unwrap(), ("42".into(), "Int".into()));
+        assert_eq!(probe(&mut c, "chain"), before);
+    }
+    assert_eq!(counter(&mut c, "panics"), 0);
+}

@@ -10,8 +10,9 @@
 //! and Scala it supports **higher-order rules**.
 //!
 //! The pipeline is exactly the paper's: parse → infer simple types →
-//! encode type-directedly into λ⇒ ([`compile`]); resolution is then
-//! performed by the core type checker / elaborator, never here.
+//! encode type-directedly into λ⇒ ([`translate`]); resolution is then
+//! performed by the core type checker / elaborator, never here
+//! ([`compile`] runs the core type checker under the paper's policy).
 //!
 //! ```
 //! use implicit_source::compile;
@@ -81,23 +82,32 @@ impl fmt::Display for CompileError {
 
 impl std::error::Error for CompileError {}
 
-/// Compiles a source program to λ⇒ and type-checks the result
-/// (resolving all implicit queries).
+/// Parses a source program and encodes it in λ⇒, without
+/// type-checking the encoding: the caller checks it (and so resolves
+/// its queries) under the policy it chooses.
+///
+/// # Errors
+///
+/// Returns a [`CompileError::Parse`] or [`CompileError::Infer`].
+pub fn translate(src: &str) -> Result<(Declarations, Expr), CompileError> {
+    let prog = parse_source_program(src).map_err(CompileError::Parse)?;
+    let (_, core) = translate_program(&prog).map_err(CompileError::Infer)?;
+    Ok((prog.decls, core))
+}
+
+/// Compiles a source program to λ⇒ ([`translate`]) and type-checks
+/// the result under the paper's policy (resolving all implicit
+/// queries).
 ///
 /// # Errors
 ///
 /// Returns a [`CompileError`] describing the failing stage.
 pub fn compile(src: &str) -> Result<Compiled, CompileError> {
-    let prog = parse_source_program(src).map_err(CompileError::Parse)?;
-    let (_, core) = translate_program(&prog).map_err(CompileError::Infer)?;
-    let ty = Typechecker::new(&prog.decls)
+    let (decls, core) = translate(src)?;
+    let ty = Typechecker::new(&decls)
         .check_closed(&core)
         .map_err(CompileError::Core)?;
-    Ok(Compiled {
-        decls: prog.decls,
-        core,
-        ty,
-    })
+    Ok(Compiled { decls, core, ty })
 }
 
 #[cfg(test)]

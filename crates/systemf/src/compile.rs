@@ -36,6 +36,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use implicit_core::list::List;
 use implicit_core::symbol::Symbol;
 
 use crate::eval::Value;
@@ -1329,7 +1330,7 @@ impl Compiler {
                 self.pool_const(Value::Str(Rc::from(s.as_str())), PoolKey::Str(s.clone()))
             }
             FExpr::Unit => self.pool_const(Value::Unit, PoolKey::Misc(2)),
-            FExpr::Nil(_) => self.pool_const(Value::List(Rc::new(Vec::new())), PoolKey::Misc(3)),
+            FExpr::Nil(_) => self.pool_const(Value::List(List::new()), PoolKey::Misc(3)),
             other => unreachable!("pooling non-literal {other}"),
         }
     }

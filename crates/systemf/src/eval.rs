@@ -9,6 +9,7 @@
 use std::fmt;
 use std::rc::Rc;
 
+use implicit_core::list::List;
 use implicit_core::symbol::Symbol;
 
 use crate::syntax::{BinOp, FExpr, UnOp};
@@ -26,8 +27,8 @@ pub enum Value {
     Unit,
     /// Pair.
     Pair(Rc<Value>, Rc<Value>),
-    /// List (strict).
-    List(Rc<Vec<Value>>),
+    /// List (strict, persistent: tails are shared).
+    List(List<Value>),
     /// Function closure.
     Closure {
         /// Parameter name.
@@ -84,7 +85,7 @@ impl Value {
                 if xs.len() != ys.len() {
                     return Some(false);
                 }
-                for (x, y) in xs.iter().zip(ys.iter()) {
+                for (x, y) in xs.iter().zip(ys) {
                     if !x.try_eq(y)? {
                         return Some(false);
                     }
@@ -314,6 +315,8 @@ pub enum EvalError {
     /// A primitive was applied to a value of the wrong shape —
     /// indicates a typing bug.
     Stuck(String),
+    /// Evaluation nested deeper than [`MAX_EVAL_DEPTH`].
+    TooDeep,
 }
 
 impl fmt::Display for EvalError {
@@ -324,17 +327,30 @@ impl fmt::Display for EvalError {
             EvalError::DivisionByZero => f.write_str("division by zero"),
             EvalError::OutOfFuel => f.write_str("evaluation exceeded its step budget"),
             EvalError::Stuck(m) => write!(f, "evaluation stuck: {m}"),
+            EvalError::TooDeep => {
+                write!(f, "evaluation nested deeper than {MAX_EVAL_DEPTH} levels")
+            }
         }
     }
 }
 
 impl std::error::Error for EvalError {}
 
+/// How deeply [`Evaluator::eval_in`] may nest. The evaluator recurses
+/// on the host stack once per level, so a deep non-tail recursion in
+/// the program would overflow it and abort the process; past this
+/// bound evaluation returns [`EvalError::TooDeep`] instead. Sized so
+/// that every shape of recursion runs at the bound on the 64 MiB
+/// stack of daemon tenants and `--batch` workers (release build).
+pub const MAX_EVAL_DEPTH: usize = 75_000;
+
 /// The evaluator, carrying a step budget so that diverging programs
-/// return [`EvalError::OutOfFuel`] instead of hanging.
+/// return [`EvalError::OutOfFuel`] instead of hanging, and a nesting
+/// count bounded by [`MAX_EVAL_DEPTH`].
 pub struct Evaluator {
     fuel: u64,
     initial_fuel: u64,
+    depth: usize,
 }
 
 impl Default for Evaluator {
@@ -354,6 +370,7 @@ impl Evaluator {
         Evaluator {
             fuel,
             initial_fuel: fuel,
+            depth: 0,
         }
     }
 
@@ -384,6 +401,17 @@ impl Evaluator {
     ///
     /// See [`Evaluator::eval`].
     pub fn eval_in(&mut self, env: &Env, e: &FExpr) -> Result<Value, EvalError> {
+        if self.depth == MAX_EVAL_DEPTH {
+            return Err(EvalError::TooDeep);
+        }
+        self.depth += 1;
+        let out = self.step(env, e);
+        self.depth -= 1;
+        out
+    }
+
+    /// One level of [`Evaluator::eval_in`].
+    fn step(&mut self, env: &Env, e: &FExpr) -> Result<Value, EvalError> {
         if self.fuel == 0 {
             return Err(EvalError::OutOfFuel);
         }
@@ -463,22 +491,11 @@ impl Evaluator {
                 Value::Pair(_, r) => Ok(Rc::try_unwrap(r).unwrap_or_else(|rc| (*rc).clone())),
                 other => Err(EvalError::Stuck(format!("snd on {other}"))),
             },
-            FExpr::Nil(_) => Ok(Value::List(Rc::new(Vec::new()))),
+            FExpr::Nil(_) => Ok(Value::List(List::new())),
             FExpr::Cons(h, t) => {
                 let vh = self.eval_in(env, h)?;
                 match self.eval_in(env, t)? {
-                    Value::List(xs) => match Rc::try_unwrap(xs) {
-                        Ok(mut owned) => {
-                            owned.insert(0, vh);
-                            Ok(Value::List(Rc::new(owned)))
-                        }
-                        Err(shared) => {
-                            let mut out = Vec::with_capacity(shared.len() + 1);
-                            out.push(vh);
-                            out.extend(shared.iter().cloned());
-                            Ok(Value::List(Rc::new(out)))
-                        }
-                    },
+                    Value::List(xs) => Ok(Value::List(List::cons(vh, xs))),
                     other => Err(EvalError::Stuck(format!("cons onto {other}"))),
                 }
             }
@@ -489,26 +506,12 @@ impl Evaluator {
                 tail,
                 cons,
             } => match self.eval_in(env, scrut)? {
-                Value::List(xs) => match Rc::try_unwrap(xs) {
-                    Ok(mut owned) => {
-                        if owned.is_empty() {
-                            self.eval_in(env, nil)
-                        } else {
-                            let h = owned.remove(0);
-                            let env2 = env.bind(*head, h).bind(*tail, Value::List(Rc::new(owned)));
-                            self.eval_in(&env2, cons)
-                        }
+                Value::List(xs) => match xs.split_first() {
+                    Some((h, rest)) => {
+                        let env2 = env.bind(*head, h.clone()).bind(*tail, Value::List(rest));
+                        self.eval_in(&env2, cons)
                     }
-                    Err(shared) => {
-                        if let Some((h, rest)) = shared.split_first() {
-                            let env2 = env
-                                .bind(*head, h.clone())
-                                .bind(*tail, Value::List(Rc::new(rest.to_vec())));
-                            self.eval_in(&env2, cons)
-                        } else {
-                            self.eval_in(env, nil)
-                        }
-                    }
+                    None => self.eval_in(env, nil),
                 },
                 other => Err(EvalError::Stuck(format!("case on {other}"))),
             },
@@ -710,6 +713,51 @@ mod tests {
         assert!(matches!(eval(&e).unwrap(), Value::Int(720)));
     }
 
+    /// `(fix f. λn. if n <= 0 then 0 else 1 + f (n - 1)) n` inside
+    /// `wrappers` additions `0 + (…)`: evaluation nests 3n + 4 levels
+    /// deep, plus one per wrapper.
+    fn deep_sum(n: usize, wrappers: usize) -> FExpr {
+        let int = |k: i64| Rc::new(FExpr::Int(k));
+        let body = FExpr::If(
+            Rc::new(FExpr::BinOp(BinOp::Le, Rc::new(FExpr::var("n")), int(0))),
+            int(0),
+            Rc::new(FExpr::BinOp(
+                BinOp::Add,
+                int(1),
+                Rc::new(FExpr::app(
+                    FExpr::var("f"),
+                    FExpr::BinOp(BinOp::Sub, Rc::new(FExpr::var("n")), int(1)),
+                )),
+            )),
+        );
+        let f = FExpr::Fix(
+            v("f"),
+            FType::arrow(FType::Int, FType::Int),
+            Rc::new(FExpr::lam("n", FType::Int, body)),
+        );
+        let mut e = FExpr::app(f, FExpr::Int(n as i64));
+        for _ in 0..wrappers {
+            e = FExpr::BinOp(BinOp::Add, int(0), Rc::new(e));
+        }
+        e
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_eval_depth() {
+        let (n, w) = ((MAX_EVAL_DEPTH - 4) / 3, (MAX_EVAL_DEPTH - 4) % 3);
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(move || {
+                let at = eval(&deep_sum(n, w)).unwrap();
+                assert_eq!(at.to_string(), n.to_string());
+                let past = eval(&deep_sum(n, w + 1)).unwrap_err();
+                assert_eq!(past, EvalError::TooDeep);
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
     #[test]
     fn divergence_runs_out_of_fuel() {
         let loop_ty = FType::arrow(FType::Int, FType::Int);
@@ -781,9 +829,19 @@ mod tests {
         let a = Value::Pair(Rc::new(Value::Int(1)), Rc::new(Value::Bool(true)));
         let b = Value::Pair(Rc::new(Value::Int(1)), Rc::new(Value::Bool(true)));
         assert_eq!(a.try_eq(&b), Some(true));
-        let c = Value::List(Rc::new(vec![Value::Int(1)]));
-        let d = Value::List(Rc::new(vec![Value::Int(2)]));
+        let c = Value::List([Value::Int(1)].into_iter().collect());
+        let d = Value::List([Value::Int(2)].into_iter().collect());
         assert_eq!(c.try_eq(&d), Some(false));
+    }
+
+    #[test]
+    fn a_value_is_three_words() {
+        // A list is two words, so a value holding one is no wider than
+        // a pair of `Rc`s and its tag.
+        assert_eq!(
+            std::mem::size_of::<Value>(),
+            3 * std::mem::size_of::<usize>()
+        );
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod vm;
 pub mod wire;
 
 pub use compile::{CodeObject, CodeSnapshot, CompileError, Compiler, Isa};
-pub use eval::{eval, EvalError, Evaluator, Value};
+pub use eval::{eval, EvalError, Evaluator, Value, MAX_EVAL_DEPTH};
 pub use syntax::{FDeclarations, FExpr, FInterfaceDecl, FType};
 pub use typeck::{typecheck, FTypeError};
 pub use vm::{compile_and_run, Vm, VmStats};

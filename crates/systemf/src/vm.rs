@@ -46,6 +46,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use implicit_core::list::List;
 use implicit_core::symbol::Symbol;
 
 use crate::compile::{
@@ -184,8 +185,9 @@ fn import(v: &Value, heap: &mut Heap) -> Word {
             Word::Pair((heap.pairs.len() - 1) as u32)
         }
         Value::List(xs) => {
+            let items: Vec<&Value> = xs.iter().collect();
             let mut acc = Word::Nil;
-            for x in xs.iter().rev() {
+            for x in items.into_iter().rev() {
                 let h = import(x, heap);
                 heap.conses.push((h, acc));
                 acc = Word::Cons((heap.conses.len() - 1) as u32);
@@ -239,7 +241,7 @@ fn export(w: Word, heap: &Heap) -> Value {
         Word::Int(n) => Value::Int(n),
         Word::Bool(b) => Value::Bool(b),
         Word::Unit => Value::Unit,
-        Word::Nil => Value::List(Rc::new(Vec::new())),
+        Word::Nil => Value::List(List::new()),
         Word::Str(i) => Value::Str(heap.strs[i as usize].clone()),
         Word::Pair(i) => {
             let (a, b) = heap.pairs[i as usize];
@@ -253,7 +255,7 @@ fn export(w: Word, heap: &Heap) -> Value {
                 xs.push(export(h, heap));
                 cur = t;
             }
-            Value::List(Rc::new(xs))
+            Value::List(List::from_vec(xs))
         }
         Word::Record(i) => {
             let r = &heap.records[i as usize];
@@ -1801,7 +1803,9 @@ mod tests {
         let g = v("dict");
         compiler.add_global(g);
         let global = Value::Pair(
-            Rc::new(Value::List(Rc::new(vec![Value::Int(1), Value::Int(2)]))),
+            Rc::new(Value::List(
+                [Value::Int(1), Value::Int(2)].into_iter().collect(),
+            )),
             Rc::new(Value::Record {
                 name: v("Show"),
                 fields: Rc::new(vec![(v("s"), Value::Str(Rc::from("x")))]),

@@ -26,6 +26,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use implicit_core::list::List;
 use implicit_core::symbol::Symbol;
 use implicit_core::syntax::TyCon;
 use implicit_core::wire::{cap, Dec, Enc, WireError};
@@ -70,6 +71,9 @@ pub struct SfEnc<'a> {
     envs: HashMap<usize, u32>,
     vals: HashMap<usize, u32>,
     valvecs: HashMap<usize, u32>,
+    /// Value vectors written in full so far (an empty list is
+    /// written in full every time, with no entry in `valvecs`).
+    valvec_count: usize,
     recfields: HashMap<usize, u32>,
     fexprs: HashMap<usize, u32>,
     vmclosures: HashMap<usize, u32>,
@@ -83,6 +87,7 @@ impl<'a> SfEnc<'a> {
             envs: HashMap::new(),
             vals: HashMap::new(),
             valvecs: HashMap::new(),
+            valvec_count: 0,
             recfields: HashMap::new(),
             fexprs: HashMap::new(),
             vmclosures: HashMap::new(),
@@ -327,7 +332,7 @@ impl<'a> SfEnc<'a> {
             }
             Value::List(xs) => {
                 self.e.u8(5);
-                self.valvec(xs);
+                self.valvec(xs.first_addr(), xs.len(), xs.iter());
             }
             Value::Closure { param, body, env } => {
                 self.e.u8(6);
@@ -348,7 +353,11 @@ impl<'a> SfEnc<'a> {
             Value::Data { ctor, fields } => {
                 self.e.u8(9);
                 self.e.sym(*ctor);
-                self.valvec(fields);
+                self.valvec(
+                    Some(Rc::as_ptr(fields) as usize),
+                    fields.len(),
+                    fields.iter(),
+                );
             }
             Value::CompiledClosure(c) => {
                 self.e.u8(10);
@@ -379,20 +388,31 @@ impl<'a> SfEnc<'a> {
         self.vals.insert(key, ix);
     }
 
-    fn valvec(&mut self, r: &Rc<Vec<Value>>) {
-        let key = Rc::as_ptr(r) as usize;
-        if let Some(&ix) = self.valvecs.get(&key) {
+    /// Writes a value vector (data fields or a list; they share one
+    /// index space) identified by `key`: `1`, length, elements the
+    /// first time, `0`, index after. An empty list has no identity
+    /// (`None`) and is written in full every time.
+    fn valvec<'v>(
+        &mut self,
+        key: Option<usize>,
+        len: usize,
+        items: impl Iterator<Item = &'v Value>,
+    ) {
+        if let Some(&ix) = key.and_then(|k| self.valvecs.get(&k)) {
             self.e.u8(0);
             self.e.u32(ix);
             return;
         }
         self.e.u8(1);
-        self.e.len(r.len());
-        for v in r.iter() {
+        self.e.len(len);
+        for v in items {
             self.value(v);
         }
-        let ix = u32::try_from(self.valvecs.len()).expect("valvec memo overflow");
-        self.valvecs.insert(key, ix);
+        let ix = u32::try_from(self.valvec_count).expect("valvec memo overflow");
+        self.valvec_count += 1;
+        if let Some(k) = key {
+            self.valvecs.insert(k, ix);
+        }
     }
 
     fn recfields(&mut self, r: &Rc<Vec<(Symbol, Value)>>) {
@@ -721,6 +741,13 @@ impl<'a> SfEnc<'a> {
     }
 }
 
+/// A decoded value vector: data fields and lists share one
+/// back-reference index space.
+enum ValVec {
+    Fields(Rc<Vec<Value>>),
+    List(List<Value>),
+}
+
 /// Decoder context mirroring [`SfEnc`].
 pub struct SfDec<'a, 'b> {
     /// The underlying byte decoder.
@@ -736,7 +763,7 @@ pub struct SfDec<'a, 'b> {
     unchecked: Vec<(Rc<VmClosure>, FuncKind)>,
     envs: Vec<Rc<EnvNode>>,
     vals: Vec<Rc<Value>>,
-    valvecs: Vec<Rc<Vec<Value>>>,
+    valvecs: Vec<ValVec>,
     recfields: Vec<Rc<Vec<(Symbol, Value)>>>,
     fexprs: Vec<Rc<FExpr>>,
     vmclosures: Vec<Rc<VmClosure>>,
@@ -962,7 +989,7 @@ impl<'a, 'b> SfDec<'a, 'b> {
                 let a = self.val_rc()?;
                 Value::Pair(a, self.val_rc()?)
             }
-            5 => Value::List(self.valvec()?),
+            5 => Value::List(self.list()?),
             6 => {
                 let param = self.d.sym()?;
                 let body = self.fexpr_rc()?;
@@ -981,7 +1008,7 @@ impl<'a, 'b> SfDec<'a, 'b> {
             }
             9 => {
                 let ctor = self.d.sym()?;
-                let fields = self.valvec()?;
+                let fields = self.fields()?;
                 Value::Data { ctor, fields }
             }
             10 => Value::CompiledClosure(self.vmclosure(FuncKind::Lambda)?),
@@ -1010,26 +1037,52 @@ impl<'a, 'b> SfDec<'a, 'b> {
         }
     }
 
-    fn valvec(&mut self) -> Result<Rc<Vec<Value>>, WireError> {
+    /// Reads the memo tag of a value vector: `Ok(Some(entry))` for a
+    /// back-reference, `Ok(None)` when the elements follow.
+    fn valvec_ref(&mut self) -> Result<Option<&ValVec>, WireError> {
         match self.d.u8()? {
             0 => {
                 let ix = self.d.u32()? as usize;
-                self.valvecs
-                    .get(ix)
-                    .cloned()
-                    .ok_or_else(|| WireError(format!("valvec backref {ix} out of range")))
-            }
-            1 => {
-                let n = self.d.len()?;
-                let mut xs = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    xs.push(self.value()?);
+                match self.valvecs.get(ix) {
+                    Some(entry) => Ok(Some(entry)),
+                    None => err(format!("valvec backref {ix} out of range")),
                 }
-                let rc = Rc::new(xs);
-                self.valvecs.push(rc.clone());
+            }
+            1 => Ok(None),
+            t => err(format!("bad valvec memo tag {t}")),
+        }
+    }
+
+    fn valvec_items(&mut self) -> Result<Vec<Value>, WireError> {
+        let n = self.d.len()?;
+        let mut xs = Vec::with_capacity(n.min(1 << 16));
+        for _ in 0..n {
+            xs.push(self.value()?);
+        }
+        Ok(xs)
+    }
+
+    fn fields(&mut self) -> Result<Rc<Vec<Value>>, WireError> {
+        match self.valvec_ref()? {
+            Some(ValVec::Fields(rc)) => Ok(rc.clone()),
+            Some(ValVec::List(_)) => err("data fields backref names a list".into()),
+            None => {
+                let rc = Rc::new(self.valvec_items()?);
+                self.valvecs.push(ValVec::Fields(rc.clone()));
                 Ok(rc)
             }
-            t => err(format!("bad valvec memo tag {t}")),
+        }
+    }
+
+    fn list(&mut self) -> Result<List<Value>, WireError> {
+        match self.valvec_ref()? {
+            Some(ValVec::List(xs)) => Ok(xs.clone()),
+            Some(ValVec::Fields(_)) => err("list backref names data fields".into()),
+            None => {
+                let xs = List::from_vec(self.valvec_items()?);
+                self.valvecs.push(ValVec::List(xs.clone()));
+                Ok(xs)
+            }
         }
     }
 
@@ -1587,11 +1640,11 @@ mod tests {
     fn first_order_values_roundtrip() {
         let v = Value::Pair(
             Rc::new(Value::Int(42)),
-            Rc::new(Value::List(Rc::new(vec![
-                Value::Bool(true),
-                Value::Str(Rc::from("hi")),
-                Value::Unit,
-            ]))),
+            Rc::new(Value::List(
+                [Value::Bool(true), Value::Str(Rc::from("hi")), Value::Unit]
+                    .into_iter()
+                    .collect(),
+            )),
         );
         let back = roundtrip_value(&v);
         assert_eq!(v.try_eq(&back), Some(true));
@@ -1770,5 +1823,66 @@ mod tests {
                 "tag {tag} accepted"
             );
         }
+    }
+
+    /// `(a, Two b [])`: lists share one back-reference index space
+    /// with data fields.
+    fn list_value(a: &List<Value>, b: &List<Value>) -> Value {
+        Value::Pair(
+            Rc::new(Value::List(a.clone())),
+            Rc::new(Value::Data {
+                ctor: sym("Two"),
+                fields: Rc::new(vec![Value::List(b.clone()), Value::List(List::new())]),
+            }),
+        )
+    }
+
+    fn one_two() -> List<Value> {
+        [Value::Int(1), Value::Int(2)].into_iter().collect()
+    }
+
+    fn encoded(v: &Value) -> Vec<u8> {
+        let mut e = Enc::new();
+        SfEnc::new(&mut e).value(v);
+        e.finish()
+    }
+
+    #[test]
+    fn a_list_held_twice_is_encoded_once() {
+        let xs = one_two();
+        let shared = list_value(&xs, &xs);
+        // Two equal but separate lists are both written in full.
+        let separate = list_value(&xs, &one_two());
+        assert!(encoded(&shared).len() < encoded(&separate).len());
+
+        let back = roundtrip_value(&shared);
+        assert_eq!(shared.try_eq(&back), Some(true));
+        let Value::Pair(list, data) = &back else {
+            panic!("not a pair")
+        };
+        let (Value::List(a), Value::Data { fields, .. }) = (&**list, &**data) else {
+            panic!("not a list and a data value")
+        };
+        let Value::List(b) = &fields[0] else {
+            panic!("not a list")
+        };
+        assert_eq!(a.first_addr(), b.first_addr(), "sharing lost");
+    }
+
+    #[test]
+    fn a_list_value_encodes_to_pinned_bytes() {
+        // Tag 5 and the value-vector memo encoding: `1`, length,
+        // elements in full, `0`, index for a back-reference; the empty
+        // list is written in full.
+        let xs = one_two();
+        let hex: String = encoded(&list_value(&xs, &xs))
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "0401050102000000000000000001000000000000000002000000000000000109010300000054776f\
+             010200000000000000050000000000050100000000000000007f43d211e60033c0"
+        );
     }
 }

@@ -72,7 +72,8 @@ fn allocs_during(f: impl FnOnce() -> Value) -> (Value, u64, u64) {
 
 /// `sum (list of (i, 2i) for i in 0..n)` via `fix` + `ListCase`,
 /// reading both components with `Fst`/`Snd`. The list is a `Cons`
-/// literal, so each tail is uniquely owned during construction.
+/// literal; the fold reads it through the variable `xs`, so every
+/// `case` sees a list the environment shares.
 fn pair_list_fold(n: i64) -> FExpr {
     let pair_ty = FType::Prod(FType::Int.into(), FType::Int.into());
     let list_ty = FType::List(std::rc::Rc::new(pair_ty.clone()));
@@ -189,11 +190,15 @@ fn eval_hot_path_allocation_budget() {
 
 fn budget_body() {
     let fold = pair_list_fold(200);
+    let long_fold = pair_list_fold(2000);
     let build = cons_build(500);
     let matches = match_proj_loop(200);
 
     let (v1, a1, b1) = allocs_during(|| Evaluator::new().eval(&fold).unwrap());
     assert_eq!(v1.to_string(), (3 * 200 * 199 / 2).to_string());
+
+    let (v4, a4, b4) = allocs_during(|| Evaluator::new().eval(&long_fold).unwrap());
+    assert_eq!(v4.to_string(), (3 * 2000 * 1999 / 2).to_string());
 
     let (v2, a2, b2) = allocs_during(|| Evaluator::new().eval(&build).unwrap());
     match &v2 {
@@ -205,6 +210,7 @@ fn budget_body() {
     assert_eq!(v3.to_string(), "200");
 
     eprintln!("alloc_count: pair_list_fold(200)  = {a1} allocs / {b1} bytes");
+    eprintln!("alloc_count: pair_list_fold(2000) = {a4} allocs / {b4} bytes");
     eprintln!("alloc_count: cons_build(500)      = {a2} allocs / {b2} bytes");
     eprintln!("alloc_count: match_proj_loop(200) = {a3} allocs / {b3} bytes");
 
@@ -212,6 +218,17 @@ fn budget_body() {
     // unrelated churn doesn't flake (see EXPERIMENTS.md §6 for the
     // measured before/after table).
     assert!(a1 < 2_600, "pair_list_fold regressed: {a1} allocs");
+    // `case` shares the tail instead of copying it: the fold's bytes
+    // grow linearly in n (566,744 bytes at n = 200 and 48,842,360 at
+    // n = 2,000 when each `case` copied the rest of the list).
+    assert!(
+        b1 < 100_000,
+        "pair_list_fold byte traffic regressed: {b1} bytes"
+    );
+    assert!(
+        b4 < 1_000_000,
+        "pair_list_fold(2000) byte traffic regressed: {b4} bytes"
+    );
     assert!(a2 < 2_100, "cons_build regressed: {a2} allocs");
     assert!(
         b2 < 200_000,

@@ -461,10 +461,8 @@ fn run(opts: &Options) -> Result<(), String> {
 
     // Front end: obtain declarations and a core expression.
     let (decls, core): (Declarations, Expr) = tracer.span(Phase::Parse, || match lang {
-        Lang::Source => {
-            let compiled = implicit_source::compile(&src).map_err(|e| e.to_string())?;
-            Ok((compiled.decls, compiled.core))
-        }
+        // Checked once, below, under `--policy` and `--strict`.
+        Lang::Source => implicit_source::translate(&src).map_err(|e| e.to_string()),
         _ => implicit_core::parse::parse_program(&src).map_err(|e| e.to_string()),
     })?;
 
