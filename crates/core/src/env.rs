@@ -23,11 +23,14 @@
 //!
 //! The environment additionally owns a **memoized derivation cache**
 //! for full resolutions (consulted by [`crate::resolve`] when
-//! [`crate::resolve::ResolutionPolicy::cache`] is on). Entries are
-//! invalidated *scope-aware*: pushing a frame drops exactly the
-//! entries whose derivations looked up a head the new frame could
-//! shadow, and popping drops exactly the entries whose derivations
-//! used a rule from a popped frame.
+//! [`crate::resolve::ResolutionPolicy::cache`] is on). It follows the
+//! scopes: pushing a frame *shelves* exactly the entries whose
+//! derivations looked up a head the new frame could shadow (they
+//! leave the reach of lookups but are kept, owned by that frame), and
+//! popping drops exactly the entries whose derivations used a rule
+//! from the popped frame, then puts that frame's shelf back. Once a
+//! local scope closes, what was derived before it opened is live
+//! again. Live and shelved entries share one FIFO capacity.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -189,8 +192,8 @@ fn merge_sorted(a: &[usize], b: &[usize]) -> Vec<usize> {
     out
 }
 
-/// Default bound on the number of memoized derivations (FIFO
-/// eviction past it).
+/// Default bound on the number of memoized derivations, live and
+/// shelved together (FIFO eviction past it).
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
 /// Cumulative derivation-cache counters for one environment.
@@ -204,35 +207,75 @@ pub struct CacheCounters {
     pub evictions: u64,
 }
 
+/// A cache key: the interned query and the overlap policy it was
+/// resolved under.
+type CacheKey = (RuleId, OverlapPolicy);
+
 /// One memoized derivation plus the facts its invalidation needs.
 #[derive(Clone, Debug)]
 struct CacheEntry {
-    resolution: Resolution,
+    /// Boxed: entries move between the map and the shelf at every
+    /// shadowing push and pop.
+    resolution: Box<Resolution>,
     /// Environment depth at insertion time; hits at a different depth
     /// shift the derivation's innermost-first frame indices by the
     /// difference.
     cached_depth: usize,
     /// Head keys of every type the derivation looked up (dedup'd): a
-    /// pushed frame invalidates the entry iff it contains a rule that
+    /// pushed frame shelves the entry iff it contains a rule that
     /// could match one of these.
     target_keys: Vec<HeadKey>,
     /// Largest *absolute* frame position (0 = outermost) of any rule
     /// the derivation used: popping to a depth ≤ this position
     /// removes a used rule, invalidating the entry.
     max_abs_frame: usize,
+    /// The entry's slot in the FIFO order, kept while it is shelved.
+    slot: u64,
+}
+
+/// An entry a push moved aside, back in play when that frame pops.
+#[derive(Clone, Debug)]
+struct Shelved {
+    /// Absolute position of the frame whose push shelved the entry.
+    frame: usize,
+    key: CacheKey,
+    entry: CacheEntry,
+}
+
+/// Change counts per visibility level: entry `l` counts the changes
+/// visible at depth `l` and every depth above it.
+#[derive(Clone, Debug, Default)]
+struct Versions(Vec<u64>);
+
+impl Versions {
+    fn bump(&mut self, level: usize) {
+        if self.0.len() <= level {
+            self.0.resize(level + 1, 0);
+        }
+        self.0[level] += 1;
+    }
+
+    /// The changes visible at `depth`.
+    fn at(&self, depth: usize) -> u64 {
+        self.0.iter().take(depth + 1).sum()
+    }
 }
 
 #[derive(Clone, Debug)]
 struct DerivationCache {
-    entries: HashMap<(RuleId, OverlapPolicy), CacheEntry>,
-    /// Insertion order for FIFO eviction; may contain keys whose
-    /// entry was invalidated (skipped, not counted, when evicting).
-    order: VecDeque<(RuleId, OverlapPolicy)>,
+    /// The entries a lookup can hit.
+    entries: HashMap<CacheKey, CacheEntry>,
+    /// Entries the pushes of open frames moved aside, by ascending
+    /// frame: each is what a search below its frame derives.
+    shelf: Vec<Shelved>,
+    /// FIFO order, ascending slots: exactly one per live or shelved
+    /// entry.
+    order: VecDeque<(u64, CacheKey)>,
+    next_slot: u64,
     capacity: usize,
     generation: u64,
-    /// Bumped by every change to `entries`; see
-    /// [`ImplicitEnv::cache_version`].
-    version: u64,
+    /// See [`ImplicitEnv::cache_version`].
+    versions: Versions,
     counters: CacheCounters,
 }
 
@@ -240,41 +283,162 @@ impl Default for DerivationCache {
     fn default() -> DerivationCache {
         DerivationCache {
             entries: HashMap::new(),
+            shelf: Vec::new(),
             order: VecDeque::new(),
+            next_slot: 0,
             capacity: DEFAULT_CACHE_CAPACITY,
             generation: 0,
-            version: 0,
+            versions: Versions::default(),
             counters: CacheCounters::default(),
         }
     }
 }
 
+/// Removes `slot` from the FIFO order (sorted, so a binary search
+/// finds it; the slots dropped are mostly the newest or the oldest,
+/// so the removal shifts little).
+fn drop_slot(order: &mut VecDeque<(u64, CacheKey)>, slot: u64) {
+    let at = order
+        .binary_search_by_key(&slot, |(s, _)| *s)
+        .expect("every live or shelved entry holds its slot");
+    order.remove(at);
+}
+
+/// The level from which a change to the live entry for `key` is
+/// visible: above the deepest frame the derivation used, and above
+/// every frame that shelved an entry for the same key (that entry
+/// takes the key back when its frame pops).
+fn live_level(shelf: &[Shelved], key: &CacheKey, max_abs_frame: usize) -> usize {
+    let shelved = shelf
+        .iter()
+        .rev()
+        .find(|s| s.key == *key)
+        .map_or(0, |s| s.frame);
+    max_abs_frame.max(shelved) + 1
+}
+
 impl DerivationCache {
-    /// Evicts FIFO-oldest entries until at most `room_for` slots are
-    /// occupied, skipping order keys whose entry is already gone.
+    /// Files `entry` as the live derivation of `key`: a key already
+    /// live keeps its FIFO slot, a new one takes the newest after
+    /// FIFO eviction makes room. The caller checks `capacity > 0`.
+    fn insert(&mut self, key: CacheKey, mut entry: CacheEntry) {
+        match self.entries.get(&key) {
+            Some(old) => {
+                entry.slot = old.slot;
+                let level = live_level(&self.shelf, &key, old.max_abs_frame);
+                self.versions.bump(level);
+            }
+            None => {
+                self.evict_to(self.capacity - 1);
+                entry.slot = self.next_slot;
+                self.next_slot += 1;
+                self.order.push_back((entry.slot, key));
+            }
+        }
+        self.versions
+            .bump(live_level(&self.shelf, &key, entry.max_abs_frame));
+        self.entries.insert(key, entry);
+    }
+
+    /// Evicts FIFO-oldest entries, live or shelved, until at most
+    /// `room_for` remain.
     fn evict_to(&mut self, room_for: usize) {
-        while self.entries.len() > room_for {
-            let Some(old) = self.order.pop_front() else {
+        while self.entries.len() + self.shelf.len() > room_for {
+            let Some((slot, key)) = self.order.pop_front() else {
                 break;
             };
-            if self.entries.remove(&old).is_some() {
-                self.counters.evictions += 1;
-                self.version += 1;
-            }
+            let level = match self.entries.get(&key) {
+                Some(e) if e.slot == slot => {
+                    let level = live_level(&self.shelf, &key, e.max_abs_frame);
+                    self.entries.remove(&key);
+                    level
+                }
+                _ => {
+                    let at = self
+                        .shelf
+                        .iter()
+                        .position(|s| s.entry.slot == slot)
+                        .expect("every slot names a live or shelved entry");
+                    self.shelf.remove(at).entry.max_abs_frame + 1
+                }
+            };
+            self.counters.evictions += 1;
+            self.versions.bump(level);
         }
     }
 
-    /// Keeps the entries `keep` accepts, bumping the version if any
-    /// went.
-    fn retain_entries(
-        &mut self,
-        keep: impl FnMut(&(RuleId, OverlapPolicy), &mut CacheEntry) -> bool,
-    ) {
-        let before = self.entries.len();
-        self.entries.retain(keep);
-        if self.entries.len() != before {
-            self.version += 1;
+    /// Moves the live entries `frame` could shadow onto the shelf,
+    /// under the frame's absolute position `at`.
+    fn shelve(&mut self, at: usize, frame: &Frame) {
+        if self.entries.is_empty() {
+            return;
         }
+        // A variable-headed rule can match any target.
+        let any = !frame.wildcard.is_empty();
+        let heads: Vec<HeadKey> = frame.buckets.keys().copied().collect();
+        let before = self.shelf.len();
+        let shadowed = |e: &CacheEntry| any || e.target_keys.iter().any(|t| heads.contains(t));
+        for (key, entry) in self.entries.extract_if(|_, e| shadowed(e)) {
+            self.shelf.push(Shelved {
+                frame: at,
+                key,
+                entry,
+            });
+        }
+        if self.shelf.len() != before {
+            self.versions.bump(at + 1);
+        }
+    }
+
+    /// After the frame at absolute position `at` popped: drops the
+    /// live entries that used it, then puts back what its push
+    /// shelved. A key re-derived inside the scope without the popped
+    /// frame is the same derivation as its shelved entry (resolution
+    /// is deterministic); the shelved one stays, with its older slot.
+    fn unshelve(&mut self, at: usize) {
+        let mut changed = false;
+        for (_, e) in self.entries.extract_if(|_, e| e.max_abs_frame >= at) {
+            drop_slot(&mut self.order, e.slot);
+            changed = true;
+        }
+        let from = self.shelf.partition_point(|s| s.frame < at);
+        for s in self.shelf.drain(from..) {
+            if let Some(dup) = self.entries.insert(s.key, s.entry) {
+                drop_slot(&mut self.order, dup.slot);
+            }
+            changed = true;
+        }
+        if changed {
+            self.versions.bump(at + 1);
+        }
+    }
+
+    /// Drops the shelved entries of the frames below absolute position
+    /// `depth`.
+    fn forget_shelves_below(&mut self, depth: usize) {
+        let to = self.shelf.partition_point(|s| s.frame < depth);
+        for s in self.shelf.drain(..to) {
+            drop_slot(&mut self.order, s.entry.slot);
+            self.versions.bump(s.entry.max_abs_frame + 1);
+        }
+    }
+
+    /// Keeps the live and shelved entries whose query id satisfies
+    /// `keep`.
+    fn retain(&mut self, keep: impl Fn(RuleId) -> bool) {
+        for (key, e) in self.entries.extract_if(|(id, _), _| !keep(*id)) {
+            self.versions
+                .bump(live_level(&self.shelf, &key, e.max_abs_frame));
+        }
+        let versions = &mut self.versions;
+        self.shelf.retain(|s| {
+            let kept = keep(s.key.0);
+            if !kept {
+                versions.bump(s.entry.max_abs_frame + 1);
+            }
+            kept
+        });
+        self.order.retain(|(_, (id, _))| keep(*id));
     }
 }
 
@@ -316,42 +480,28 @@ impl ImplicitEnv {
     /// Pushes a context as the new nearest frame.
     ///
     /// Cached derivations that looked up a head the new frame could
-    /// shadow are invalidated; the rest stay valid (the new frame
+    /// shadow move onto a shelf owned by the frame, out of reach of
+    /// lookups until it pops; the rest stay live (the new frame
     /// cannot change what they resolved).
     pub fn push(&mut self, frame: Vec<RuleType>) {
         let frame = Frame::new(frame);
-        {
-            let mut cache = self.cache.borrow_mut();
-            cache.generation += 1;
-            if !cache.entries.is_empty() {
-                if frame.wildcard.is_empty() {
-                    let keys: Vec<HeadKey> = frame.buckets.keys().copied().collect();
-                    cache.retain_entries(|_, e| {
-                        !e.target_keys
-                            .iter()
-                            .any(|t| keys.iter().any(|c| c.admits(*t)))
-                    });
-                } else {
-                    // A variable-headed rule can match any target.
-                    cache.retain_entries(|_, _| false);
-                }
-            }
-        }
+        let cache = self.cache.get_mut();
+        cache.generation += 1;
+        cache.shelve(self.frames.len(), &frame);
         self.frames.push(frame);
     }
 
     /// Pops the nearest frame.
     ///
-    /// Cached derivations that used a rule from the popped frame (or
-    /// from frames already gone) are invalidated; derivations that
-    /// only used surviving frames stay valid.
+    /// Cached derivations that used a rule from the popped frame are
+    /// invalidated; then the derivations its push shelved are put
+    /// back, each with its original FIFO slot, so what was cached
+    /// before the scope opened is live again once it closes.
     pub fn pop(&mut self) -> Option<Vec<RuleType>> {
         let frame = self.frames.pop()?;
-        let new_depth = self.frames.len();
-        let mut cache = self.cache.borrow_mut();
+        let cache = self.cache.get_mut();
         cache.generation += 1;
-        cache.retain_entries(|_, e| e.max_abs_frame < new_depth);
-        drop(cache);
+        cache.unshelve(self.frames.len());
         Some(frame.rules)
     }
 
@@ -471,7 +621,7 @@ impl ImplicitEnv {
         match cache.entries.get(&key) {
             Some(entry) => {
                 let delta = depth as isize - entry.cached_depth as isize;
-                let mut res = entry.resolution.clone();
+                let mut res = Resolution::clone(&entry.resolution);
                 if delta != 0 {
                     crate::resolve::shift_env_frames(&mut res, delta);
                 }
@@ -500,28 +650,16 @@ impl ImplicitEnv {
         if cache.capacity == 0 {
             return;
         }
-        // Drop queue keys whose entry was invalidated meanwhile.
-        while let Some(front) = cache.order.front() {
-            if cache.entries.contains_key(front) {
-                break;
-            }
-            cache.order.pop_front();
-        }
-        if !cache.entries.contains_key(&key) {
-            let room = cache.capacity - 1;
-            cache.evict_to(room);
-            cache.order.push_back(key);
-        }
-        cache.entries.insert(
+        cache.insert(
             key,
             CacheEntry {
-                resolution: res.clone(),
+                resolution: Box::new(res.clone()),
                 cached_depth: depth,
                 target_keys,
                 max_abs_frame,
+                slot: 0,
             },
         );
-        cache.version += 1;
     }
 
     /// Cumulative hit/miss/eviction counters of the derivation cache.
@@ -529,7 +667,9 @@ impl ImplicitEnv {
         self.cache.borrow().counters
     }
 
-    /// Number of currently memoized derivations.
+    /// Number of memoized derivations a lookup can hit now. Entries
+    /// shelved by open frames are not counted (they still count
+    /// against the capacity).
     pub fn cache_len(&self) -> usize {
         self.cache.borrow().entries.len()
     }
@@ -540,61 +680,62 @@ impl ImplicitEnv {
         self.cache.borrow().generation
     }
 
-    /// Version stamp of the memoized entries: bumped by every insert,
-    /// eviction, invalidation, [`ImplicitEnv::retain_cache`] removal
-    /// and [`ImplicitEnv::import_cache`], and by nothing else (hits
-    /// and pushes or pops that remove no entry leave it alone). Two
-    /// observations with the same stamp, taken at the same depth, see
-    /// the same [`ImplicitEnv::export_cache`].
+    /// Version stamp of the memoized entries, as seen from the
+    /// current depth. Every change is counted at the depth from which
+    /// it is visible: an insert, eviction, [`ImplicitEnv::retain_cache`]
+    /// removal or [`ImplicitEnv::import_cache`] of an entry from just
+    /// above the deepest frame its derivation used (and above any
+    /// frame that shelved the same query, whose entry takes the key
+    /// back when it pops); a push that shelves entries, or a pop that
+    /// drops or puts back entries, from just above that frame. The
+    /// stamp sums the changes counted at or below the current depth.
+    ///
+    /// So two observations with the same stamp, taken at the same
+    /// depth, see the same [`ImplicitEnv::export_cache`]; and scopes
+    /// opened above that depth — their shelving, their restoring, and
+    /// the entries that live and die inside them — leave its stamp
+    /// alone. Hits move no stamp.
     pub fn cache_version(&self) -> u64 {
-        self.cache.borrow().version
+        self.cache.borrow().versions.at(self.frames.len())
     }
 
     /// Rebounds the derivation cache (default
-    /// [`DEFAULT_CACHE_CAPACITY`]), evicting FIFO-oldest entries if
-    /// the new capacity is smaller than the current population.
-    /// Capacity 0 disables memoization for this environment.
+    /// [`DEFAULT_CACHE_CAPACITY`]), evicting FIFO-oldest entries, live
+    /// or shelved, if the new capacity is smaller than the current
+    /// population. Capacity 0 disables memoization for this
+    /// environment.
     pub fn set_cache_capacity(&mut self, capacity: usize) {
-        let mut cache = self.cache.borrow_mut();
+        let cache = self.cache.get_mut();
         cache.capacity = capacity;
         cache.evict_to(capacity);
-        if capacity == 0 {
-            cache.retain_entries(|_, _| false);
-            cache.order.clear();
-        }
     }
 
-    /// Keeps only the memoized derivations whose query id satisfies
-    /// `keep`. Not an invalidation — counters and generation are
-    /// untouched; the version moves if an entry went.
+    /// Keeps only the memoized derivations, live or shelved, whose
+    /// query id satisfies `keep`. Not an invalidation — counters and
+    /// generation are untouched; the version moves if an entry went.
     ///
     /// This is the hook a session uses before rolling the interning
     /// arena back to an [`crate::intern::InternSnapshot`]: entries
     /// keyed by an id the truncation would orphan must go first (pass
     /// `|id| snap.covers_rule(id)`).
     pub fn retain_cache(&self, keep: impl Fn(RuleId) -> bool) {
-        let mut cache = self.cache.borrow_mut();
-        cache.retain_entries(|(id, _), _| keep(*id));
-        cache.order.retain(|(id, _)| keep(*id));
+        self.cache.borrow_mut().retain(keep);
     }
 
     /// Exports the derivation cache for the artifact store, oldest
     /// entry first (so an import replays the FIFO order).
     ///
-    /// Only entries that are stable under the given intern watermark
-    /// *and* whose derivation uses no frame at or beyond the current
-    /// depth are exported: those are exactly the entries that remain
-    /// valid for a rehydrated session sitting at this depth.
+    /// Only live entries that are stable under the given intern
+    /// watermark *and* whose derivation uses no frame at or beyond the
+    /// current depth are exported: those are exactly the entries that
+    /// remain valid for a rehydrated session sitting at this depth.
     pub fn export_cache(&self, snap: &crate::intern::InternSnapshot) -> Vec<CacheExport> {
         let cache = self.cache.borrow();
         let depth = self.frames.len();
-        let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
-        for key in &cache.order {
-            if !seen.insert(*key) {
-                continue;
-            }
-            let Some(e) = cache.entries.get(key) else {
+        for (slot, key) in &cache.order {
+            // Shelved entries are not in reach at this depth.
+            let Some(e) = cache.entries.get(key).filter(|e| e.slot == *slot) else {
                 continue;
             };
             if !snap.covers_rule(key.0) || e.max_abs_frame >= depth {
@@ -606,7 +747,7 @@ impl ImplicitEnv {
             out.push(CacheExport {
                 query,
                 overlap: key.1,
-                resolution: e.resolution.clone(),
+                resolution: Resolution::clone(&e.resolution),
                 cached_depth: e.cached_depth,
                 max_abs_frame: e.max_abs_frame,
             });
@@ -638,21 +779,16 @@ impl ImplicitEnv {
                 continue;
             }
             let key = (intern::rule_id(&ce.query), ce.overlap);
-            if !cache.entries.contains_key(&key) {
-                let room = cache.capacity - 1;
-                cache.evict_to(room);
-                cache.order.push_back(key);
-            }
-            cache.entries.insert(
+            cache.insert(
                 key,
                 CacheEntry {
-                    resolution: ce.resolution,
+                    resolution: Box::new(ce.resolution),
                     cached_depth: ce.cached_depth,
                     target_keys,
                     max_abs_frame,
+                    slot: 0,
                 },
             );
-            cache.version += 1;
         }
     }
 
@@ -665,18 +801,25 @@ impl ImplicitEnv {
     }
 
     /// Pops frames until the stack is back at `snap`'s depth, running
-    /// the usual scope-aware cache invalidation per pop. A snapshot
-    /// deeper than the current stack is a no-op (the frames it
-    /// described are already gone).
+    /// the usual scope-aware cache invalidation per pop, then drops
+    /// what the pushes of the frames under the watermark shelved: a
+    /// caller that restores to a watermark keeps those frames, so
+    /// their shelves would only pin entries. A snapshot deeper than
+    /// the current stack is a no-op (the frames it described are
+    /// already gone).
     ///
     /// Balanced callers (every push matched by a pop, as in
-    /// elaboration) never need this; it is the safety net a long-lived
-    /// session runs between programs so one misbehaving program
-    /// cannot skew every later one.
+    /// elaboration) never need this to pop; it is the safety net a
+    /// long-lived session runs between programs so one misbehaving
+    /// program cannot skew every later one.
     pub fn restore(&mut self, snap: &EnvSnapshot) {
+        if self.frames.len() < snap.depth {
+            return;
+        }
         while self.frames.len() > snap.depth {
             self.pop();
         }
+        self.cache.get_mut().forget_shelves_below(snap.depth);
     }
 }
 
@@ -1095,6 +1238,207 @@ mod tests {
         env.pop();
         env.restore(&deep);
         assert_eq!(env.depth(), 0);
+    }
+
+    /// The cache's bookkeeping: (live entries, shelved entries, FIFO
+    /// slots).
+    fn footprint(env: &ImplicitEnv) -> (usize, usize, usize) {
+        let cache = env.cache.borrow();
+        (cache.entries.len(), cache.shelf.len(), cache.order.len())
+    }
+
+    #[test]
+    fn order_holds_one_slot_per_live_or_shelved_entry() {
+        use crate::resolve::{resolve, ResolutionPolicy};
+
+        // A live entry at the front of the FIFO order, then scopes
+        // whose own entries die at their pops: no slot may outlive
+        // its entry.
+        let policy = ResolutionPolicy::paper();
+        let mut env = ImplicitEnv::with_frame(vec![Type::Bool.promote()]);
+        resolve(&env, &Type::Bool.promote(), &policy).unwrap();
+        for cycle in 0..100_000 {
+            env.push(vec![Type::Int.promote()]);
+            resolve(&env, &Type::Int.promote(), &policy).unwrap();
+            env.pop();
+            let (live, shelved, slots) = footprint(&env);
+            assert!(
+                slots <= live + shelved,
+                "cycle {cycle}: {slots} slots for {live} live and {shelved} shelved entries"
+            );
+        }
+        assert_eq!(footprint(&env), (1, 0, 1));
+    }
+
+    #[test]
+    fn nested_shadowing_scopes_stay_within_capacity() {
+        use crate::resolve::{resolve, ResolutionPolicy};
+
+        // Each scope provides `Int` and a rule for a type of its own,
+        // resolves both, and so shelves the previous scope's two
+        // entries: 1,200 entries in all, past the capacity.
+        let policy = ResolutionPolicy::paper();
+        let mut env = ImplicitEnv::new();
+        let scopes = 600;
+        for i in 0..scopes {
+            let own = Type::Con(Symbol::intern(&format!("EnvBound{i}")), vec![]);
+            env.push(vec![
+                Type::Int.promote(),
+                RuleType::mono(vec![Type::Int.promote()], own.clone()),
+            ]);
+            resolve(&env, &own.promote(), &policy).unwrap();
+            let (live, shelved, slots) = footprint(&env);
+            assert!(live + shelved <= DEFAULT_CACHE_CAPACITY, "scope {i}");
+            assert_eq!(slots, live + shelved, "scope {i}");
+        }
+        assert!(env.cache_counters().evictions > 0, "FIFO reached the shelf");
+        for _ in 0..scopes {
+            env.pop();
+            let (live, shelved, slots) = footprint(&env);
+            assert!(live + shelved <= DEFAULT_CACHE_CAPACITY);
+            assert_eq!(slots, live + shelved);
+        }
+        assert_eq!(footprint(&env), (0, 0, 0));
+    }
+
+    #[test]
+    fn a_scope_puts_back_what_it_shelved() {
+        use crate::resolve::{resolve, ResolutionPolicy};
+
+        let policy = ResolutionPolicy::paper();
+        let mut env = ImplicitEnv::with_frame(vec![
+            Type::Int.promote(),
+            RuleType::mono(vec![Type::Int.promote()], int_pair()),
+        ]);
+        resolve(&env, &int_pair().promote(), &policy).unwrap();
+        assert_eq!(env.cache_len(), 2);
+        // A local `Int` shadows both derivations: they are shelved,
+        // and re-derived inside the scope through the local rule.
+        env.push(vec![Type::Int.promote()]);
+        assert_eq!(footprint(&env), (0, 2, 2));
+        resolve(&env, &int_pair().promote(), &policy).unwrap();
+        assert_eq!(footprint(&env), (2, 2, 4));
+        // The pop drops the local derivations and puts the shelf back.
+        env.pop();
+        assert_eq!(footprint(&env), (2, 0, 2));
+        let misses = env.cache_counters().misses;
+        let res = resolve(&env, &int_pair().promote(), &policy).unwrap();
+        assert_eq!(env.cache_counters().misses, misses, "a hit");
+        assert_eq!(
+            res.rule,
+            crate::resolve::RuleRef::Env { frame: 0, index: 1 }
+        );
+    }
+
+    #[test]
+    fn a_key_rederived_inside_the_scope_keeps_its_original_slot() {
+        use crate::resolve::{resolve, ResolutionPolicy};
+
+        // `[Bool]` shares the `List` head of the chain's types, so it
+        // shelves their derivations without matching any lookup: the
+        // re-derivation inside the scope uses only the outer frame.
+        let policy = ResolutionPolicy::paper();
+        let list_int = Type::list(Type::Int);
+        let mut env = ImplicitEnv::with_frame(vec![
+            Type::Int.promote(),
+            RuleType::mono(vec![Type::Int.promote()], list_int.clone()),
+        ]);
+        resolve(&env, &list_int.promote(), &policy).unwrap();
+        let snap = crate::intern::snapshot();
+        let exported = format!("{:?}", env.export_cache(&snap));
+        let version = env.cache_version();
+        env.push(vec![Type::list(Type::Bool).promote()]);
+        assert_eq!(footprint(&env), (1, 1, 2), "`?Int` stays live");
+        resolve(&env, &list_int.promote(), &policy).unwrap();
+        assert_eq!(footprint(&env), (2, 1, 3));
+        env.pop();
+        assert_eq!(footprint(&env), (2, 0, 2));
+        assert_eq!(format!("{:?}", env.export_cache(&snap)), exported);
+        assert_eq!(env.cache_version(), version, "nothing changed at depth 1");
+    }
+
+    #[test]
+    fn the_version_counts_only_what_is_visible_at_the_current_depth() {
+        use crate::resolve::{resolve, ResolutionPolicy};
+
+        let policy = ResolutionPolicy::paper();
+        let mut env = ImplicitEnv::with_frame(vec![
+            Type::Int.promote(),
+            Type::Bool.promote(),
+            RuleType::mono(vec![Type::Int.promote()], int_pair()),
+        ]);
+        resolve(&env, &int_pair().promote(), &policy).unwrap();
+        let base = env.cache_version();
+        // A scope that shadows nothing sees the outer entries; one
+        // that shadows them sees them shelved.
+        env.push(vec![Type::Str.promote()]);
+        let unshadowed = env.cache_version();
+        env.pop();
+        env.push(vec![Type::Int.promote()]);
+        let inside = env.cache_version();
+        assert_ne!(inside, unshadowed, "the shelving shows at depth 2");
+        resolve(&env, &int_pair().promote(), &policy).unwrap();
+        assert_ne!(env.cache_version(), inside);
+        // Shelving, restoring and the local derivations are invisible
+        // from depth 1...
+        env.pop();
+        assert_eq!(env.cache_version(), base);
+        // ...but an entry derived inside the scope from the outer
+        // frame alone survives the pop, and is counted at depth 1.
+        env.push(vec![Type::Int.promote()]);
+        resolve(&env, &Type::Bool.promote(), &policy).unwrap();
+        env.pop();
+        assert_ne!(env.cache_version(), base);
+        // A watermark forgets the shelves under it: what they held
+        // does not come back when those frames pop.
+        let before = env.cache_version();
+        env.push(vec![Type::Int.promote()]);
+        let snap = env.snapshot();
+        env.restore(&snap);
+        assert_eq!(footprint(&env), (1, 0, 1));
+        env.pop();
+        assert_eq!(env.cache_len(), 1);
+        assert_ne!(env.cache_version(), before);
+    }
+
+    #[test]
+    fn changes_to_shelves_and_closed_scopes_are_counted() {
+        use crate::resolve::{resolve, ResolutionPolicy};
+
+        let policy = ResolutionPolicy::paper();
+        let mut env = ImplicitEnv::with_frame(vec![
+            Type::Int.promote(),
+            RuleType::mono(vec![Type::Int.promote()], int_pair()),
+        ]);
+        // A pop that drops a local entry shows at its depth once a
+        // scope opens there again.
+        env.push(vec![Type::Bool.promote()]);
+        resolve(&env, &Type::Bool.promote(), &policy).unwrap();
+        let local = env.cache_version();
+        env.pop();
+        env.push(vec![Type::Str.promote()]);
+        assert_ne!(env.cache_version(), local, "the local entry is gone");
+        env.pop();
+
+        // A trimmed shelved entry shows below its shelf.
+        resolve(&env, &int_pair().promote(), &policy).unwrap();
+        let base = env.cache_version();
+        env.push(vec![Type::Int.promote()]);
+        let pair = intern::rule_id(&int_pair().promote());
+        env.retain_cache(|id| id != pair);
+        env.pop();
+        assert_eq!(env.cache_len(), 1);
+        assert_ne!(env.cache_version(), base);
+
+        // So does an evicted one.
+        resolve(&env, &int_pair().promote(), &policy).unwrap();
+        env.set_cache_capacity(2);
+        let base = env.cache_version();
+        env.push(vec![Type::Int.promote()]);
+        resolve(&env, &Type::Int.promote(), &policy).unwrap();
+        env.pop();
+        assert_eq!(env.cache_len(), 1);
+        assert_ne!(env.cache_version(), base);
     }
 
     #[test]

@@ -449,8 +449,9 @@ fn resolve_rec<S: TraceSink + ?Sized>(
     // Memoization: resolution is deterministic and — without the
     // extension variant — never changes the environment mid-search,
     // so every (query, overlap policy) pair resolves the same way
-    // until a push/pop invalidates it. Sub-queries hit this path too,
-    // so a cached derivation short-circuits whole subtrees.
+    // until a push shadows it (the entry is shelved until that frame
+    // pops) or a pop removes a rule it used. Sub-queries hit this
+    // path too, so a cached derivation short-circuits whole subtrees.
     let use_cache = policy.cache && !policy.env_extension;
     if use_cache {
         if let Some(res) = env.cache_lookup(query, policy.overlap) {
@@ -664,7 +665,7 @@ pub(crate) fn shift_env_frames(res: &mut Resolution, delta: isize) {
 
 /// The facts the derivation cache needs to invalidate an entry:
 /// the head key of every type the derivation looked up (a pushed
-/// frame kills the entry iff it holds a rule admitting one of them)
+/// frame shelves the entry iff it holds a rule admitting one of them)
 /// and the largest *absolute* frame position — 0 = outermost — of
 /// any rule used (a pop below it kills the entry). Returns `None`
 /// for derivations that are not environment-stable: those using an

@@ -429,7 +429,9 @@ impl<'d> Session<'d> {
     /// written to it. What programs add to an artifact is the warmth
     /// they learned — derivation-cache entries, promoted dictionaries
     /// and runtime-memo roots, each carrying a version that every
-    /// insert, eviction, invalidation, trim and import bumps. Inline
+    /// insert, eviction, invalidation, trim and import bumps (the
+    /// derivation cache's as seen from the base depth, so a
+    /// program's scopes leave it alone). Inline
     /// caches and superinstruction choices never ride along: decoding
     /// resets every Match IC, and fusion is decided at compile time.
     ///

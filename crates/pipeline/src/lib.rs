@@ -7,9 +7,10 @@
 //! snapshot:
 //!
 //! * the prelude's [`ImplicitEnv`] frame and its **derivation cache**
-//!   survive across programs (scope-aware invalidation only discards
-//!   entries that depended on the program's own, deeper frames), so
-//!   prelude-level queries are cache hits from the second program on;
+//!   survive across programs (a program's own, deeper frames only
+//!   discard the entries that depended on them; what they shadow is
+//!   shelved and put back when they pop), so prelude-level queries
+//!   are cache hits from the second program on;
 //! * the elaborated prelude evidence is evaluated once and re-bound
 //!   from a persistent System F environment instead of re-elaborated
 //!   and re-evaluated per program;

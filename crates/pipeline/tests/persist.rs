@@ -270,7 +270,7 @@ fn persist_after_cache_hits_neither_encodes_nor_writes() {
 }
 
 #[test]
-fn a_scope_that_only_invalidates_is_written() {
+fn a_scope_that_only_shelves_is_not_written() {
     on_fresh_thread(|| {
         let dir = tmpdir("shadow");
         let store = ArtifactStore::new(&dir).unwrap();
@@ -279,13 +279,14 @@ fn a_scope_that_only_invalidates_is_written() {
         session.run(&chain_query(4, 0)).unwrap();
         assert!(session.persist(&store).unwrap());
         // A local `Int` frame shadows what the cached derivation of
-        // the chain head looked up, so pushing it drops that entry;
-        // nothing is resolved inside it.
+        // the chain head looked up, so pushing it shelves that entry
+        // and popping it puts the entry back; nothing is resolved
+        // inside it.
         let shadow = implicit_core::parse::parse_expr("implicit {7 : Int} in 1 : Int").unwrap();
         session.run(&shadow).unwrap();
         assert!(
-            session.persist(&store).unwrap(),
-            "the dropped entry is written"
+            !session.persist(&store).unwrap(),
+            "the saved state did not change"
         );
         assert_eq!(
             store.load(session.content_key()),

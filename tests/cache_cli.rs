@@ -1,6 +1,7 @@
 //! `implicitc --batch --cache-dir` writes the artifact store only when
 //! the session's saved state changed: an exact hit that learns nothing
-//! reads the store and leaves every file as it was; an edit adds one
+//! reads the store and leaves every file as it was, also when its
+//! programs open scopes that shadow cached derivations; an edit adds one
 //! artifact and re-points the configuration head, and a revert points
 //! it back; a program that teaches the session a new query is written,
 //! and the next run serves that query from the loaded cache.
@@ -128,6 +129,43 @@ fn an_exact_hit_leaves_the_store_untouched() {
             "an exact hit must not rewrite the store"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_exact_hit_with_a_shadowing_scope_leaves_the_store_untouched() {
+    // `examples/batch` plus a program whose rule abstraction shadows
+    // the prelude's `Int`: its push shelves the cached derivations
+    // that looked `Int` up, its body derives the pair through its own
+    // frame, and its pop drops that and puts the shelf back.
+    let dir = std::env::temp_dir().join(format!("cache-cli-{}-scoped", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let examples = Path::new(env!("CARGO_MANIFEST_DIR")).join("examples/batch");
+    for entry in std::fs::read_dir(examples).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, dir.join(path.file_name().unwrap())).unwrap();
+    }
+    std::fs::write(
+        dir.join("p5_scoped.imp"),
+        "rule ({Int} => Int * Int) (?(Int * Int)) with {7 : Int}\n",
+    )
+    .unwrap();
+    let store = dir.join("store");
+    let elab = ["--semantics", "elab"];
+    let cold = run(&dir, &store, &elab);
+    assert!(outcome(&cold).contains("cold=1"), "{cold}");
+    assert!(cold.contains("p5_scoped.imp: (7, 8) : Int * Int"), "{cold}");
+    let primed = snapshot(&store);
+    let hit = run(&dir, &store, &elab);
+    assert_eq!(
+        outcome(&hit),
+        "cache: exact=1 incremental=0 cold=0, fallbacks=0"
+    );
+    assert!(
+        snapshot(&store) == primed,
+        "a scope that only shelves must not rewrite the store"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -172,9 +172,17 @@ fn b12_push_invalidates_exactly_the_shadowed_entries() {
     assert!(matches!(res.rule, RuleRef::Env { frame: 1, .. }));
     assert!(verify_derivation(&env, &res));
     // A frame providing Int shadows the chain's base value — every
-    // chain entry's derivation reaches Int, so all are invalidated.
+    // chain entry's derivation reaches Int, so all are shelved.
     env.push(vec![Type::Int.promote()]);
     assert_eq!(env.cache_len(), 0);
+    // Popping it puts them back: the next query is a hit, no miss.
+    env.pop();
+    assert_eq!(env.cache_len(), populated);
+    let before = env.cache_counters();
+    let res = resolve(&env, &q, &pol).unwrap();
+    assert_eq!(env.cache_counters().hits, before.hits + 1);
+    assert_eq!(env.cache_counters().misses, before.misses);
+    assert!(verify_derivation(&env, &res));
 }
 
 #[test]
@@ -275,39 +283,60 @@ fn b12_cached_resolution_is_equivalent_to_uncached() {
     }
 }
 
-/// Randomized interleavings of pushes, pops and repeated queries:
-/// after any prefix of scope operations, a cached replay must equal
-/// a from-scratch uncached resolution in the *same* environment.
+/// Randomized interleavings of pushes (nested, shadowing or not),
+/// pops, trims and repeated queries, with the default capacity and
+/// with room for only 4 entries: after any prefix of operations, a
+/// cached replay must equal a from-scratch uncached resolution in the
+/// *same* environment.
 #[test]
 fn b12_cache_matches_uncached_under_random_scope_churn() {
+    use implicit_core::intern::rule_id;
     use rand::Rng;
     let mut rng = genprog::rng(0xB12);
-    for round in 0..40 {
+    let mut hits_after_restoring_pops = 0;
+    for round in 0..80 {
         let n = rng.gen_range(1..8usize);
         let (mut env, q) = chain_env(n);
+        if round % 4 == 3 {
+            env.set_cache_capacity(4);
+        }
         // Warm the cache.
         resolve(&env, &q, &policy()).unwrap();
         let mut pushed = 0usize;
-        for _ in 0..rng.gen_range(1..6usize) {
-            match rng.gen_range(0..3usize) {
-                // Push a frame that may or may not shadow the chain.
+        for _ in 0..rng.gen_range(1..10usize) {
+            let mut restoring_pop = false;
+            match rng.gen_range(0..4usize) {
+                // Push a frame that may shadow the chain, match
+                // nothing it looks up while sharing its `List` head,
+                // or leave it alone.
                 0 => {
-                    let shadow = rng.gen_range(0..3usize) == 0;
-                    let head = if shadow {
-                        genprog::distinct_type(rng.gen_range(0..=n))
-                    } else {
-                        Type::Str
+                    let head = match rng.gen_range(0..3usize) {
+                        0 => genprog::distinct_type(rng.gen_range(0..=n)),
+                        1 => Type::list(Type::Bool),
+                        _ => Type::Str,
                     };
                     env.push(vec![head.promote()]);
                     pushed += 1;
                 }
                 1 if pushed > 0 => {
+                    let before = env.cache_len();
                     env.pop();
                     pushed -= 1;
+                    restoring_pop = env.cache_len() > before;
+                }
+                // Trim some queries, shelved or live.
+                2 => {
+                    let victim = rule_id(&genprog::distinct_type(rng.gen_range(0..=n)).promote());
+                    env.retain_cache(|id| id != victim);
                 }
                 _ => {}
             }
+            let before = env.cache_counters();
             let cached = resolve(&env, &q, &policy()).unwrap();
+            let after = env.cache_counters();
+            if restoring_pop && after.hits > before.hits && after.misses == before.misses {
+                hits_after_restoring_pops += 1;
+            }
             let fresh = resolve(&env, &q, &policy_uncached()).unwrap();
             assert_eq!(
                 cached, fresh,
@@ -316,6 +345,10 @@ fn b12_cache_matches_uncached_under_random_scope_churn() {
             assert!(verify_derivation(&env, &cached), "round {round}");
         }
     }
+    assert!(
+        hits_after_restoring_pops > 0,
+        "some pop put a shelf back that the next query hit"
+    );
 }
 
 fn derivation_depth(r: &Resolution) -> usize {
