@@ -1185,6 +1185,24 @@ impl<'s> Parser<'s> {
         Ok((name, params, ctors))
     }
 
+    /// The `interface` and `data` declarations that open a program.
+    fn parse_declarations(&mut self) -> Result<Declarations, ParseError> {
+        let mut decls = Declarations::new();
+        while self.cur.at_kw("interface") || self.cur.at_kw("data") {
+            let (line, col) = self.cur.pos();
+            let fail = |message: String| ParseError { line, col, message };
+            if self.cur.at_kw("interface") {
+                let d = self.parse_interface()?;
+                decls.declare(d).map_err(fail)?;
+            } else {
+                let (name, params, ctors) = self.parse_data()?;
+                let d = crate::syntax::DataDecl::infer(name, params, ctors).map_err(fail)?;
+                decls.declare_data(d).map_err(fail)?;
+            }
+        }
+        Ok(decls)
+    }
+
     fn parse_interface(&mut self) -> Result<InterfaceDecl, ParseError> {
         self.cur.expect_kw("interface")?;
         let name = self.upper_ident()?;
@@ -1298,22 +1316,36 @@ pub fn parse_expr(src: &str) -> Result<Expr, ParseError> {
 /// interface-redeclaration error mapped onto the declaration site.
 pub fn parse_program(src: &str) -> Result<(Declarations, Expr), ParseError> {
     run_parser(src, |p| {
-        let mut decls = Declarations::new();
-        while p.cur.at_kw("interface") || p.cur.at_kw("data") {
-            let (line, col) = p.cur.pos();
-            let fail = |message: String| ParseError { line, col, message };
-            if p.cur.at_kw("interface") {
-                let d = p.parse_interface()?;
-                decls.declare(d).map_err(fail)?;
-            } else {
-                let (name, params, ctors) = p.parse_data()?;
-                let d = crate::syntax::DataDecl::infer(name, params, ctors).map_err(fail)?;
-                decls.declare_data(d).map_err(fail)?;
-            }
-        }
+        let decls = p.parse_declarations()?;
         let e = p.parse_expr()?;
         Ok((decls, e))
     })
+}
+
+/// Parses only the header of a program: its `interface` and `data`
+/// declarations, as [`parse_program`] returns them. Reading stops at
+/// the first token of the program's expression; the rest of the text
+/// is neither lexed nor checked, so `Ok` does not mean that the whole
+/// text parses.
+///
+/// # Errors
+///
+/// Exactly the error [`parse_program`] returns for `src`, whenever
+/// reading the header fails: a lexical error anywhere in the text
+/// still wins over a parse error in the header.
+pub fn parse_declarations(src: &str) -> Result<Declarations, ParseError> {
+    let mut p = Parser {
+        cur: Cursor::new(src),
+    };
+    match p.parse_declarations() {
+        // A lexical error that ended the header early is what the
+        // whole parse reports too.
+        Ok(decls) => match p.cur.lex_error.take() {
+            None => Ok(decls),
+            Some(e) => Err(e),
+        },
+        Err(e) => p.cur.finish(Err(e)),
+    }
 }
 
 #[cfg(test)]
@@ -1530,6 +1562,44 @@ mod tests {
                 format!("parse error at {expected}"),
                 "{src:?}"
             );
+        }
+    }
+
+    #[test]
+    fn reading_the_header_alone_agrees_with_the_whole_parse() {
+        // (text, whether the header alone reads where the whole parse fails)
+        let cases = [
+            (
+                "interface Eq a = { eq : a -> a -> Bool }\ndata L a = N | C a (L a)\n1",
+                false,
+            ),
+            ("let x : Int = 1 in x", false),
+            (
+                "interface A = { x : Int }\ninterface A = { y : Int }\n1",
+                false,
+            ),
+            ("data D = C Int | C Bool\n1", false),
+            // A parse error in the header, a lexical error after it.
+            ("interface A = { x : Int \n1 #", false),
+            // A lexical error inside the header.
+            ("interface A = { x : # }\n1", false),
+            ("interface A = { x : Int }\n#", false),
+            // The header is fine; only the expression is not.
+            ("interface A = { x : Int }\n1 + )", true),
+            ("interface A = { x : Int }\n", true),
+        ];
+        for (src, header_only) in cases {
+            let whole = parse_program(src);
+            let header = parse_declarations(src);
+            match (whole, header) {
+                (Ok((d, _)), Ok(h)) => assert_eq!(format!("{d:?}"), format!("{h:?}"), "{src:?}"),
+                (Err(w), Err(h)) => {
+                    assert!(!header_only, "{src:?}");
+                    assert_eq!(w, h, "{src:?}");
+                }
+                (Err(_), Ok(_)) => assert!(header_only, "{src:?}"),
+                (Ok(_), Err(h)) => panic!("{src:?}: the header alone fails with {h}"),
+            }
         }
     }
 

@@ -62,7 +62,12 @@ pub fn cap(n: usize) -> usize {
 
 /// 64-bit FNV-1a over `bytes`.
 pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv64_more(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues the 64-bit FNV-1a hash `h` over `bytes`:
+/// `fnv64_more(fnv64(a), b) == fnv64(a ++ b)`.
+pub fn fnv64_more(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -980,6 +985,15 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x10;
         assert!(Dec::new(&bytes).is_err());
+    }
+
+    #[test]
+    fn fnv64_continues_over_a_split() {
+        let bytes = b"interface Eq a = { eq : a -> a -> Bool }";
+        for cut in [0, 1, 17, bytes.len()] {
+            let (a, b) = bytes.split_at(cut);
+            assert_eq!(fnv64_more(fnv64(a), b), fnv64(bytes), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -69,11 +69,28 @@ struct RuntimeMemo {
     entries: HashMap<MemoKey, (Value, ImplStack)>,
     order: VecDeque<MemoKey>,
     capacity: usize,
-    /// Bumped by every change to `entries`; see
+    /// Bumped by every change to an entry `root` covers; see
     /// [`Interpreter::memo_version`].
     version: u64,
+    /// Frame identities, innermost first, of the stack whose rooted
+    /// entries `version` counts ([`Interpreter::set_memo_root`]);
+    /// `None` counts every entry.
+    root: Option<Vec<usize>>,
     hits: u64,
     misses: u64,
+}
+
+/// Whether `key` is rooted in the stack whose frame identities are
+/// `root`: its frames are that stack's outermost ones. `None` roots
+/// every key.
+fn rooted(root: &Option<Vec<usize>>, key: &MemoKey) -> bool {
+    match root {
+        None => true,
+        Some(full) => {
+            let (n, k) = (full.len(), key.0.len());
+            k <= n && key.0[..] == full[n - k..]
+        }
+    }
 }
 
 impl RuntimeMemo {
@@ -83,17 +100,14 @@ impl RuntimeMemo {
             order: VecDeque::new(),
             capacity: implicit_core::env::DEFAULT_CACHE_CAPACITY,
             version: 0,
+            root: None,
             hits: 0,
             misses: 0,
         }
     }
 
     fn key(ienv: &ImplStack, query: &RuleType) -> MemoKey {
-        let frames = ienv
-            .frames_innermost_first()
-            .map(|rc| Rc::as_ptr(rc) as *const () as usize)
-            .collect();
-        (frames, intern::rule_id(query))
+        (frame_ids(ienv), intern::rule_id(query))
     }
 
     fn lookup(&mut self, key: &MemoKey) -> Option<Value> {
@@ -113,7 +127,9 @@ impl RuntimeMemo {
         if self.capacity == 0 {
             return;
         }
-        self.version += 1;
+        if rooted(&self.root, &key) {
+            self.version += 1;
+        }
         if self.entries.insert(key.clone(), (v, pin)).is_some() {
             // Overwrote an existing entry; its `order` slot stands.
             return;
@@ -122,12 +138,23 @@ impl RuntimeMemo {
         while self.entries.len() > self.capacity {
             match self.order.pop_front() {
                 Some(old) => {
+                    if rooted(&self.root, &old) {
+                        self.version += 1;
+                    }
                     self.entries.remove(&old);
                 }
                 None => break,
             }
         }
     }
+}
+
+/// The identities of `stack`'s frames, innermost first.
+fn frame_ids(stack: &ImplStack) -> Vec<usize> {
+    stack
+        .frames_innermost_first()
+        .map(|rc| Rc::as_ptr(rc) as *const () as usize)
+        .collect()
 }
 
 /// OpInst key: the identity of the rule closure and the type
@@ -231,27 +258,42 @@ impl<'d> Interpreter<'d> {
     }
 
     /// Keeps only the memoized resolutions whose query id satisfies
-    /// `keep`. Counters are untouched; the version moves if an entry
-    /// went.
+    /// `keep`. Counters are untouched; the version moves if a rooted
+    /// entry went.
     ///
     /// Required before rolling the interning arena back to an
     /// [`intern::InternSnapshot`]: memo keys embed [`intern::RuleId`]s,
     /// and an id the truncation orphans could be reassigned to a
     /// different query later (pass `|id| snap.covers_rule(id)`).
     pub fn retain_memo(&mut self, keep: impl Fn(intern::RuleId) -> bool) {
-        let before = self.memo.entries.len();
-        self.memo.entries.retain(|k, _| keep(k.1));
-        self.memo.order.retain(|k| keep(k.1));
-        if self.memo.entries.len() != before {
-            self.memo.version += 1;
+        let memo = &mut self.memo;
+        let mut moved = false;
+        memo.entries.retain(|k, _| {
+            let kept = keep(k.1);
+            moved |= !kept && rooted(&memo.root, k);
+            kept
+        });
+        memo.order.retain(|k| keep(k.1));
+        if moved {
+            memo.version += 1;
         }
     }
 
-    /// Version stamp of the runtime memo: bumped by every insert
-    /// (evictions happen only there), [`Interpreter::retain_memo`]
-    /// removal and [`Interpreter::import_memo_roots`] entry, and by
-    /// nothing else. Two observations with the same stamp see the
-    /// same [`Interpreter::export_memo_roots`].
+    /// Makes [`Interpreter::memo_version`] count only the entries
+    /// rooted in `stack`, the ones [`Interpreter::export_memo_roots`]
+    /// of `stack` sees. A warm session calls it with its prelude
+    /// stack, so a program's own frames never move the version.
+    pub fn set_memo_root(&mut self, stack: &ImplStack) {
+        self.memo.root = Some(frame_ids(stack));
+    }
+
+    /// Version stamp of the runtime memo: bumped by every insert of a
+    /// rooted entry (see [`Interpreter::set_memo_root`]; before it is
+    /// called every entry is rooted), every eviction or
+    /// [`Interpreter::retain_memo`] removal of one, and every
+    /// [`Interpreter::import_memo_roots`] entry, and by nothing else.
+    /// Two observations with the same stamp see the same
+    /// [`Interpreter::export_memo_roots`] of the root stack.
     pub fn memo_version(&self) -> u64 {
         self.memo.version
     }
@@ -263,17 +305,13 @@ impl<'d> Interpreter<'d> {
     /// process. Iterates in insertion order so the export (and any
     /// artifact embedding it) is deterministic.
     pub fn export_memo_roots(&self, stack: &ImplStack) -> Vec<MemoExport> {
-        let full: Vec<usize> = stack
-            .frames_innermost_first()
-            .map(|rc| Rc::as_ptr(rc) as *const () as usize)
-            .collect();
-        let n = full.len();
+        let root = Some(frame_ids(stack));
         let mut out = Vec::new();
         for key in &self.memo.order {
-            let k = key.0.len();
-            if k > n || key.0[..] != full[n - k..] {
+            if !rooted(&root, key) {
                 continue;
             }
+            let k = key.0.len();
             let Some(query) = intern::rule_of(key.1) else {
                 continue;
             };

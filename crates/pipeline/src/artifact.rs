@@ -21,11 +21,16 @@
 //!   bindings, reusing every surviving value, compiled global, cache
 //!   entry, and memo root;
 //! * [`ArtifactStore`] is the content-addressed directory layout
-//!   (`<key>.iart` plus a `<config>.head` pointer for incremental
-//!   lookup on exact-miss) with atomic writes, and [`load_or_build`]
-//!   is the exact → incremental → cold loading ladder. Every decode
-//!   or validation failure on the way down is counted and reported
-//!   via [`Session::note_artifact_fallbacks`];
+//!   (`<key>.iart`, a `<config>.head` pointer for incremental lookup
+//!   on exact-miss, and `<source>.src` pointers from prelude texts to
+//!   the artifacts they built) with atomic writes, and
+//!   [`load_or_build`] is the exact → incremental → cold loading
+//!   ladder. [`load_or_build_source`] puts one rung in front of it for
+//!   callers that hold the prelude's text: a text the store has seen
+//!   loads its artifact without being parsed or keyed. Every decode or
+//!   validation failure on the way down, and every pointer that does
+//!   not read as a key, is counted and reported via
+//!   [`Session::note_artifact_fallbacks`];
 //! * [`Session::persist`] writes a session back to its store only
 //!   when the state its artifact holds changed since the store last
 //!   matched it, so an exact hit that learns nothing writes nothing.
@@ -48,7 +53,7 @@ use implicit_core::resolve::ResolutionPolicy;
 use implicit_core::symbol::{ensure_fresh_at_least, fresh_watermark, Symbol};
 use implicit_core::syntax::{Declarations, RuleType, Type};
 use implicit_core::trace::MetricsSink;
-use implicit_core::wire::{fnv64, Dec, Enc, WireError};
+use implicit_core::wire::{fnv64, fnv64_more, Dec, Enc, WireError};
 use implicit_elab::{translate_decls, translate_rule_type, translate_type, DictCache, Elaborator};
 use implicit_opsem::interp::MemoExport;
 use implicit_opsem::wire::{OpDec, OpEnc};
@@ -310,6 +315,17 @@ pub fn config_key(
     dict_ic: bool,
     isa: Isa,
 ) -> u64 {
+    fnv64(config_enc(decls, policy, fusion, dict_ic, isa).buf())
+}
+
+/// The inputs [`config_key`] hashes, encoded.
+fn config_enc(
+    decls: &Declarations,
+    policy: &ResolutionPolicy,
+    fusion: bool,
+    dict_ic: bool,
+    isa: Isa,
+) -> Enc {
     let mut e = Enc::new();
     e.u32(FORMAT_VERSION);
     enc_decls(&mut e, decls);
@@ -317,7 +333,28 @@ pub fn config_key(
     e.u8(isa_tag(isa));
     e.bool(fusion);
     e.bool(dict_ic);
-    fnv64(e.buf())
+    e
+}
+
+/// The address of a prelude *text* under one configuration: a 64-bit
+/// FNV hash over the [`config_key`] inputs and the text's raw bytes.
+/// The store's `<source>.src` pointer names the content key of the
+/// artifact that text built, so a later run over the same bytes finds
+/// the artifact without parsing the text (see
+/// [`load_or_build_source`]). Layout and comments count: a text that
+/// differs only in them has its own source key and, once parsed, the
+/// same content key.
+pub fn source_key(
+    decls: &Declarations,
+    text: &str,
+    policy: &ResolutionPolicy,
+    fusion: bool,
+    dict_ic: bool,
+) -> u64 {
+    let mut e = config_enc(decls, policy, fusion, dict_ic, Isa::Register);
+    e.len(text.len());
+    // Hashes the text where it lies, without copying it into `e`.
+    fnv64_more(fnv64(e.buf()), text.as_bytes())
 }
 
 /// A fully decoded artifact, ready for [`assemble`] (exact rehydrate)
@@ -430,8 +467,9 @@ impl<'d> Session<'d> {
     /// they learned — derivation-cache entries, promoted dictionaries
     /// and runtime-memo roots, each carrying a version that every
     /// insert, eviction, invalidation, trim and import bumps (the
-    /// derivation cache's as seen from the base depth, so a
-    /// program's scopes leave it alone). Inline
+    /// derivation cache's as seen from the base depth, the runtime
+    /// memo's for entries rooted in the prelude stack, so a program's
+    /// scopes leave both alone). Inline
     /// caches and superinstruction choices never ride along: decoding
     /// resets every Match IC, and fusion is decided at compile time.
     ///
@@ -817,6 +855,7 @@ pub fn assemble<'d>(
     env.import_cache(a.cache_entries);
     let mut interp = Interpreter::new(decls).with_policy(a.policy.clone());
     interp.import_memo_roots(&a.istack, a.memo_roots);
+    interp.set_memo_root(&a.istack);
     let mut dict = DictCache::new(a.evidence.len());
     dict.import_entries(a.dict_entries);
     let elab = Elaborator::with_policy(decls, a.policy.clone());
@@ -1105,6 +1144,7 @@ pub fn rebuild_incremental<'d>(
         .collect();
     let memo_roots_retained = roots.len();
     interp.import_memo_roots(&istack, roots);
+    interp.set_memo_root(&istack);
 
     // Dropped dictionary entries keep their binders, as their globals.
     fcontext.extend(old.dict_binders);
@@ -1157,13 +1197,27 @@ pub fn rebuild_incremental<'d>(
     Ok((session, stats))
 }
 
-/// A content-addressed artifact directory: `<key>.iart` content files
-/// plus `<config>.head` pointers naming the most recent artifact key
-/// per configuration family (the incremental-rebuild anchor on an
-/// exact-key miss). All writes are atomic (temp file + rename), so a
-/// crashed writer never leaves a torn artifact behind.
+/// A content-addressed artifact directory: `<key>.iart` content files,
+/// `<config>.head` pointers naming the most recent artifact key per
+/// configuration family (the incremental-rebuild anchor on an
+/// exact-key miss), and `<source>.src` pointers naming the artifact
+/// key each prelude text built (see [`source_key`]). All writes are
+/// atomic (temp file + rename), so a crashed writer never leaves a
+/// torn artifact behind.
 pub struct ArtifactStore {
     dir: PathBuf,
+}
+
+/// What a store pointer file (`.head` or `.src`) holds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Pointer {
+    /// There is no such file.
+    Missing,
+    /// A file that does not read as a key; a load counts it as a
+    /// fallback.
+    Bad,
+    /// The artifact key the file names.
+    Key(u64),
 }
 
 impl ArtifactStore {
@@ -1192,15 +1246,32 @@ impl ArtifactStore {
         self.dir.join(format!("{config:016x}.head"))
     }
 
+    /// Path of the pointer file for the prelude text whose
+    /// [`source_key`] is `source`.
+    pub fn source_path(&self, source: u64) -> PathBuf {
+        self.dir.join(format!("{source:016x}.src"))
+    }
+
     /// Reads the artifact stored under `key`, if any.
     pub fn load(&self, key: u64) -> Option<Vec<u8>> {
         std::fs::read(self.content_path(key)).ok()
     }
 
-    /// The most recent artifact key recorded for `config`, if any.
+    /// The most recent artifact key recorded for `config`, if any (a
+    /// head that does not read as a key counts as none).
     pub fn head(&self, config: u64) -> Option<u64> {
-        let s = std::fs::read_to_string(self.head_path(config)).ok()?;
-        u64::from_str_radix(s.trim(), 16).ok()
+        match self.pointer(&self.head_path(config)) {
+            Pointer::Key(key) => Some(key),
+            Pointer::Missing | Pointer::Bad => None,
+        }
+    }
+
+    fn pointer(&self, path: &Path) -> Pointer {
+        match std::fs::read_to_string(path) {
+            Ok(s) => u64::from_str_radix(s.trim(), 16).map_or(Pointer::Bad, Pointer::Key),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Pointer::Missing,
+            Err(_) => Pointer::Bad,
+        }
     }
 
     /// Atomically writes `bytes` under `key` and points `config`'s
@@ -1222,6 +1293,14 @@ impl ArtifactStore {
     /// Propagates filesystem failures.
     pub fn point_head(&self, config: u64, key: u64) -> io::Result<()> {
         atomic_write(&self.head_path(config), format!("{key:016x}\n").as_bytes())
+    }
+
+    /// Atomically points the prelude text `source` at `key`.
+    fn point_source(&self, source: u64, key: u64) -> io::Result<()> {
+        atomic_write(
+            &self.source_path(source),
+            format!("{key:016x}\n").as_bytes(),
+        )
     }
 }
 
@@ -1256,7 +1335,8 @@ pub enum LoadOutcome {
 /// validation failure along the way falls through to the next rung
 /// and is counted on the returned session's metrics as an
 /// `artifact_fallback` — a corrupt store degrades to exactly the
-/// no-store behavior, never a panic and never stale code.
+/// no-store behavior, never a panic and never stale code. A head that
+/// exists but does not read as a key counts too.
 ///
 /// The content key is computed once, here, and kept by the session.
 /// An exact hit only reads: the store already holds its bytes, and
@@ -1277,61 +1357,210 @@ pub fn load_or_build<'d>(
     fusion: bool,
     dict_ic: bool,
 ) -> Result<(Session<'d>, LoadOutcome), SessionError> {
+    ladder(store, decls, policy, prelude, fusion, dict_ic, None, 0)
+}
+
+/// Why [`load_or_build_source`] returned no session.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)] // cold path, as `SessionError`
+pub enum SourceLoadError<E> {
+    /// The text gave no prelude: the caller's parse failed.
+    Parse(E),
+    /// The cold build failed, as in [`load_or_build`].
+    Build(SessionError),
+}
+
+/// [`load_or_build`] for a caller that holds the prelude's text, with
+/// one rung in front of the ladder, keyed by that text
+/// ([`source_key`]). When the text's `.src` pointer names an artifact
+/// that decodes and was built under this configuration, the session
+/// is assembled from it as an exact hit: the text is not parsed and
+/// no content key is computed. `decls` are the text's own
+/// declarations, for which [`implicit_core::parse::parse_declarations`]
+/// reads only its header.
+///
+/// Otherwise `parse` turns the text into its prelude, and the ladder
+/// of [`load_or_build`] runs as it always does, except that it does
+/// not read again an artifact this rung failed to load. A pointer that
+/// names a missing or unreadable artifact, or does not read as a key,
+/// is counted as a fallback; a missing one is not. The ladder then points
+/// the text at the content key it built or found, unless the pointer
+/// already named it, so the next run over the same bytes hits this
+/// rung. A hit writes nothing but a stale configuration head.
+///
+/// The rung trusts that equal text under equal declarations, policy
+/// and knobs gives an equal prelude, hence the same artifact: a change
+/// to what a text parses to must bump [`FORMAT_VERSION`], which every
+/// source key hashes.
+///
+/// # Errors
+///
+/// `parse`'s error, or a failed cold build.
+pub fn load_or_build_source<'d, E>(
+    store: &ArtifactStore,
+    decls: &'d Declarations,
+    policy: &ResolutionPolicy,
+    text: &str,
+    fusion: bool,
+    dict_ic: bool,
+    parse: impl FnOnce() -> Result<Prelude, E>,
+) -> Result<(Session<'d>, LoadOutcome), SourceLoadError<E>> {
+    let source = source_key(decls, text, policy, fusion, dict_ic);
+    let named = store.pointer(&store.source_path(source));
+    let mut fallbacks = 0;
+    match named {
+        Pointer::Key(key) => match load_exact(store, decls, key, policy, fusion, dict_ic) {
+            Some(Ok(s)) => {
+                let config = config_key(decls, policy, fusion, dict_ic, Isa::Register);
+                return Ok((exact_hit(store, s, key, config, 0), LoadOutcome::Exact));
+            }
+            Some(Err(_)) | None => fallbacks += 1,
+        },
+        Pointer::Bad => fallbacks += 1,
+        Pointer::Missing => {}
+    }
+    let prelude = parse().map_err(SourceLoadError::Parse)?;
+    let source = SourceRef { key: source, named };
+    ladder(
+        store,
+        decls,
+        policy,
+        &prelude,
+        fusion,
+        dict_ic,
+        Some(source),
+        fallbacks,
+    )
+    .map_err(SourceLoadError::Build)
+}
+
+/// A prelude text that [`load_or_build_source`] sends down the
+/// ladder: its source key, and what the key's pointer held.
+#[derive(Clone, Copy)]
+struct SourceRef {
+    key: u64,
+    named: Pointer,
+}
+
+/// Reads, decodes and assembles the artifact stored under `key`,
+/// checking that this configuration built it. `None` when there is
+/// no such file.
+fn load_exact<'d>(
+    store: &ArtifactStore,
+    decls: &'d Declarations,
+    key: u64,
+    policy: &ResolutionPolicy,
+    fusion: bool,
+    dict_ic: bool,
+) -> Option<Result<Session<'d>, ArtifactError>> {
+    let bytes = store.load(key)?;
+    Some(decode(&bytes).and_then(|a| {
+        check_header(&a, key, policy, fusion, dict_ic)?;
+        assemble(decls, a)
+    }))
+}
+
+/// Finishes an exact hit on `key`, with `fallbacks` counted on the
+/// way: the session keeps its key, the configuration head is
+/// re-pointed when it names another key (an edit, then a revert) or
+/// does not read as one (one more fallback), and the store is marked
+/// as holding the session's state.
+fn exact_hit<'d>(
+    store: &ArtifactStore,
+    mut s: Session<'d>,
+    key: u64,
+    config: u64,
+    mut fallbacks: u64,
+) -> Session<'d> {
+    let head = store.pointer(&store.head_path(config));
+    if head != Pointer::Key(key) {
+        fallbacks += u64::from(head == Pointer::Bad);
+        let _ = store.point_head(config, key);
+    }
+    s.note_artifact_fallbacks(fallbacks);
+    s.key = Some(key);
+    s.stored = Some(Stored {
+        dir: store.dir().to_path_buf(),
+        version: s.state_version(),
+    });
+    s
+}
+
+/// The exact → incremental → cold ladder behind [`load_or_build`],
+/// with `fallbacks` already counted. For a `source` text it also
+/// points the text at the key it reaches.
+#[allow(clippy::too_many_arguments)]
+fn ladder<'d>(
+    store: &ArtifactStore,
+    decls: &'d Declarations,
+    policy: &ResolutionPolicy,
+    prelude: &Prelude,
+    fusion: bool,
+    dict_ic: bool,
+    source: Option<SourceRef>,
+    mut fallbacks: u64,
+) -> Result<(Session<'d>, LoadOutcome), SessionError> {
     let key = artifact_key(decls, prelude, policy, fusion, dict_ic, Isa::Register);
     let config = config_key(decls, policy, fusion, dict_ic, Isa::Register);
-    let mut fallbacks = 0u64;
-    if let Some(bytes) = store.load(key) {
-        let loaded = decode(&bytes).and_then(|a| {
-            check_header(&a, key, policy, fusion, dict_ic)?;
-            assemble(decls, a)
-        });
-        match loaded {
-            Ok(mut s) => {
-                s.key = Some(key);
-                if store.head(config) != Some(key) {
-                    let _ = store.point_head(config, key);
-                }
-                s.stored = Some(Stored {
-                    dir: store.dir().to_path_buf(),
-                    version: s.state_version(),
-                });
-                return Ok((s, LoadOutcome::Exact));
-            }
-            Err(_) => fallbacks += 1,
+    // When the text's pointer already names this key, the source rung
+    // has failed to load it and counted that.
+    let named = source.is_some_and(|src| src.named == Pointer::Key(key));
+    let point_source = || {
+        if let (Some(src), false) = (source, named) {
+            let _ = store.point_source(src.key, key);
         }
+    };
+    let loaded = if named {
+        None
+    } else {
+        load_exact(store, decls, key, policy, fusion, dict_ic)
+    };
+    match loaded {
+        Some(Ok(s)) => {
+            point_source();
+            return Ok((
+                exact_hit(store, s, key, config, fallbacks),
+                LoadOutcome::Exact,
+            ));
+        }
+        Some(Err(_)) => fallbacks += 1,
+        None => {}
     }
-    if let Some(old_key) = store.head(config) {
-        if old_key != key {
-            match store.load(old_key) {
-                Some(bytes) => {
-                    let rebuilt = decode(&bytes).and_then(|a| {
-                        // The head must really belong to this
-                        // configuration: its own key must recompute
-                        // under our declarations/policy/knobs.
-                        let k =
-                            artifact_key(decls, &a.prelude, policy, fusion, dict_ic, Isa::Register);
-                        if k != a.key {
-                            return err("head artifact belongs to a different configuration");
-                        }
-                        rebuild_incremental(decls, a, prelude)
-                    });
-                    match rebuilt {
-                        Ok((mut s, stats)) => {
-                            s.note_artifact_fallbacks(fallbacks);
-                            s.key = Some(key);
-                            let _ = s.persist(store);
-                            return Ok((s, LoadOutcome::Incremental(stats)));
-                        }
-                        Err(_) => fallbacks += 1,
+    match store.pointer(&store.head_path(config)) {
+        Pointer::Key(old_key) if old_key != key => match store.load(old_key) {
+            Some(bytes) => {
+                let rebuilt = decode(&bytes).and_then(|a| {
+                    // The head must really belong to this
+                    // configuration: its own key must recompute
+                    // under our declarations/policy/knobs.
+                    let k = artifact_key(decls, &a.prelude, policy, fusion, dict_ic, Isa::Register);
+                    if k != a.key {
+                        return err("head artifact belongs to a different configuration");
                     }
+                    rebuild_incremental(decls, a, prelude)
+                });
+                match rebuilt {
+                    Ok((mut s, stats)) => {
+                        s.note_artifact_fallbacks(fallbacks);
+                        s.key = Some(key);
+                        if s.persist(store).is_ok() {
+                            point_source();
+                        }
+                        return Ok((s, LoadOutcome::Incremental(stats)));
+                    }
+                    Err(_) => fallbacks += 1,
                 }
-                None => fallbacks += 1,
             }
-        }
+            None => fallbacks += 1,
+        },
+        Pointer::Bad => fallbacks += 1,
+        Pointer::Key(_) | Pointer::Missing => {}
     }
     let mut s = Session::new_configured(decls, policy.clone(), prelude, fusion, dict_ic)?;
     s.note_artifact_fallbacks(fallbacks);
     s.key = Some(key);
-    let _ = s.persist(store);
+    if s.persist(store).is_ok() {
+        point_source();
+    }
     Ok((s, LoadOutcome::Cold))
 }

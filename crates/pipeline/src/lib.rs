@@ -497,6 +497,7 @@ impl<'d> Session<'d> {
             fcontext.push((sym, translate_rule_type(arho)));
         }
 
+        interp.set_memo_root(&istack);
         let intern_base = intern::snapshot();
         let env_base = env.snapshot();
         let code_base = compiler.snapshot();

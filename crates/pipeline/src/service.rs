@@ -50,13 +50,13 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use implicit_core::parse::{parse_expr, parse_program, parse_rule_type};
+use implicit_core::parse::{parse_declarations, parse_expr, parse_program, parse_rule_type};
 use implicit_core::resolve::{resolve, ResolutionPolicy};
 use implicit_core::syntax::{Declarations, Expr, RuleType, Type};
 use implicit_core::trace::MetricsRegistry;
 use implicit_core::wire;
 
-use crate::artifact::{load_or_build, ArtifactStore, LoadOutcome};
+use crate::artifact::{load_or_build_source, ArtifactStore, LoadOutcome, SourceLoadError};
 use crate::driver::spawn_service_worker;
 use crate::{Backend, Prelude, Session};
 
@@ -1297,22 +1297,20 @@ fn tenant_prelude_main(
     ready: mpsc::Sender<Result<String, String>>,
 ) {
     // Parse on this thread: declarations and prelude types intern on
-    // the tenant's own arena.
-    let (parsed_decls, wrapped) = match parse_program(&source) {
-        Ok(p) => p,
+    // the tenant's own arena. The declarations come from the text's
+    // header; with a store, the rest is parsed only if the store has
+    // not seen these bytes.
+    let parsed_decls = match parse_declarations(&source) {
+        Ok(d) => d,
         Err(e) => {
             let _ = ready.send(Err(format!("prelude: {e}")));
             remove_tenant_record(&inner, &name);
             return;
         }
     };
-    let prelude = match Prelude::from_wrapped(&wrapped) {
-        Ok(p) => p,
-        Err(e) => {
-            let _ = ready.send(Err(e));
-            remove_tenant_record(&inner, &name);
-            return;
-        }
+    let prelude = || match parse_program(&source) {
+        Ok((_, wrapped)) => Prelude::from_wrapped(&wrapped),
+        Err(e) => Err(format!("prelude: {e}")),
     };
     let decls = if parsed_decls.is_empty() {
         (inner.config.decls)()
@@ -1320,33 +1318,30 @@ fn tenant_prelude_main(
         parsed_decls
     };
     let policy = inner.config.policy.clone();
+    let (fusion, dict_ic) = (inner.config.fusion, inner.config.dict_ic);
     let store = inner
         .config
         .cache_dir
         .as_ref()
         .and_then(|d| ArtifactStore::new(d).ok());
     let built = match &store {
-        Some(store) => load_or_build(
-            store,
-            &decls,
-            &policy,
-            &prelude,
-            inner.config.fusion,
-            inner.config.dict_ic,
-        ),
-        None => Session::new_configured(
-            &decls,
-            policy.clone(),
-            &prelude,
-            inner.config.fusion,
-            inner.config.dict_ic,
+        Some(store) => load_or_build_source(
+            store, &decls, &policy, &source, fusion, dict_ic, prelude,
         )
-        .map(|s| (s, LoadOutcome::Cold)),
+        .map_err(|e| match e {
+            SourceLoadError::Parse(e) => e,
+            SourceLoadError::Build(e) => e.to_string(),
+        }),
+        None => prelude().and_then(|prelude| {
+            Session::new_configured(&decls, policy.clone(), &prelude, fusion, dict_ic)
+                .map(|s| (s, LoadOutcome::Cold))
+                .map_err(|e| e.to_string())
+        }),
     };
     let (mut session, outcome) = match built {
         Ok(b) => b,
         Err(e) => {
-            let _ = ready.send(Err(e.to_string()));
+            let _ = ready.send(Err(e));
             remove_tenant_record(&inner, &name);
             return;
         }

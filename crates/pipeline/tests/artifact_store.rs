@@ -1,18 +1,23 @@
 //! Artifact-store behavior: exact rehydration fidelity (byte-stable
 //! re-encode), graceful degradation on corruption (fallback to cold,
 //! counted, never a panic or stale code) — including well-checksummed
-//! code whose operands the VM would misuse — and incremental-rebuild
-//! precision (a one-binding edit invalidates exactly its dependency
-//! cone).
+//! code whose operands the VM would misuse, and store pointers that do
+//! not read as keys — incremental-rebuild precision (a one-binding edit
+//! invalidates exactly its dependency cone), and the source rung (a
+//! prelude text the store has seen loads the session the ladder would,
+//! without being parsed).
 
 use std::rc::Rc;
 
+use implicit_core::parse::{parse_declarations, parse_expr, parse_program};
 use implicit_core::resolve::ResolutionPolicy;
 use implicit_core::symbol::Symbol;
 use implicit_core::syntax::{BinOp, Declarations, Expr, Type};
 use implicit_pipeline::artifact::{
-    self, artifact_key, config_key, ArtifactStore, DecodedArtifact, LoadOutcome,
+    self, artifact_key, config_key, load_or_build, load_or_build_source, source_key, ArtifactStore,
+    DecodedArtifact, LoadOutcome,
 };
+use implicit_pipeline::service::prelude_source;
 use implicit_pipeline::{Prelude, Session};
 use systemf::compile::{CapSrc, FuncKind, Instr, RK_CONST};
 use systemf::vm::VmClosure;
@@ -594,4 +599,222 @@ fn incremental_rebuild_invalidates_exactly_the_dependency_cone() {
     );
     assert_eq!(sess.metrics().artifact_fallbacks, 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn bad_pointers_and_the_artifacts_they_name_are_counted_once() {
+    let decls = Declarations::default();
+    let policy = ResolutionPolicy::paper();
+    let dir = tmpdir("bad-pointer");
+    let store = ArtifactStore::new(&dir).unwrap();
+    let text = prelude_source(&lets_chain(3, 5, 2));
+    let edited = prelude_source(&lets_chain(3, 6, 2));
+    let load = |text: &str| {
+        load_or_build_source(&store, &decls, &policy, text, true, false, || {
+            Prelude::from_wrapped(&parse_program(text).map_err(|e| e.to_string())?.1)
+        })
+        .unwrap()
+    };
+    let (_, outcome) = load(&text);
+    assert!(matches!(outcome, LoadOutcome::Cold), "{outcome:?}");
+
+    // A corrupt head: an edit cannot find the artifact to rebuild
+    // from, and builds cold, counted.
+    let config = config_key(&decls, &policy, true, false, Isa::Register);
+    let head = dir.join(format!("{config:016x}.head"));
+    std::fs::write(&head, "zzzz-not-hex\n").unwrap();
+    let (s, outcome) = load(&edited);
+    assert!(matches!(outcome, LoadOutcome::Cold), "{outcome:?}");
+    assert_eq!(s.metrics().artifact_fallbacks, 1, "the bad head is counted");
+    drop(s);
+    let (s, outcome) = load(&edited);
+    assert!(matches!(outcome, LoadOutcome::Exact), "{outcome:?}");
+    assert_eq!(
+        s.metrics().artifact_fallbacks,
+        0,
+        "the cold build mended it"
+    );
+    drop(s);
+
+    // A corrupt head next to an exact hit is counted and re-pointed.
+    std::fs::write(&head, "").unwrap();
+    let (s, outcome) = load(&edited);
+    assert!(matches!(outcome, LoadOutcome::Exact), "{outcome:?}");
+    assert_eq!(s.metrics().artifact_fallbacks, 1);
+    assert!(store.head(config).is_some(), "the head is re-pointed");
+    drop(s);
+
+    // A corrupt source pointer falls to the ladder, counted, and the
+    // ladder's exact hit mends it.
+    let src = store.source_path(source_key(&decls, &text, &policy, true, false));
+    std::fs::write(&src, "not a key").unwrap();
+    let (s, outcome) = load(&text);
+    assert!(matches!(outcome, LoadOutcome::Exact), "{outcome:?}");
+    assert_eq!(
+        s.metrics().artifact_fallbacks,
+        1,
+        "the bad pointer is counted"
+    );
+    drop(s);
+    let (s, _) = load(&text);
+    assert_eq!(s.metrics().artifact_fallbacks, 0);
+    drop(s);
+
+    // A corrupt artifact behind a good pointer is one fallback: the
+    // ladder does not read it again under its content key.
+    let key = artifact_key(
+        &decls,
+        &lets_chain(3, 5, 2),
+        &policy,
+        true,
+        false,
+        Isa::Register,
+    );
+    let mut bytes = store.load(key).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0xFF;
+    std::fs::write(store.content_path(key), &bytes).unwrap();
+    let (s, outcome) = load(&text);
+    assert!(matches!(outcome, LoadOutcome::Cold), "{outcome:?}");
+    assert_eq!(s.metrics().artifact_fallbacks, 1);
+    drop(s);
+    let (s, outcome) = load(&text);
+    assert!(matches!(outcome, LoadOutcome::Exact), "{outcome:?}");
+    assert_eq!(s.metrics().artifact_fallbacks, 0);
+    drop(s);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A prelude text that opens with an `interface` and a `data`
+/// declaration: a let, then rules whose evidence builds and takes
+/// apart values of the data type.
+const DECLARED_PRELUDE: &str = "\
+-- declarations first, then the bindings
+interface Show a = { show : a -> String }
+data Shape = Circle Int | Square Int Int
+
+let side : Int = 3 in
+implicit {con Square (side, 4) : Shape} in (
+  implicit {Show [Shape] { show = \\s : Shape. match s { Circle r -> showInt r | Square w h -> showInt (w * h) } } : Show Shape} in
+    unit : Unit
+) : Unit
+";
+
+/// Loads `text` through [`load_or_build_source`] and through
+/// [`load_or_build`], from the same stores, and checks that both give
+/// the same session: byte-identical artifacts, and the same answers
+/// to `probes` on the tree walker, the VM and the operational
+/// semantics (which must agree, as `--semantics both` checks).
+fn the_source_rung_loads_what_the_ladder_loads(tag: &str, text: &str, probes: &[&str]) {
+    let policy = ResolutionPolicy::paper();
+    let (full_decls, wrapped) = parse_program(text).unwrap();
+    let prelude = Prelude::from_wrapped(&wrapped).unwrap();
+    let decls = parse_declarations(text).unwrap();
+    assert_eq!(format!("{decls:?}"), format!("{full_decls:?}"), "[{tag}]");
+    let parse = || Prelude::from_wrapped(&parse_program(text).map_err(|e| e.to_string())?.1);
+    let unparsed =
+        || -> Result<Prelude, String> { panic!("[{tag}] the source rung parsed its text") };
+    let key = artifact_key(&decls, &prelude, &policy, true, false, Isa::Register);
+    let probe = |session: &mut Session<'_>, e: &Expr| {
+        let tree = session.run(e).unwrap().value.to_string();
+        let vm = session.run_compiled(e).unwrap().value.to_string();
+        let opsem = session.run_opsem(e).unwrap().to_string();
+        assert_eq!(tree, vm, "[{tag}] {e}");
+        assert_eq!(tree, opsem, "[{tag}] {e}");
+        tree
+    };
+    // The text's pointer is written by a cold build in one store, and
+    // by an exact hit of the content key in the other.
+    for primed_by_text in [true, false] {
+        let dir = tmpdir(&format!("rung-{tag}-{primed_by_text}"));
+        let store = ArtifactStore::new(&dir).unwrap();
+        if primed_by_text {
+            let (_, cold) =
+                load_or_build_source(&store, &decls, &policy, text, true, false, parse).unwrap();
+            assert!(matches!(cold, LoadOutcome::Cold), "[{tag}] {cold:?}");
+        } else {
+            let (_, cold) = load_or_build(&store, &decls, &policy, &prelude, true, false).unwrap();
+            assert!(matches!(cold, LoadOutcome::Cold), "[{tag}] {cold:?}");
+            let (_, hit) =
+                load_or_build_source(&store, &decls, &policy, text, true, false, parse).unwrap();
+            assert!(matches!(hit, LoadOutcome::Exact), "[{tag}] {hit:?}");
+        }
+        let (mut rung, hit) =
+            load_or_build_source(&store, &decls, &policy, text, true, false, unparsed).unwrap();
+        assert!(matches!(hit, LoadOutcome::Exact), "[{tag}] {hit:?}");
+        let (mut ladder, hit) =
+            load_or_build(&store, &full_decls, &policy, &prelude, true, false).unwrap();
+        assert!(matches!(hit, LoadOutcome::Exact), "[{tag}] {hit:?}");
+        assert_eq!(rung.content_key(), key, "[{tag}]");
+        assert_eq!(rung.metrics().artifact_fallbacks, 0, "[{tag}]");
+        assert!(
+            rung.to_artifact() == ladder.to_artifact(),
+            "[{tag}] artifacts differ"
+        );
+        for src in probes {
+            let e = parse_expr(src).unwrap();
+            assert_eq!(
+                probe(&mut rung, &e),
+                probe(&mut ladder, &e),
+                "[{tag}] {src}"
+            );
+        }
+        assert!(
+            rung.to_artifact() == ladder.to_artifact(),
+            "[{tag}] artifacts differ after the probes"
+        );
+        drop((rung, ladder));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn the_source_rung_agrees_with_the_ladder_on_chain_preludes() {
+    // Chain preludes recurse deeply through resolution in debug builds.
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(|| {
+            for n in [0, 1, 8, 24] {
+                let head = Prelude::chain_head(n);
+                let probes = [format!("?({head})"), "?(Int) + 1".to_owned()];
+                let probes: Vec<&str> = probes.iter().map(String::as_str).collect();
+                let text = prelude_source(&Prelude::chain(n));
+                the_source_rung_loads_what_the_ladder_loads(&format!("chain-{n}"), &text, &probes);
+            }
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
+#[test]
+fn the_source_rung_agrees_with_the_ladder_on_lets_and_operands() {
+    let text = prelude_source(&lets_chain(4, 10, 1));
+    the_source_rung_loads_what_the_ladder_loads(
+        "lets-chain",
+        &text,
+        &["snd(?(Int * Int)) + x0", "x3"],
+    );
+    let text = prelude_source(&operand_prelude());
+    the_source_rung_loads_what_the_ladder_loads(
+        "operands",
+        &text,
+        &[
+            "add3 1 2 3",
+            "count 7",
+            "snd(?((Int * Int) * Int)) + add3 1 1 1",
+        ],
+    );
+}
+
+#[test]
+fn the_source_rung_agrees_with_the_ladder_on_declared_preludes() {
+    the_source_rung_loads_what_the_ladder_loads(
+        "declared",
+        DECLARED_PRELUDE,
+        &[
+            "(?(Show Shape)).show ?(Shape)",
+            "match ?(Shape) { Circle r -> r | Square w h -> w + h + side }",
+        ],
+    );
 }

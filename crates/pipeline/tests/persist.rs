@@ -297,6 +297,53 @@ fn a_scope_that_only_shelves_is_not_written() {
 }
 
 #[test]
+fn only_memo_changes_the_artifact_keeps_are_written() {
+    on_fresh_thread(|| {
+        let dir = tmpdir("memo-root");
+        let store = ArtifactStore::new(&dir).unwrap();
+        let decls = Declarations::default();
+        let mut session = exact_hit(&store, &decls, &Prelude::chain(4), false);
+        let key = session.content_key();
+        let saved = |session: &mut Session<'_>| {
+            assert_eq!(store.load(key), Some(session.to_artifact()));
+        };
+        // The opsem leg memoizes `?(Int)` under the scope's own frame:
+        // a program-local entry the artifact does not keep.
+        let local = implicit_core::parse::parse_expr("implicit {7 : Int} in ?(Int) : Int").unwrap();
+        session.run_opsem(&local).unwrap();
+        assert!(
+            !session.persist(&store).unwrap(),
+            "a program-local memo entry is not written"
+        );
+        saved(&mut session);
+        // A prelude-level query: rooted inserts.
+        session.run_opsem(&chain_query(4, 0)).unwrap();
+        assert!(
+            session.persist(&store).unwrap(),
+            "a rooted insert is written"
+        );
+        saved(&mut session);
+        // As many program-local entries as the memo holds push every
+        // rooted entry out: rooted evictions.
+        for _ in 0..implicit_core::env::DEFAULT_CACHE_CAPACITY {
+            session.run_opsem(&local).unwrap();
+        }
+        assert!(
+            session.persist(&store).unwrap(),
+            "a rooted eviction is written"
+        );
+        saved(&mut session);
+        session.run_opsem(&local).unwrap();
+        assert!(
+            !session.persist(&store).unwrap(),
+            "evicting a program-local entry is not written"
+        );
+        saved(&mut session);
+        let _ = std::fs::remove_dir_all(&dir);
+    });
+}
+
+#[test]
 fn knob_changes_forget_the_stored_artifact() {
     on_fresh_thread(|| {
         let dir = tmpdir("knob");

@@ -5,7 +5,8 @@
 //! size of the prelude's types; building the session translates each
 //! binder once, so build cost grows no faster than the prelude's
 //! total type size. Reading the prelude's text costs about what
-//! building its tree costs.
+//! building its tree costs, and a restart on a prelude text the
+//! artifact store has seen does not read it at all.
 //!
 //! A counting global allocator counts per thread, and every
 //! measurement runs on a fresh thread (fresh interning arena), so
@@ -14,10 +15,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use implicit_core::parse::{parse_expr, parse_program};
+use implicit_core::parse::{parse_declarations, parse_expr, parse_program};
 use implicit_core::resolve::ResolutionPolicy;
 use implicit_core::symbol::Symbol;
 use implicit_core::syntax::{Declarations, Expr, Type};
+use implicit_pipeline::artifact::{self, ArtifactStore};
 use implicit_pipeline::service::prelude_source;
 use implicit_pipeline::{Prelude, Session};
 
@@ -143,21 +145,26 @@ fn session_build_grows_no_faster_than_prelude_type_size() {
     );
 }
 
+/// The restart workload's prelude text: chain(48) plus
+/// `let base : Int`, 67,978 bytes and 33,490 tokens.
+fn restart_prelude_text() -> String {
+    let mut prelude = Prelude::chain(48);
+    prelude
+        .lets
+        .push((Symbol::intern("base"), Type::Int, Expr::Int(0)));
+    prelude_source(&prelude)
+}
+
 #[test]
 fn parsing_the_restart_prelude_allocates_little_beyond_its_tree() {
-    // The restart workload's prelude: chain(48) plus `let base : Int`,
-    // 67,978 bytes of text and 33,490 tokens. Identifiers borrow from
-    // the text, tokens are read one at a time and never cloned, and
-    // one-entry contexts are not sorted. A parser that owns a `String`
-    // per identifier, collects the whole token vector first and clones
-    // each token it looks at takes about 60,800 allocations and 7.5 MB;
-    // this parser takes about 16,700 and 0.9 MB.
+    // Identifiers borrow from the text, tokens are read one at a time
+    // and never cloned, and one-entry contexts are not sorted. A
+    // parser that owns a `String` per identifier, collects the whole
+    // token vector first and clones each token it looks at takes about
+    // 60,800 allocations and 7.5 MB; this parser takes about 16,700
+    // and 0.9 MB.
     let (n, bytes) = on_fresh_thread(|| {
-        let mut prelude = Prelude::chain(48);
-        prelude
-            .lets
-            .push((Symbol::intern("base"), Type::Int, Expr::Int(0)));
-        let src = prelude_source(&prelude);
+        let src = restart_prelude_text();
         allocs_and_bytes(|| {
             parse_program(&src).unwrap();
         })
@@ -172,5 +179,61 @@ fn parsing_the_restart_prelude_allocates_little_beyond_its_tree() {
     assert!(
         bytes <= BUDGET_BYTES,
         "{bytes} bytes, budget {BUDGET_BYTES}"
+    );
+}
+
+#[test]
+fn a_restart_on_a_seen_prelude_text_allocates_what_decoding_does() {
+    // A restart through the source rung reads the text's pointer and
+    // its artifact, then decodes and assembles; parsing the text alone
+    // would cost about 16,700 allocations. Each measurement runs on a
+    // fresh thread, so each interns the artifact's types afresh.
+    let dir = std::env::temp_dir().join(format!("implicit-prelude-cost-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store_dir = dir.clone();
+    let load = move |parse: fn(&str) -> Result<Prelude, String>| {
+        let dir = store_dir.clone();
+        on_fresh_thread(move || {
+            let store = ArtifactStore::new(&dir).unwrap();
+            let text = restart_prelude_text();
+            let policy = ResolutionPolicy::paper();
+            allocs(|| {
+                let decls = parse_declarations(&text).unwrap();
+                artifact::load_or_build_source(&store, &decls, &policy, &text, true, false, || {
+                    parse(&text)
+                })
+                .unwrap();
+            })
+        })
+    };
+    fn parse(text: &str) -> Result<Prelude, String> {
+        Prelude::from_wrapped(&parse_program(text).map_err(|e| e.to_string())?.1)
+    }
+    fn unparsed(_: &str) -> Result<Prelude, String> {
+        panic!("the source rung parsed the text")
+    }
+    load(parse);
+    let rung = load(unparsed);
+    let artifact = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "iart"))
+        .unwrap();
+    let bytes = std::fs::read(artifact).unwrap();
+    let decode_assemble = on_fresh_thread(move || {
+        let decls = Declarations::default();
+        allocs(|| {
+            let a = artifact::decode(&bytes).unwrap();
+            artifact::assemble(&decls, a).unwrap();
+        })
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+    const SLACK: u64 = 64;
+    eprintln!(
+        "prelude_cost: restart on a seen text: {rung} allocs; decode + assemble {decode_assemble}"
+    );
+    assert!(
+        rung <= decode_assemble + SLACK,
+        "the source rung allocates {rung} times, decode + assemble {decode_assemble}"
     );
 }

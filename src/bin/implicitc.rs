@@ -38,7 +38,10 @@
 //!                          single-program mode the program's leading
 //!                          `let`/`implicit` wrappers form the cached
 //!                          prelude; in batch mode it is
-//!                          DIR/prelude.imp. Requires --emit value.
+//!                          DIR/prelude.imp, and D also maps each
+//!                          prelude text it has seen to its snapshot,
+//!                          so an unchanged prelude.imp loads without
+//!                          being parsed. Requires --emit value.
 //!   --trace <FILE>         write a Chrome trace-event JSON file
 //!                          (open in about:tracing or Perfetto):
 //!                          phase spans, per-query resolution events,
@@ -755,22 +758,13 @@ fn run_single_cached(
     tracer.finish(opts)
 }
 
-/// Parses a batch prelude source into the shared declarations and
-/// the session prelude ([`implicit_pipeline::Prelude::from_wrapped`]
-/// convention: `let`/`implicit` wrappers around `unit`). `None`
-/// means an empty prelude.
-fn parse_batch_prelude(
-    src: Option<&str>,
-) -> Result<(Declarations, implicit_pipeline::Prelude), String> {
-    match src {
-        None => Ok((Declarations::new(), implicit_pipeline::Prelude::new())),
-        Some(src) => {
-            let (decls, expr) =
-                implicit_core::parse::parse_program(src).map_err(|e| format!("prelude: {e}"))?;
-            let prelude = implicit_pipeline::Prelude::from_wrapped(&expr)?;
-            Ok((decls, prelude))
-        }
-    }
+/// Parses a batch prelude source into the session prelude
+/// ([`implicit_pipeline::Prelude::from_wrapped`] convention:
+/// `let`/`implicit` wrappers around `unit`).
+fn parse_batch_prelude(src: &str) -> Result<implicit_pipeline::Prelude, String> {
+    let (_, expr) =
+        implicit_core::parse::parse_program(src).map_err(|e| format!("prelude: {e}"))?;
+    implicit_pipeline::Prelude::from_wrapped(&expr)
 }
 
 /// Runs one batch program against a worker's warm session, honoring
@@ -1014,30 +1008,49 @@ fn run_batch_mode(opts: &Options, dir: &str) -> Result<(), String> {
     let vm_stats = opts.vm_stats;
     let cache_dir = opts.cache_dir.as_deref();
     let outcomes = implicit_pipeline::run_batch_scoped(programs, opts.jobs, |worker, source| {
-        let (decls, prelude) = parse_batch_prelude(prelude_src)?;
         let store = cache_dir.map(|d| {
             implicit_pipeline::artifact::ArtifactStore::new(d)
                 .expect("cache dir validated before dispatch")
         });
+        // The declarations come from the prelude's header; with a
+        // store, the rest is parsed only if the store has not seen
+        // these bytes.
+        let decls = match prelude_src {
+            Some(src) => implicit_core::parse::parse_declarations(src)
+                .map_err(|e| format!("prelude: {e}"))?,
+            None => Declarations::new(),
+        };
+        let prelude =
+            || prelude_src.map_or(Ok(implicit_pipeline::Prelude::new()), parse_batch_prelude);
         let (mut session, load) = match &store {
             // Warm-start workers from the on-disk artifact store: the
             // first worker to arrive builds and saves, the rest (and
             // every later process) rehydrate without re-running any
             // phase.
             Some(store) => {
-                let (session, outcome) = implicit_pipeline::artifact::load_or_build(
-                    store, &decls, policy, &prelude, true, false,
-                )
-                .map_err(|e| format!("prelude: {e}"))?;
+                use implicit_pipeline::artifact::{
+                    load_or_build, load_or_build_source, LoadOutcome, SourceLoadError,
+                };
+                let (session, outcome) = match prelude_src {
+                    Some(src) => {
+                        load_or_build_source(store, &decls, policy, src, true, false, prelude)
+                            .map_err(|e| match e {
+                                SourceLoadError::Parse(e) => e,
+                                SourceLoadError::Build(e) => format!("prelude: {e}"),
+                            })?
+                    }
+                    None => load_or_build(store, &decls, policy, &prelude()?, true, false)
+                        .map_err(|e| format!("prelude: {e}"))?,
+                };
                 let label = match outcome {
-                    implicit_pipeline::artifact::LoadOutcome::Exact => "exact",
-                    implicit_pipeline::artifact::LoadOutcome::Incremental(_) => "incremental",
-                    implicit_pipeline::artifact::LoadOutcome::Cold => "cold",
+                    LoadOutcome::Exact => "exact",
+                    LoadOutcome::Incremental(_) => "incremental",
+                    LoadOutcome::Cold => "cold",
                 };
                 (session, Some(label))
             }
             None => (
-                implicit_pipeline::Session::new(&decls, policy.clone(), &prelude)
+                implicit_pipeline::Session::new(&decls, policy.clone(), &prelude()?)
                     .map_err(|e| format!("prelude: {e}"))?,
                 None,
             ),

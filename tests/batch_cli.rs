@@ -72,6 +72,17 @@ fn prelude_parse_error_is_reported_once() {
 }
 
 #[test]
+fn prelude_declaration_error_is_reported_once() {
+    // Reading the declarations alone fails here, with the whole
+    // parse's error.
+    assert_prelude_error(
+        "declaration",
+        "interface A = { x : Int }\ninterface A = { y : Int }\nunit\n",
+        "implicitc: prelude: parse error at 2:1: type `A` is already declared",
+    );
+}
+
+#[test]
 fn prelude_let_type_mismatch_is_reported_once() {
     assert_prelude_error(
         "let-mismatch",

@@ -5,6 +5,11 @@
 //! artifact and re-points the configuration head, and a revert points
 //! it back; a program that teaches the session a new query is written,
 //! and the next run serves that query from the loaded cache.
+//!
+//! Each prelude text the store has built from gets a `.src` pointer to
+//! its artifact, so an unchanged `prelude.imp` is loaded without being
+//! parsed: a layout-only edit adds one pointer and no artifact, and a
+//! pointer to a missing artifact is counted as a fallback and mended.
 #![cfg(unix)]
 
 use std::collections::BTreeMap;
@@ -117,7 +122,14 @@ fn an_exact_hit_leaves_the_store_untouched() {
     let cold = run(&dir, &store, &[]);
     assert!(outcome(&cold).contains("cold=1"), "{cold}");
     let primed = snapshot(&store);
-    assert_eq!(primed.len(), 2, "one artifact and one head: {primed:?}");
+    assert_eq!(
+        primed.len(),
+        3,
+        "one artifact, one head and one source pointer: {primed:?}"
+    );
+    for ext in [".iart", ".head", ".src"] {
+        assert_eq!(names_with(&store, ext).len(), 1, "{ext}: {primed:?}");
+    }
     for _ in 0..2 {
         let hit = run(&dir, &store, &[]);
         assert_eq!(
@@ -151,21 +163,83 @@ fn an_exact_hit_with_a_shadowing_scope_leaves_the_store_untouched() {
         "rule ({Int} => Int * Int) (?(Int * Int)) with {7 : Int}\n",
     )
     .unwrap();
-    let store = dir.join("store");
-    let elab = ["--semantics", "elab"];
-    let cold = run(&dir, &store, &elab);
-    assert!(outcome(&cold).contains("cold=1"), "{cold}");
-    assert!(cold.contains("p5_scoped.imp: (7, 8) : Int * Int"), "{cold}");
+    // Under `both` the opsem leg's runtime memo learns the scoped
+    // program's queries too, keyed by its own frame: not saved, so
+    // not written.
+    for semantics in ["elab", "both"] {
+        let store = dir.join(format!("store-{semantics}"));
+        let args = ["--semantics", semantics];
+        let cold = run(&dir, &store, &args);
+        assert!(outcome(&cold).contains("cold=1"), "{cold}");
+        assert!(cold.contains("p5_scoped.imp: (7, 8) : Int * Int"), "{cold}");
+        let primed = snapshot(&store);
+        let hit = run(&dir, &store, &args);
+        assert_eq!(
+            outcome(&hit),
+            "cache: exact=1 incremental=0 cold=0, fallbacks=0"
+        );
+        assert!(
+            snapshot(&store) == primed,
+            "[{semantics}] a scope that only shelves must not rewrite the store"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_layout_only_edit_adds_one_source_pointer_and_no_artifact() {
+    let (dir, store) = batch_dir("layout");
+    run(&dir, &store, &[]);
     let primed = snapshot(&store);
-    let hit = run(&dir, &store, &elab);
+
+    let text = format!(
+        "-- the same bindings\n{}\n\n",
+        prelude(40).replace(" in", "  in")
+    );
+    std::fs::write(dir.join("prelude.imp"), text).unwrap();
+    let moved = run(&dir, &store, &[]);
+    assert_eq!(
+        outcome(&moved),
+        "cache: exact=1 incremental=0 cold=0, fallbacks=0"
+    );
+    let now = snapshot(&store);
+    let added: Vec<&String> = now.keys().filter(|n| !primed.contains_key(*n)).collect();
+    assert_eq!(added.len(), 1, "one new file: {added:?}");
+    assert!(added[0].ends_with(".src"), "a source pointer: {added:?}");
+    for (name, file) in &primed {
+        assert!(now[name] == *file, "`{name}` was rewritten");
+    }
+
+    let again = run(&dir, &store, &[]);
+    assert_eq!(
+        outcome(&again),
+        "cache: exact=1 incremental=0 cold=0, fallbacks=0"
+    );
+    assert!(snapshot(&store) == now, "the next run writes nothing");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_source_pointer_to_a_missing_artifact_is_counted_and_mended() {
+    let (dir, store) = batch_dir("dangling");
+    run(&dir, &store, &[]);
+    let pointer = store.join(&names_with(&store, ".src")[0]);
+    let key = std::fs::read_to_string(&pointer).unwrap();
+    std::fs::write(&pointer, "0123456789abcdef\n").unwrap();
+
+    let fell = run(&dir, &store, &[]);
+    assert_eq!(
+        outcome(&fell),
+        "cache: exact=1 incremental=0 cold=0, fallbacks=1"
+    );
+    assert_eq!(std::fs::read_to_string(&pointer).unwrap(), key);
+    let mended = snapshot(&store);
+    let hit = run(&dir, &store, &[]);
     assert_eq!(
         outcome(&hit),
         "cache: exact=1 incremental=0 cold=0, fallbacks=0"
     );
-    assert!(
-        snapshot(&store) == primed,
-        "a scope that only shelves must not rewrite the store"
-    );
+    assert!(snapshot(&store) == mended, "the mended hit writes nothing");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -189,6 +263,11 @@ fn an_edit_adds_one_artifact_and_a_revert_points_the_head_back() {
     assert_ne!(new_key, old_key, "the head names the edited prelude");
     assert!(artifacts.contains(&format!("{new_key}.iart")));
 
+    assert_eq!(names_with(&store, ".src").len(), 2, "one pointer per text");
+    let edited_store = snapshot(&store);
+
+    // The reverted text is one the store has seen: its source pointer
+    // loads the old artifact, and only the head moves.
     std::fs::write(dir.join("prelude.imp"), prelude(40)).unwrap();
     let reverted = run(&dir, &store, &[]);
     assert!(outcome(&reverted).contains("exact=1"), "{reverted}");
@@ -200,6 +279,12 @@ fn an_edit_adds_one_artifact_and_a_revert_points_the_head_back() {
         "the reverted artifact is read, not rewritten"
     );
     assert_eq!(names_with(&store, ".iart").len(), 2);
+    for (name, file) in &edited_store {
+        if !name.ends_with(".head") {
+            assert!(now.get(name) == Some(file), "`{name}` was rewritten");
+        }
+    }
+    assert_eq!(now.len(), edited_store.len(), "no file was added");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
