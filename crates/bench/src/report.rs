@@ -9,9 +9,8 @@
 //!
 //! The tables run as separate test binaries, so a writer must not
 //! clobber the others' sections: [`write_section`] re-reads the file
-//! and carries every other known section over verbatim. The format is
-//! fully controlled by this module (flat rows, no nested brackets),
-//! which is what makes the bracket-scan in [`section_body`] sound.
+//! with [`parse_json`] and carries every other known section's rows
+//! over. Each row is written on a line of its own.
 //!
 //! Rows record both the worker count the series *requested* and the
 //! parallelism the host *offers* ([`detected_parallelism`]): a
@@ -22,6 +21,8 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+
+use implicit_core::json::{parse_json, Json};
 
 /// Every section a `BENCH_vm.json` may contain, in file order.
 const SECTIONS: [&str; 5] = ["b13", "b14", "b15", "b16", "b17"];
@@ -69,6 +70,17 @@ impl BenchRow {
             checksum,
         }
     }
+
+    fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("series", Json::Str(self.series.clone())),
+            ("workers", Json::Int(self.workers as i64)),
+            ("cpus", Json::Int(self.cpus as i64)),
+            ("ms", Json::Num(self.ms)),
+            ("speedup", Json::Num(self.speedup)),
+            ("checksum", Json::Int(self.checksum as i64)),
+        ])
+    }
 }
 
 /// Repository-root path of the artifact.
@@ -91,60 +103,34 @@ pub fn write_section(section: &str, rows: &[BenchRow]) -> PathBuf {
     );
     let path = artifact_path();
     let existing = std::fs::read_to_string(&path).unwrap_or_default();
+    std::fs::write(&path, merge_section(&existing, section, rows)).expect("write BENCH_vm.json");
+    path
+}
+
+/// The artifact text with `section` holding `rows` and every other
+/// known section carried over from `existing` (empty when `existing`
+/// does not parse or lacks it).
+fn merge_section(existing: &str, section: &str, rows: &[BenchRow]) -> String {
+    let existing = parse_json(existing).ok();
     let mut out = String::from("{\n");
     for (i, name) in SECTIONS.iter().enumerate() {
-        let body = if *name == section {
-            render_rows(rows)
+        let rows: Vec<Json> = if *name == section {
+            rows.iter().map(BenchRow::to_json).collect()
         } else {
-            section_body(&existing, name).unwrap_or_else(|| String::from("[]"))
+            let kept = existing.as_ref().and_then(|d| d.get(name)?.as_arr());
+            kept.map(<[Json]>::to_vec).unwrap_or_default()
+        };
+        let body = if rows.is_empty() {
+            String::from("[]")
+        } else {
+            let lines: Vec<String> = rows.iter().map(|r| format!("    {}", r.render())).collect();
+            format!("[\n{}\n  ]", lines.join(",\n"))
         };
         let comma = if i + 1 < SECTIONS.len() { "," } else { "" };
         let _ = writeln!(out, "  \"{name}\": {body}{comma}");
     }
     out.push_str("}\n");
-    std::fs::write(&path, out).expect("write BENCH_vm.json");
-    path
-}
-
-/// Renders rows as a JSON array, one flat object per line.
-fn render_rows(rows: &[BenchRow]) -> String {
-    if rows.is_empty() {
-        return String::from("[]");
-    }
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"series\": \"{}\", \"workers\": {}, \"cpus\": {}, \
-             \"ms\": {:.3}, \"speedup\": {:.3}, \"checksum\": {}}}{comma}",
-            escape(&r.series),
-            r.workers,
-            r.cpus,
-            r.ms,
-            r.speedup,
-            r.checksum
-        );
-    }
-    out.push_str("  ]");
     out
-}
-
-/// Extracts a section's `[...]` body from a previously written file.
-/// Sound only on this module's own output: rows are flat objects, so
-/// the first `]` after the key closes the array.
-fn section_body(text: &str, name: &str) -> Option<String> {
-    let key = format!("\"{name}\":");
-    let start = text.find(&key)? + key.len();
-    let rest = &text[start..];
-    let open = rest.find('[')?;
-    let close = rest.find(']')?;
-    (open < close).then(|| rest[open..=close].to_string())
-}
-
-/// Escapes a series label for a JSON string literal.
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]
@@ -152,9 +138,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn render_and_reextract_round_trip() {
+    fn written_section_and_carried_sections_round_trip() {
         let rows = vec![
-            BenchRow::single("warm tree", 563.712, 1.0, 42),
+            BenchRow::single("warm \"tree\"", 563.712, 1.0, 42),
             BenchRow {
                 series: String::from("warm vm"),
                 workers: 4,
@@ -164,17 +150,40 @@ mod tests {
                 checksum: 42,
             },
         ];
-        let body = render_rows(&rows);
-        let file =
-            format!("{{\n  \"b13\": [],\n  \"b14\": {body},\n  \"b15\": [],\n  \"b16\": []\n}}\n");
-        assert_eq!(section_body(&file, "b14").unwrap(), body);
-        assert_eq!(section_body(&file, "b15").unwrap(), "[]");
-        assert_eq!(section_body(&file, "b16").unwrap(), "[]");
-        assert!(section_body(&file, "b99").is_none());
-        assert!(body.contains("\"ms\": 563.712"));
-        assert!(body.contains("\"speedup\": 9.170"));
-        assert!(body.contains("\"workers\": 4"));
-        assert!(body.contains("\"cpus\": 8"));
+        // A file in the older spaced layout, with a b15 section to keep
+        // and an unknown section to drop.
+        let old = concat!(
+            "{\n  \"b13\": [],\n  \"b15\": [\n",
+            "    {\"series\": \"wild\", \"workers\": 1, \"cpus\": 2, ",
+            "\"ms\": 3.250, \"speedup\": 1.000, \"checksum\": 7}\n  ],\n",
+            "  \"b99\": [{\"series\": \"gone\"}]\n}\n"
+        );
+        let text = merge_section(old, "b14", &rows);
+        let cpus = detected_parallelism();
+        assert_eq!(
+            text,
+            format!(
+                "{{\n  \"b13\": [],\n  \"b14\": [\n    \
+                 {{\"series\":\"warm \\\"tree\\\"\",\"workers\":1,\"cpus\":{cpus},\
+                 \"ms\":563.712,\"speedup\":1.000,\"checksum\":42}},\n    \
+                 {{\"series\":\"warm vm\",\"workers\":4,\"cpus\":8,\
+                 \"ms\":61.500,\"speedup\":9.170,\"checksum\":42}}\n  ],\n  \
+                 \"b15\": [\n    {{\"series\":\"wild\",\"workers\":1,\"cpus\":2,\
+                 \"ms\":3.250,\"speedup\":1.000,\"checksum\":7}}\n  ],\n  \
+                 \"b16\": [],\n  \"b17\": []\n}}\n"
+            )
+        );
+        // Rewriting another section keeps this one's rows as they are.
+        let again = merge_section(&text, "b16", &[]);
+        assert_eq!(again, text);
+        let doc = parse_json(&again).expect("the artifact parses");
+        assert!(doc.get("b99").is_none());
+        assert_eq!(
+            doc.get("b14").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(2)
+        );
+        // An unreadable file is replaced, not merged.
+        assert!(merge_section("{ not json", "b13", &[]).starts_with("{\n  \"b13\": [],"));
     }
 
     #[test]

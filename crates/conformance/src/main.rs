@@ -169,7 +169,10 @@ fn main() -> ExitCode {
         "  per-leg cpu time: {}",
         legs.as_pairs()
             .iter()
-            .map(|(name, us)| format!("{name} {:.1} ms", *us as f64 / 1000.0))
+            .filter_map(|(name, us)| {
+                let leg = name.strip_suffix("_us")?;
+                Some(format!("{leg} {:.1} ms", *us as f64 / 1000.0))
+            })
             .collect::<Vec<_>>()
             .join(", ")
     );

@@ -852,29 +852,12 @@ fn check_derivations_agree(
             ),
         ));
     }
-    let sa = a.stats(env);
-    let sb = b.stats(env);
-    // Compare every cache-independent counter; the cache_* fields are
-    // cumulative environment state and legitimately differ between
-    // cold and warm runs.
-    let fields = [
-        ("steps", sa.steps, sb.steps),
-        ("frames_scanned", sa.frames_scanned, sb.frames_scanned),
-        ("rules_tried", sa.rules_tried, sb.rules_tried),
-        ("assumed", sa.assumed, sb.assumed),
-        (
-            "max_frame_reached",
-            sa.max_frame_reached,
-            sb.max_frame_reached,
-        ),
-    ];
-    for (name, x, y) in fields {
-        if x != y {
-            return Err(Divergence::new(
-                DivergenceKind::ResolutionMismatch,
-                format!("[{family}/{pname}] stats.{name} differ: {x} vs {y}"),
-            ));
-        }
+    let (sa, sb) = (a.stats(env), b.stats(env));
+    if sa != sb {
+        return Err(Divergence::new(
+            DivergenceKind::ResolutionMismatch,
+            format!("[{family}/{pname}] stats differ: {sa:?} vs {sb:?}"),
+        ));
     }
     Ok(())
 }

@@ -3,85 +3,42 @@
 //! The harness emits a single JSON document per sweep: per-shard
 //! throughput (so future perf PRs can regress-check programs/sec),
 //! the generator coverage histogram, and every divergence with its
-//! minimized reproducer. The encoder is the hand-rolled JSON value
-//! from [`implicit_pipeline::service`] (re-exported here as [`Json`])
-//! — the daemon wire protocol and this report share one
-//! implementation, so a report value can be framed to `implicitd`
-//! verbatim and vice versa. The build environment has no registry
-//! access, and both shapes are small and fixed.
+//! minimized reproducer. The encoder is the repository's one JSON
+//! value ([`implicit_core::json`]), the same one the daemon wire
+//! protocol speaks, so a report value can be framed to `implicitd`
+//! verbatim and vice versa.
 
+use implicit_core::json::Json;
 use implicit_core::trace::MetricsRegistry;
 
-/// The report's JSON value — the daemon protocol's encoder/decoder
-/// ([`implicit_pipeline::service::Json`]), re-exported so existing
-/// `conformance::report::Json` users keep compiling.
-pub use implicit_pipeline::service::Json;
-
-/// Wall time spent inside each oracle leg, accumulated per shard in
-/// microseconds (reported in milliseconds), so the cost of every leg
-/// — the new subtyping leg in particular — is visible in the JSON
-/// report.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LegTimings {
-    /// The program oracle (typecheck, 3× elaboration, VM, opsem,
-    /// per-site subtyping cross-check).
-    pub program_us: u64,
-    /// The warm/cold session oracle.
-    pub session_us: u64,
-    /// The env-level resolution oracle.
-    pub resolution_us: u64,
-    /// The env-level subtyping oracle.
-    pub subtyping_us: u64,
-    /// The rehydrated-session (warm-restart) oracle.
-    pub restart_us: u64,
-    /// The wild-mode oracle (wild sweeps only).
-    pub wild_us: u64,
-    /// The daemon oracle: an `implicitd` tenant served over the wire
-    /// must agree with the in-process warm session (daemon sweeps
-    /// only).
-    pub daemon_us: u64,
-    /// Not a time: the seeds the daemon oracle skipped because the
-    /// printed program did not parse back.
-    pub daemon_skips: u64,
-}
-
-impl LegTimings {
-    /// Accumulates another shard's (or seed's) timings.
-    pub fn merge(&mut self, other: &LegTimings) {
-        self.program_us += other.program_us;
-        self.session_us += other.session_us;
-        self.resolution_us += other.resolution_us;
-        self.subtyping_us += other.subtyping_us;
-        self.restart_us += other.restart_us;
-        self.wild_us += other.wild_us;
-        self.daemon_us += other.daemon_us;
-        self.daemon_skips += other.daemon_skips;
-    }
-
-    /// `(leg name, accumulated microseconds)` pairs in report order.
-    pub fn as_pairs(&self) -> [(&'static str, u64); 7] {
-        [
-            ("program", self.program_us),
-            ("session", self.session_us),
-            ("resolution", self.resolution_us),
-            ("subtyping", self.subtyping_us),
-            ("restart", self.restart_us),
-            ("wild", self.wild_us),
-            ("daemon", self.daemon_us),
-        ]
-    }
-
-    fn to_json(self) -> Json {
-        let mut fields: Vec<(String, Json)> = self
-            .as_pairs()
-            .into_iter()
-            .map(|(k, us)| (format!("{k}_ms"), Json::Num(us as f64 / 1000.0)))
-            .collect();
-        fields.push((
-            "daemon_skips".to_owned(),
-            Json::Int(self.daemon_skips as i64),
-        ));
-        Json::Obj(fields)
+implicit_core::counter_table! {
+    /// Wall time spent inside each oracle leg, accumulated per shard in
+    /// microseconds (reported in milliseconds, as `<leg>_ms`), so the
+    /// cost of every leg is visible in the JSON report.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct LegTimings {
+        {
+            /// The program oracle (typecheck, 3× elaboration, VM, opsem,
+            /// per-site subtyping cross-check).
+            program_us: u64,
+            /// The warm/cold session oracle.
+            session_us: u64,
+            /// The env-level resolution oracle.
+            resolution_us: u64,
+            /// The env-level subtyping oracle.
+            subtyping_us: u64,
+            /// The rehydrated-session (warm-restart) oracle.
+            restart_us: u64,
+            /// The wild-mode oracle (wild sweeps only).
+            wild_us: u64,
+            /// The daemon oracle: an `implicitd` tenant served over the
+            /// wire must agree with the in-process warm session (daemon
+            /// sweeps only).
+            daemon_us: u64,
+            /// Not a time: the seeds the daemon oracle skipped because
+            /// the printed program did not parse back.
+            daemon_skips: u64,
+        }
     }
 }
 
@@ -132,19 +89,9 @@ impl ShardReport {
             ("steals", Json::Int(self.steals as i64)),
             ("warm_cache_hits", Json::Int(self.warm_cache_hits as i64)),
             ("leg_timing", self.leg_timings.to_json()),
-            ("metrics", metrics_json(&self.metrics)),
+            ("metrics", self.metrics.to_json()),
         ])
     }
-}
-
-/// Renders a [`MetricsRegistry`] as a flat JSON object.
-fn metrics_json(m: &MetricsRegistry) -> Json {
-    Json::Obj(
-        m.as_pairs()
-            .into_iter()
-            .map(|(k, v)| (k.to_owned(), Json::Int(v as i64)))
-            .collect(),
-    )
 }
 
 /// A persisted divergence: everything needed to replay and triage.
@@ -273,7 +220,7 @@ impl RunReport {
             ("programs_per_sec", Json::Num(self.programs_per_sec())),
             ("divergence_count", Json::Int(self.divergences.len() as i64)),
             ("leg_timing", self.total_leg_timings().to_json()),
-            ("metrics", metrics_json(&self.total_metrics())),
+            ("metrics", self.total_metrics().to_json()),
             (
                 "coverage",
                 Json::Obj(

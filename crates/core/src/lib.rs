@@ -25,7 +25,8 @@
 //! | [`coherence`] | companion note on overlapping rules |
 //! | [`logic`] | §3.2 logical interpretation, Theorem 1 |
 //! | [`parse`] / [`pretty`] | concrete syntax |
-//! | [`trace`](mod@trace) | structured tracing/metrics (observability layer, no paper counterpart) |
+//! | [`trace`](mod@trace) / [`counters`] | structured tracing/metrics (observability layer, no paper counterpart) |
+//! | [`json`] | the JSON value, renderer and parser every surface shares (no paper counterpart) |
 //!
 //! ## Quick example
 //!
@@ -58,8 +59,10 @@
 
 pub mod alpha;
 pub mod coherence;
+pub mod counters;
 pub mod env;
 pub mod intern;
+pub mod json;
 pub mod list;
 pub mod logic;
 pub mod parse;
@@ -81,6 +84,6 @@ pub use symbol::Symbol;
 pub use syntax::{Declarations, Expr, RuleType, Type};
 pub use trace::{
     chrome_trace_json, ChromeSink, CollectSink, FanSink, MetricsRegistry, MetricsSink, NullSink,
-    Phase, SharedSink, TeeSink, TraceEvent, TraceSink,
+    Phase, SharedSink, TraceEvent, TraceSink,
 };
 pub use typeck::{TypeError, Typechecker};

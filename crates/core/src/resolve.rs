@@ -254,9 +254,8 @@ impl Resolution {
     /// only the rules the frame's head-constructor index admits for
     /// the queried head (the hit frame is consulted completely among
     /// those, for the `no_overlap` check), so `rules_tried` reflects
-    /// the matching work the derivation caused. The `cache_*` fields
-    /// mirror `env`'s cumulative derivation-cache counters at the
-    /// time of the call.
+    /// the matching work the derivation caused. Cache counters are
+    /// the environment's ([`crate::env::ImplicitEnv::cache_counters`]).
     pub fn stats(&self, env: &crate::env::ImplicitEnv) -> ResolutionStats {
         let mut stats = ResolutionStats::default();
         fn go(res: &Resolution, env: &crate::env::ImplicitEnv, stats: &mut ResolutionStats) {
@@ -277,10 +276,6 @@ impl Resolution {
             }
         }
         go(self, env, &mut stats);
-        let counters = env.cache_counters();
-        stats.cache_hits = counters.hits;
-        stats.cache_misses = counters.misses;
-        stats.cache_evictions = counters.evictions;
         stats
     }
 
@@ -309,12 +304,6 @@ pub struct ResolutionStats {
     pub assumed: usize,
     /// Deepest frame index any lookup descended to.
     pub max_frame_reached: usize,
-    /// Derivation-cache hits of the environment (cumulative).
-    pub cache_hits: u64,
-    /// Derivation-cache misses of the environment (cumulative).
-    pub cache_misses: u64,
-    /// Derivation-cache evictions of the environment (cumulative).
-    pub cache_evictions: u64,
 }
 
 /// Resolution failure.

@@ -26,17 +26,19 @@
 //!    markers — a property pinned by `crates/pipeline/tests/`
 //!    `trace_determinism.rs`.
 //!
-//! [`MetricsRegistry`] is the unified counter snapshot: it subsumes
-//! the per-derivation [`crate::resolve::ResolutionStats`], the
-//! environment's cache counters, the opsem runtime-memo counters, the
-//! pipeline `SessionStats`, the VM's fuel/tail-call/fix-unfold
-//! counters, and the batch driver's job/steal counts. It can be
-//! filled directly or by feeding it events ([`MetricsSink`]).
+//! [`MetricsRegistry`] is the unified counter snapshot: resolution
+//! work, the environment's cache counters, the opsem runtime-memo
+//! counters, a session's program and trim counts, the VM's
+//! fuel/tail-call/fix-unfold counters, and the batch driver's
+//! job/steal counts. It is declared once, as a
+//! [`counter_table!`](crate::counter_table), and filled directly or
+//! by feeding it events ([`MetricsSink`]).
 
 use std::cell::RefCell;
-use std::fmt::Write as _;
 use std::rc::Rc;
 use std::time::Instant;
+
+use crate::json::Json;
 
 /// A pipeline stage delimited by [`TraceEvent::PhaseStart`] /
 /// [`TraceEvent::PhaseEnd`] spans.
@@ -299,8 +301,9 @@ impl TraceEvent {
 
     /// The event's payload as (key, value) argument pairs, used for
     /// the Chrome-trace `args` object.
-    fn args(&self) -> Vec<(&'static str, ArgValue)> {
-        use ArgValue::{Flag, Num, Text};
+    fn args(&self) -> Vec<(&'static str, Json)> {
+        let text = |s: &String| Json::Str(s.clone());
+        let num = |n: u64| Json::Int(n as i64);
         match self {
             TraceEvent::PhaseStart { .. } | TraceEvent::PhaseEnd { .. } => vec![],
             TraceEvent::QueryEnter {
@@ -308,45 +311,40 @@ impl TraceEvent {
                 depth,
                 measure,
             } => vec![
-                ("query", Text(query.clone())),
-                ("depth", Num(*depth as u64)),
-                ("measure", Num(*measure as u64)),
+                ("query", text(query)),
+                ("depth", num(*depth as u64)),
+                ("measure", num(*measure as u64)),
             ],
-            TraceEvent::CacheHit { query } | TraceEvent::CacheMiss { query } => {
-                vec![("query", Text(query.clone()))]
-            }
             TraceEvent::CandidateAdmitted { frame, index, rule }
             | TraceEvent::CandidateRejected { frame, index, rule } => vec![
-                ("frame", Num(*frame as u64)),
-                ("index", Num(*index as u64)),
-                ("rule", Text(rule.clone())),
+                ("frame", num(*frame as u64)),
+                ("index", num(*index as u64)),
+                ("rule", text(rule)),
             ],
             TraceEvent::AssumptionUsed { level, index, rule } => vec![
-                ("level", Num(*level as u64)),
-                ("index", Num(*index as u64)),
-                ("rule", Text(rule.clone())),
+                ("level", num(*level as u64)),
+                ("index", num(*index as u64)),
+                ("rule", text(rule)),
             ],
             TraceEvent::PremiseAssumed { index, rho } => {
-                vec![("index", Num(*index as u64)), ("rho", Text(rho.clone()))]
+                vec![("index", num(*index as u64)), ("rho", text(rho))]
             }
-            TraceEvent::QueryResolved { query, steps } => vec![
-                ("query", Text(query.clone())),
-                ("steps", Num(*steps as u64)),
-            ],
-            TraceEvent::QueryFailed { query, error } => vec![
-                ("query", Text(query.clone())),
-                ("error", Text(error.clone())),
-            ],
-            TraceEvent::MemoHit { query }
+            TraceEvent::QueryResolved { query, steps } => {
+                vec![("query", text(query)), ("steps", num(*steps as u64))]
+            }
+            TraceEvent::QueryFailed { query, error } => {
+                vec![("query", text(query)), ("error", text(error))]
+            }
+            TraceEvent::CacheHit { query }
+            | TraceEvent::CacheMiss { query }
+            | TraceEvent::MemoHit { query }
             | TraceEvent::MemoMiss { query }
             | TraceEvent::IcHit { query }
-            | TraceEvent::IcMiss { query } => {
-                vec![("query", Text(query.clone()))]
-            }
+            | TraceEvent::IcMiss { query } => vec![("query", text(query))],
             TraceEvent::Fusion { scanned, fused } => {
-                vec![("scanned", Num(*scanned)), ("fused", Num(*fused))]
+                vec![("scanned", num(*scanned)), ("fused", num(*fused))]
             }
-            TraceEvent::TreeEval { fuel } => vec![("fuel", Num(*fuel))],
+            TraceEvent::TreeEval { fuel } => vec![("fuel", num(*fuel))],
             TraceEvent::VmRun {
                 fuel,
                 tail_calls,
@@ -354,35 +352,28 @@ impl TraceEvent {
                 match_ic_hits,
                 match_ic_misses,
             } => vec![
-                ("fuel", Num(*fuel)),
-                ("tail_calls", Num(*tail_calls)),
-                ("fix_unfolds", Num(*fix_unfolds)),
-                ("match_ic_hits", Num(*match_ic_hits)),
-                ("match_ic_misses", Num(*match_ic_misses)),
+                ("fuel", num(*fuel)),
+                ("tail_calls", num(*tail_calls)),
+                ("fix_unfolds", num(*fix_unfolds)),
+                ("match_ic_hits", num(*match_ic_hits)),
+                ("match_ic_misses", num(*match_ic_misses)),
             ],
             TraceEvent::JobStart {
                 worker,
                 job,
                 stolen,
             } => vec![
-                ("worker", Num(*worker as u64)),
-                ("job", Num(*job as u64)),
-                ("stolen", Flag(*stolen)),
+                ("worker", num(*worker as u64)),
+                ("job", num(*job as u64)),
+                ("stolen", Json::Bool(*stolen)),
             ],
             TraceEvent::JobFinish { worker, job, ok } => vec![
-                ("worker", Num(*worker as u64)),
-                ("job", Num(*job as u64)),
-                ("ok", Flag(*ok)),
+                ("worker", num(*worker as u64)),
+                ("job", num(*job as u64)),
+                ("ok", Json::Bool(*ok)),
             ],
         }
     }
-}
-
-/// A Chrome-trace argument value.
-enum ArgValue {
-    Text(String),
-    Num(u64),
-    Flag(bool),
 }
 
 /// Receiver of [`TraceEvent`]s.
@@ -444,28 +435,6 @@ impl CollectSink {
 impl TraceSink for CollectSink {
     fn event(&mut self, ev: TraceEvent) {
         self.events.push(ev);
-    }
-}
-
-/// Forwards each event to both halves.
-#[derive(Clone, Default, Debug)]
-pub struct TeeSink<A, B>(pub A, pub B);
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    fn enabled(&self) -> bool {
-        self.0.enabled() || self.1.enabled()
-    }
-
-    fn event(&mut self, ev: TraceEvent) {
-        match (self.0.enabled(), self.1.enabled()) {
-            (true, true) => {
-                self.0.event(ev.clone());
-                self.1.event(ev);
-            }
-            (true, false) => self.0.event(ev),
-            (false, true) => self.1.event(ev),
-            (false, false) => {}
-        }
     }
 }
 
@@ -583,24 +552,6 @@ impl TraceSink for ChromeSink {
     }
 }
 
-/// Escapes a string for a JSON literal (mirrors the conformance
-/// report's writer; kept local so `implicit-core` stays dep-free).
-fn escape_json(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Renders timestamped rows as a Chrome trace-event JSON document
 /// (the `{"traceEvents": […]}` object format understood by
 /// `about:tracing` and Perfetto).
@@ -609,128 +560,136 @@ fn escape_json(s: &str, out: &mut String) {
 /// becomes a thread-scoped instant (`"ph":"i"`, `"s":"t"`) with the
 /// payload under `args`.
 pub fn chrome_trace_json(rows: &[ChromeRow]) -> String {
-    let mut out = String::with_capacity(rows.len() * 96 + 64);
-    out.push_str("{\"traceEvents\":[");
-    for (i, (tid, ts, ev)) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let ph = match ev {
-            TraceEvent::PhaseStart { .. } => "B",
-            TraceEvent::PhaseEnd { .. } => "E",
-            _ => "i",
-        };
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":1,\"tid\":{tid}",
-            ev.name(),
-            ev.category()
-        );
-        if ph == "i" {
-            out.push_str(",\"s\":\"t\"");
-        }
-        let args = ev.args();
-        if !args.is_empty() {
-            out.push_str(",\"args\":{");
-            for (j, (k, v)) in args.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\"{k}\":");
-                match v {
-                    ArgValue::Text(s) => {
-                        out.push('"');
-                        escape_json(s, &mut out);
-                        out.push('"');
-                    }
-                    ArgValue::Num(n) => {
-                        let _ = write!(out, "{n}");
-                    }
-                    ArgValue::Flag(b) => {
-                        let _ = write!(out, "{b}");
-                    }
-                }
+    let events = rows
+        .iter()
+        .map(|(tid, ts, ev)| {
+            let ph = match ev {
+                TraceEvent::PhaseStart { .. } => "B",
+                TraceEvent::PhaseEnd { .. } => "E",
+                _ => "i",
+            };
+            let mut fields = vec![
+                ("name", Json::Str(ev.name().to_owned())),
+                ("cat", Json::Str(ev.category().to_owned())),
+                ("ph", Json::Str(ph.to_owned())),
+                ("ts", Json::Int(*ts as i64)),
+                ("pid", Json::Int(1)),
+                ("tid", Json::Int(*tid as i64)),
+            ];
+            if ph == "i" {
+                fields.push(("s", Json::Str("t".to_owned())));
             }
-            out.push('}');
-        }
-        out.push('}');
-    }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
+            let args = ev.args();
+            if !args.is_empty() {
+                fields.push(("args", Json::obj(args)));
+            }
+            Json::obj(fields)
+        })
+        .collect();
+    Json::obj(vec![
+        ("traceEvents", Json::Arr(events)),
+        ("displayTimeUnit", Json::Str("ms".to_owned())),
+    ])
+    .render()
 }
 
-/// The unified counter snapshot: one place for every number the
-/// pipeline used to scatter across `ResolutionStats`, the derivation
-/// cache's counters, the opsem memo, `SessionStats`, and the VM.
-///
-/// Fill it by feeding events through a [`MetricsSink`], by the
-/// `add_*` absorbers, or both; [`merge`](Self::merge) combines
-/// snapshots (e.g. across batch workers).
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct MetricsRegistry {
-    /// Resolution (sub-)queries entered.
-    pub queries: u64,
-    /// Queries that resolved.
-    pub queries_resolved: u64,
-    /// Queries that failed.
-    pub queries_failed: u64,
-    /// Deepest query recursion observed.
-    pub max_query_depth: usize,
-    /// Candidate rules match-tested and committed to.
-    pub candidates_admitted: u64,
-    /// Candidate rules match-tested and passed over.
-    pub candidates_rejected: u64,
-    /// Premises discharged by partial resolution.
-    pub premises_assumed: u64,
-    /// Derivation-cache hits.
-    pub cache_hits: u64,
-    /// Derivation-cache misses.
-    pub cache_misses: u64,
-    /// Derivation-cache evictions.
-    pub cache_evictions: u64,
-    /// Opsem runtime-memo hits.
-    pub memo_hits: u64,
-    /// Opsem runtime-memo misses.
-    pub memo_misses: u64,
-    /// Dictionary inline-cache hits at implicit-query sites.
-    pub ic_hits: u64,
-    /// Dictionary inline-cache misses at implicit-query sites.
-    pub ic_misses: u64,
-    /// Instructions scanned by the superinstruction pass.
-    pub instrs_scanned: u64,
-    /// Adjacent instruction pairs fused into superinstructions.
-    pub instrs_fused: u64,
-    /// Tree-walking evaluations completed.
-    pub tree_runs: u64,
-    /// Fuel charged across tree-walking evaluations.
-    pub tree_fuel: u64,
-    /// Bytecode-VM executions completed.
-    pub vm_runs: u64,
-    /// Fuel charged across VM executions.
-    pub vm_fuel: u64,
-    /// VM tail calls that reused the running frame.
-    pub vm_tail_calls: u64,
-    /// VM `fix` unfolds answered by the unfold cache.
-    pub vm_fix_unfolds: u64,
-    /// VM match dispatches answered by the match-site inline cache.
-    pub vm_match_ic_hits: u64,
-    /// VM match dispatches that fell back to the linear arm scan.
-    pub vm_match_ic_misses: u64,
-    /// Programs a session ran.
-    pub programs: u64,
-    /// Programs additionally run under the operational semantics.
-    pub opsem_programs: u64,
-    /// Programs run on the bytecode VM.
-    pub compiled_programs: u64,
-    /// Session arena trims.
-    pub trims: u64,
-    /// Batch jobs completed.
-    pub jobs: u64,
-    /// Batch jobs obtained by stealing.
-    pub steals: u64,
-    /// Session artifacts that failed to load (truncated, corrupted,
-    /// or key/version mismatch) and fell back to a cold build.
-    pub artifact_fallbacks: u64,
+crate::counter_table! {
+    /// The unified counter snapshot: one place for every number the
+    /// pipeline reports — resolution work, the derivation cache, the
+    /// opsem memo, the evaluators, a session's programs, and the batch
+    /// driver.
+    ///
+    /// Fill it by feeding events through a [`MetricsSink`], by direct
+    /// increments, or both; [`merge`](Self::merge) combines snapshots
+    /// (e.g. across batch workers). The sections below are the
+    /// sections of the `implicitc --metrics` table.
+    #[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+    pub struct MetricsRegistry {
+        if (queries, queries_failed) {
+            /// Resolution (sub-)queries entered.
+            queries: u64,
+            /// Queries that resolved.
+            queries_resolved: u64 => "  resolved",
+            /// Queries that failed.
+            queries_failed: u64 => "  failed",
+            /// Deepest query recursion observed.
+            max_query_depth: usize = max => "  max depth",
+            /// Candidate rules match-tested and committed to.
+            candidates_admitted: u64,
+            /// Candidate rules match-tested and passed over.
+            candidates_rejected: u64,
+            /// Premises discharged by partial resolution.
+            premises_assumed: u64,
+        }
+        if (cache_hits, cache_misses) {
+            /// Derivation-cache hits.
+            cache_hits: u64,
+            /// Derivation-cache misses.
+            cache_misses: u64,
+            /// Derivation-cache evictions.
+            cache_evictions: u64,
+        } rate "cache hit rate" (cache_hits, cache_misses)
+        if (memo_hits, memo_misses) {
+            /// Opsem runtime-memo hits.
+            memo_hits: u64,
+            /// Opsem runtime-memo misses.
+            memo_misses: u64,
+        }
+        if (ic_hits, ic_misses) {
+            /// Dictionary inline-cache hits at implicit-query sites.
+            ic_hits: u64,
+            /// Dictionary inline-cache misses at implicit-query sites.
+            ic_misses: u64,
+        } rate "ic hit rate" (ic_hits, ic_misses)
+        if (instrs_scanned) {
+            /// Instructions scanned by the superinstruction pass.
+            instrs_scanned: u64,
+            /// Adjacent instruction pairs fused into superinstructions.
+            instrs_fused: u64,
+        }
+        if (tree_runs) {
+            /// Tree-walking evaluations completed.
+            tree_runs: u64,
+            /// Fuel charged across tree-walking evaluations.
+            tree_fuel: u64,
+        }
+        if (vm_runs) {
+            /// Bytecode-VM executions completed.
+            vm_runs: u64,
+            /// Fuel charged across VM executions.
+            vm_fuel: u64,
+            /// VM tail calls that reused the running frame.
+            vm_tail_calls: u64,
+            /// VM `fix` unfolds answered by the unfold cache.
+            vm_fix_unfolds: u64,
+            /// VM match dispatches answered by the match-site inline cache.
+            vm_match_ic_hits: u64,
+            /// VM match dispatches that fell back to the linear arm scan.
+            vm_match_ic_misses: u64,
+        }
+        if (programs) {
+            /// Programs a session ran.
+            programs: u64,
+            /// Programs additionally run under the operational semantics.
+            opsem_programs: u64 => "  opsem",
+            /// Programs run on the bytecode VM.
+            compiled_programs: u64 => "  compiled",
+            /// Session arena trims.
+            trims: u64,
+        }
+        if (jobs) {
+            /// Batch jobs completed.
+            jobs: u64,
+            /// Batch jobs obtained by stealing.
+            steals: u64,
+        }
+        if (artifact_fallbacks) {
+            /// Session artifacts that failed to load (truncated,
+            /// corrupted, or key/version mismatch) and fell back to a
+            /// cold build.
+            artifact_fallbacks: u64,
+        }
+    }
 }
 
 impl MetricsRegistry {
@@ -791,168 +750,11 @@ impl MetricsRegistry {
         }
     }
 
-    /// Adds every counter of `other` into `self` (depths take the
-    /// max).
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        self.queries += other.queries;
-        self.queries_resolved += other.queries_resolved;
-        self.queries_failed += other.queries_failed;
-        self.max_query_depth = self.max_query_depth.max(other.max_query_depth);
-        self.candidates_admitted += other.candidates_admitted;
-        self.candidates_rejected += other.candidates_rejected;
-        self.premises_assumed += other.premises_assumed;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
-        self.memo_hits += other.memo_hits;
-        self.memo_misses += other.memo_misses;
-        self.ic_hits += other.ic_hits;
-        self.ic_misses += other.ic_misses;
-        self.instrs_scanned += other.instrs_scanned;
-        self.instrs_fused += other.instrs_fused;
-        self.tree_runs += other.tree_runs;
-        self.tree_fuel += other.tree_fuel;
-        self.vm_runs += other.vm_runs;
-        self.vm_fuel += other.vm_fuel;
-        self.vm_tail_calls += other.vm_tail_calls;
-        self.vm_fix_unfolds += other.vm_fix_unfolds;
-        self.vm_match_ic_hits += other.vm_match_ic_hits;
-        self.vm_match_ic_misses += other.vm_match_ic_misses;
-        self.programs += other.programs;
-        self.opsem_programs += other.opsem_programs;
-        self.compiled_programs += other.compiled_programs;
-        self.trims += other.trims;
-        self.jobs += other.jobs;
-        self.steals += other.steals;
-        self.artifact_fallbacks += other.artifact_fallbacks;
-    }
-
-    /// Absorbs a per-derivation [`crate::resolve::ResolutionStats`]
-    /// (its cumulative `cache_*` mirror fields are *not* taken — use
-    /// [`set_cache_counters`](Self::set_cache_counters) with the
-    /// environment's own counters instead, to avoid double counting).
-    pub fn add_resolution_stats(&mut self, stats: &crate::resolve::ResolutionStats) {
-        self.queries += stats.steps as u64;
-        self.queries_resolved += stats.steps as u64;
-        self.candidates_admitted += stats.steps as u64;
-        self.candidates_rejected += (stats.rules_tried - stats.steps) as u64;
-        self.premises_assumed += stats.assumed as u64;
-    }
-
     /// Overwrites the cache counters from an environment snapshot.
     pub fn set_cache_counters(&mut self, counters: crate::env::CacheCounters) {
         self.cache_hits = counters.hits;
         self.cache_misses = counters.misses;
         self.cache_evictions = counters.evictions;
-    }
-
-    /// Every counter as `(name, value)` pairs in declaration order
-    /// (`max_query_depth` widened to `u64`) — the machine-readable
-    /// mirror of [`render_table`](Self::render_table), used by JSON
-    /// reports.
-    pub fn as_pairs(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("queries", self.queries),
-            ("queries_resolved", self.queries_resolved),
-            ("queries_failed", self.queries_failed),
-            ("max_query_depth", self.max_query_depth as u64),
-            ("candidates_admitted", self.candidates_admitted),
-            ("candidates_rejected", self.candidates_rejected),
-            ("premises_assumed", self.premises_assumed),
-            ("cache_hits", self.cache_hits),
-            ("cache_misses", self.cache_misses),
-            ("cache_evictions", self.cache_evictions),
-            ("memo_hits", self.memo_hits),
-            ("memo_misses", self.memo_misses),
-            ("ic_hits", self.ic_hits),
-            ("ic_misses", self.ic_misses),
-            ("instrs_scanned", self.instrs_scanned),
-            ("instrs_fused", self.instrs_fused),
-            ("tree_runs", self.tree_runs),
-            ("tree_fuel", self.tree_fuel),
-            ("vm_runs", self.vm_runs),
-            ("vm_fuel", self.vm_fuel),
-            ("vm_tail_calls", self.vm_tail_calls),
-            ("vm_fix_unfolds", self.vm_fix_unfolds),
-            ("vm_match_ic_hits", self.vm_match_ic_hits),
-            ("vm_match_ic_misses", self.vm_match_ic_misses),
-            ("programs", self.programs),
-            ("opsem_programs", self.opsem_programs),
-            ("compiled_programs", self.compiled_programs),
-            ("trims", self.trims),
-            ("jobs", self.jobs),
-            ("steals", self.steals),
-            ("artifact_fallbacks", self.artifact_fallbacks),
-        ]
-    }
-
-    /// Renders the snapshot as the aligned human table behind
-    /// `implicitc --metrics`. Zero sections are skipped.
-    pub fn render_table(&self) -> String {
-        let mut out = String::new();
-        let mut row = |k: &str, v: String| {
-            let _ = writeln!(out, "  {k:<24} {v:>12}");
-        };
-        if self.queries > 0 || self.queries_failed > 0 {
-            row("queries", self.queries.to_string());
-            row("  resolved", self.queries_resolved.to_string());
-            row("  failed", self.queries_failed.to_string());
-            row("  max depth", self.max_query_depth.to_string());
-            row("candidates admitted", self.candidates_admitted.to_string());
-            row("candidates rejected", self.candidates_rejected.to_string());
-            row("premises assumed", self.premises_assumed.to_string());
-        }
-        if self.cache_hits + self.cache_misses > 0 {
-            row("cache hits", self.cache_hits.to_string());
-            row("cache misses", self.cache_misses.to_string());
-            row("cache evictions", self.cache_evictions.to_string());
-            let rate =
-                100.0 * self.cache_hits as f64 / (self.cache_hits + self.cache_misses) as f64;
-            row("cache hit rate", format!("{rate:.1}%"));
-        }
-        if self.memo_hits + self.memo_misses > 0 {
-            row("memo hits", self.memo_hits.to_string());
-            row("memo misses", self.memo_misses.to_string());
-        }
-        if self.ic_hits + self.ic_misses > 0 {
-            row("ic hits", self.ic_hits.to_string());
-            row("ic misses", self.ic_misses.to_string());
-            let rate = 100.0 * self.ic_hits as f64 / (self.ic_hits + self.ic_misses) as f64;
-            row("ic hit rate", format!("{rate:.1}%"));
-        }
-        if self.instrs_scanned > 0 {
-            row("instrs scanned", self.instrs_scanned.to_string());
-            row("instrs fused", self.instrs_fused.to_string());
-        }
-        if self.tree_runs > 0 {
-            row("tree runs", self.tree_runs.to_string());
-            row("tree fuel", self.tree_fuel.to_string());
-        }
-        if self.vm_runs > 0 {
-            row("vm runs", self.vm_runs.to_string());
-            row("vm fuel", self.vm_fuel.to_string());
-            row("vm tail calls", self.vm_tail_calls.to_string());
-            row("vm fix unfolds", self.vm_fix_unfolds.to_string());
-            row("vm match ic hits", self.vm_match_ic_hits.to_string());
-            row("vm match ic misses", self.vm_match_ic_misses.to_string());
-        }
-        if self.programs > 0 {
-            row("programs", self.programs.to_string());
-            row("  opsem", self.opsem_programs.to_string());
-            row("  compiled", self.compiled_programs.to_string());
-            row("trims", self.trims.to_string());
-        }
-        if self.jobs > 0 {
-            row("jobs", self.jobs.to_string());
-            row("steals", self.steals.to_string());
-        }
-        if self.artifact_fallbacks > 0 {
-            row("artifact fallbacks", self.artifact_fallbacks.to_string());
-        }
-        if out.is_empty() {
-            out.push_str("  (no activity recorded)\n");
-        }
-        out
     }
 }
 
@@ -1012,7 +814,7 @@ mod tests {
     }
 
     #[test]
-    fn tee_and_fan_deliver_to_all() {
+    fn fan_delivers_to_all() {
         let a = Rc::new(RefCell::new(CollectSink::new()));
         let b = Rc::new(RefCell::new(MetricsSink::new()));
         let mut fan = FanSink {
@@ -1027,13 +829,6 @@ mod tests {
         });
         assert_eq!(a.borrow().events.len(), 1);
         assert_eq!(b.borrow().metrics.queries_resolved, 1);
-
-        let mut tee = TeeSink(CollectSink::new(), MetricsSink::new());
-        tee.event(TraceEvent::MemoHit {
-            query: "Bool".into(),
-        });
-        assert_eq!(tee.0.events.len(), 1);
-        assert_eq!(tee.1.metrics.memo_hits, 1);
     }
 
     #[test]

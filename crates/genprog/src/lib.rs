@@ -535,95 +535,49 @@ impl Default for GenConfig {
     }
 }
 
-/// Per-construct emission counters, accumulated while generating.
-///
-/// The conformance harness aggregates these across a sweep to prove
-/// that the generator actually exercises every syntax construct it
-/// claims to cover (the "generator coverage histogram" of the run
-/// report).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[allow(missing_docs)] // field names are the histogram labels
-pub struct GenCounters {
-    pub int_lit: u64,
-    pub bool_lit: u64,
-    pub str_lit: u64,
-    pub binop: u64,
-    pub if_then_else: u64,
-    pub pair: u64,
-    pub list: u64,
-    pub query: u64,
-    pub implicit_scope: u64,
-    pub poly_rule: u64,
-    pub hk_rule: u64,
-    pub hk_query: u64,
-    pub inject: u64,
-    pub match_arms: u64,
-    pub fix_rec: u64,
-    pub list_case: u64,
-    pub applied_ctor_type: u64,
-    /// Deepest implicit-scope nesting reached (a max, not a sum).
-    pub max_scope_depth: u64,
-    /// Rules emitted across wild-mode frames.
-    pub wild_rules: u64,
-    /// Wild-mode queries drawn from the hot set.
-    pub wild_hot_queries: u64,
-    /// Wild-mode cold one-off queries.
-    pub wild_cold_queries: u64,
-    /// Longest wild-mode conversion chain (a max, not a sum).
-    pub wild_max_chain: u64,
+implicit_core::counter_table! {
+    /// Per-construct emission counters, accumulated while generating.
+    ///
+    /// The conformance harness aggregates these across a sweep to prove
+    /// that the generator actually exercises every syntax construct it
+    /// claims to cover (the "generator coverage histogram" of the run
+    /// report).
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    #[allow(missing_docs)] // field names are the histogram labels
+    pub struct GenCounters {
+        {
+            int_lit: u64,
+            bool_lit: u64,
+            str_lit: u64,
+            binop: u64,
+            if_then_else: u64,
+            pair: u64,
+            list: u64,
+            query: u64,
+            implicit_scope: u64,
+            poly_rule: u64,
+            hk_rule: u64,
+            hk_query: u64,
+            inject: u64,
+            match_arms: u64,
+            fix_rec: u64,
+            list_case: u64,
+            applied_ctor_type: u64,
+            /// Deepest implicit-scope nesting reached (a max, not a sum).
+            max_scope_depth: u64 = max,
+            /// Rules emitted across wild-mode frames.
+            wild_rules: u64,
+            /// Wild-mode queries drawn from the hot set.
+            wild_hot_queries: u64,
+            /// Wild-mode cold one-off queries.
+            wild_cold_queries: u64,
+            /// Longest wild-mode conversion chain (a max, not a sum).
+            wild_max_chain: u64 = max,
+        }
+    }
 }
 
 impl GenCounters {
-    /// Accumulates `other` into `self` (sums counts, maxes depths).
-    pub fn merge(&mut self, other: &GenCounters) {
-        let GenCounters {
-            int_lit,
-            bool_lit,
-            str_lit,
-            binop,
-            if_then_else,
-            pair,
-            list,
-            query,
-            implicit_scope,
-            poly_rule,
-            hk_rule,
-            hk_query,
-            inject,
-            match_arms,
-            fix_rec,
-            list_case,
-            applied_ctor_type,
-            max_scope_depth,
-            wild_rules,
-            wild_hot_queries,
-            wild_cold_queries,
-            wild_max_chain,
-        } = other;
-        self.int_lit += int_lit;
-        self.bool_lit += bool_lit;
-        self.str_lit += str_lit;
-        self.binop += binop;
-        self.if_then_else += if_then_else;
-        self.pair += pair;
-        self.list += list;
-        self.query += query;
-        self.implicit_scope += implicit_scope;
-        self.poly_rule += poly_rule;
-        self.hk_rule += hk_rule;
-        self.hk_query += hk_query;
-        self.inject += inject;
-        self.match_arms += match_arms;
-        self.fix_rec += fix_rec;
-        self.list_case += list_case;
-        self.applied_ctor_type += applied_ctor_type;
-        self.max_scope_depth = self.max_scope_depth.max(*max_scope_depth);
-        self.wild_rules += wild_rules;
-        self.wild_hot_queries += wild_hot_queries;
-        self.wild_cold_queries += wild_cold_queries;
-        self.wild_max_chain = self.wild_max_chain.max(*wild_max_chain);
-    }
-
     /// Folds a wild workload's histogram into the counters (the
     /// wild-mode sweep's coverage rows).
     pub fn record_wild(&mut self, hist: &WildHistogram) {
@@ -631,35 +585,6 @@ impl GenCounters {
         self.wild_hot_queries += hist.hot_queries;
         self.wild_cold_queries += hist.cold_queries;
         self.wild_max_chain = self.wild_max_chain.max(hist.max_chain_len);
-    }
-
-    /// The counters as labelled pairs, in a stable order (the
-    /// conformance report's histogram rows).
-    pub fn as_pairs(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("int_lit", self.int_lit),
-            ("bool_lit", self.bool_lit),
-            ("str_lit", self.str_lit),
-            ("binop", self.binop),
-            ("if_then_else", self.if_then_else),
-            ("pair", self.pair),
-            ("list", self.list),
-            ("query", self.query),
-            ("implicit_scope", self.implicit_scope),
-            ("poly_rule", self.poly_rule),
-            ("hk_rule", self.hk_rule),
-            ("hk_query", self.hk_query),
-            ("inject", self.inject),
-            ("match_arms", self.match_arms),
-            ("fix_rec", self.fix_rec),
-            ("list_case", self.list_case),
-            ("applied_ctor_type", self.applied_ctor_type),
-            ("max_scope_depth", self.max_scope_depth),
-            ("wild_rules", self.wild_rules),
-            ("wild_hot_queries", self.wild_hot_queries),
-            ("wild_cold_queries", self.wild_cold_queries),
-            ("wild_max_chain", self.wild_max_chain),
-        ]
     }
 }
 

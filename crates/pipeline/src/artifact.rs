@@ -63,7 +63,7 @@ use systemf::eval::Env as FEnv;
 use systemf::wire::{isa_from_tag, isa_tag, SfDec, SfEnc};
 use systemf::{Compiler, Evaluator, FExpr, FType, Isa};
 
-use crate::{check_open, compile_eval, Prelude, Session, SessionError, SessionStats};
+use crate::{check_open, compile_eval, Prelude, Session, SessionError};
 
 /// Artifact file magic.
 const MAGIC: [u8; 4] = *b"IART";
@@ -901,7 +901,6 @@ pub fn assemble<'d>(
         istack: a.istack,
         intern_base,
         env_base,
-        stats: SessionStats::default(),
         metrics: Rc::new(RefCell::new(MetricsSink::new())),
         trace: None,
         prelude: a.prelude,
@@ -1179,7 +1178,6 @@ pub fn rebuild_incremental<'d>(
         istack,
         intern_base,
         env_base,
-        stats: SessionStats::default(),
         metrics: Rc::new(RefCell::new(MetricsSink::new())),
         trace: None,
         prelude: prelude.clone(),

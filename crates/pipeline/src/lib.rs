@@ -247,19 +247,6 @@ impl From<RunError> for SessionError {
     }
 }
 
-/// Cumulative statistics for one session.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SessionStats {
-    /// Programs run through the elaboration leg.
-    pub programs: u64,
-    /// Programs run through the operational-semantics leg.
-    pub opsem_programs: u64,
-    /// Programs evaluated by the bytecode VM ([`Session::run_compiled`]).
-    pub compiled_programs: u64,
-    /// Arena rollbacks performed by [`Session::maybe_trim`].
-    pub trims: u64,
-}
-
 /// Which System F evaluator a session (or the CLI) should use.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Backend {
@@ -335,10 +322,10 @@ pub struct Session<'d> {
     istack: ImplStack,
     intern_base: InternSnapshot,
     env_base: EnvSnapshot,
-    stats: SessionStats,
     /// Session-internal metrics accumulator. Phase and evaluator
-    /// events are always folded in; resolution-grain events join when
-    /// a trace sink is installed (they are only emitted then).
+    /// events and the program and trim counts are always folded in;
+    /// resolution-grain events join when a trace sink is installed
+    /// (they are only emitted then).
     metrics: Rc<RefCell<MetricsSink>>,
     /// The caller's sink, if any (see [`Session::set_trace`]).
     trace: Option<SharedSink>,
@@ -524,7 +511,6 @@ impl<'d> Session<'d> {
             istack,
             intern_base,
             env_base,
-            stats: SessionStats::default(),
             metrics: Rc::new(RefCell::new(MetricsSink::new())),
             trace: None,
             prelude: prelude.clone(),
@@ -600,11 +586,12 @@ impl<'d> Session<'d> {
         let (ic_hits, ic_misses) = self.dict.borrow().counters();
         m.ic_hits = ic_hits;
         m.ic_misses = ic_misses;
-        m.programs = self.stats.programs;
-        m.opsem_programs = self.stats.opsem_programs;
-        m.compiled_programs = self.stats.compiled_programs;
-        m.trims = self.stats.trims;
         m
+    }
+
+    /// Bumps session-level counters in the session's own registry.
+    fn count(&self, bump: impl FnOnce(&mut MetricsRegistry)) {
+        bump(&mut self.metrics.borrow_mut().metrics);
     }
 
     /// Folds an event into the session metrics and forwards it to the
@@ -728,11 +715,6 @@ impl<'d> Session<'d> {
             .collect()
     }
 
-    /// Cumulative session statistics.
-    pub fn stats(&self) -> SessionStats {
-        self.stats
-    }
-
     /// Runs one program through elaborate → preservation-check →
     /// evaluate, reusing every warm structure. Equivalent to
     /// `implicit_elab::run_with(decls, &prelude.wrap(e, τ), policy)`
@@ -752,7 +734,7 @@ impl<'d> Session<'d> {
         // warm environment.
         let base = self.env_base;
         self.env.restore(&base);
-        self.stats.programs += 1;
+        self.count(|m| m.programs += 1);
         self.maybe_trim();
         out
     }
@@ -826,8 +808,10 @@ impl<'d> Session<'d> {
         // dictionaries' code and globals become part of the session
         // watermark instead of being swept by the next rollback.
         self.promote_dicts();
-        self.stats.programs += 1;
-        self.stats.compiled_programs += 1;
+        self.count(|m| {
+            m.programs += 1;
+            m.compiled_programs += 1;
+        });
         self.maybe_trim();
         out
     }
@@ -950,7 +934,7 @@ impl<'d> Session<'d> {
         let out = self.elaborate_and_check(e).map(|(ty, _, _)| ty);
         let base = self.env_base;
         self.env.restore(&base);
-        self.stats.programs += 1;
+        self.count(|m| m.programs += 1);
         self.maybe_trim();
         out
     }
@@ -978,7 +962,7 @@ impl<'d> Session<'d> {
         fuel: u64,
     ) -> Result<implicit_opsem::Value, OpsemError> {
         self.interp.refuel(fuel);
-        self.stats.opsem_programs += 1;
+        self.count(|m| m.opsem_programs += 1);
         self.emit(TraceEvent::PhaseStart {
             phase: Phase::Opsem,
         });
@@ -1035,7 +1019,7 @@ impl<'d> Session<'d> {
         // registered — harmless dead weight, re-promoted on demand.
         self.dict.borrow_mut().retain_covered(&base);
         intern::truncate_to(&base);
-        self.stats.trims += 1;
+        self.count(|m| m.trims += 1);
     }
 }
 
@@ -1254,7 +1238,7 @@ mod tests {
                 implicit_elab::run(&decls, &prelude.wrap(chain_query_program(8, 5), Type::Int))
                     .unwrap();
             assert_eq!(warm.value.to_string(), cold.value.to_string());
-            assert!(sess.stats().trims >= 1);
+            assert!(sess.metrics().trims >= 1);
         });
     }
 
@@ -1278,7 +1262,7 @@ mod tests {
                     "per-program code must be rolled back to the prelude watermark"
                 );
             }
-            assert_eq!(sess.stats().compiled_programs, 6);
+            assert_eq!(sess.metrics().compiled_programs, 6);
         });
     }
 

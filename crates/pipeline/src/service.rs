@@ -6,7 +6,9 @@
 //! over a localhost TCP socket, with:
 //!
 //! * **length-prefixed JSON framing** — a 4-byte big-endian length
-//!   followed by one JSON document ([`read_frame`]/[`write_frame`]),
+//!   followed by one JSON document ([`read_frame`]/[`write_frame`];
+//!   the document is an [`implicit_core::json`] value, re-exported
+//!   here as [`Json`] and [`parse_json`]),
 //!   hard-capped at [`MAX_FRAME`] with initial allocations clamped
 //!   through [`implicit_core::wire::cap`] so a hostile length prefix
 //!   cannot balloon memory before a single payload byte arrives;
@@ -50,6 +52,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+pub use implicit_core::json::{parse_json, Json};
 use implicit_core::parse::{parse_declarations, parse_expr, parse_program, parse_rule_type};
 use implicit_core::resolve::{resolve, ResolutionPolicy};
 use implicit_core::syntax::{Declarations, Expr, RuleType, Type};
@@ -59,363 +62,6 @@ use implicit_core::wire;
 use crate::artifact::{load_or_build_source, ArtifactStore, LoadOutcome, SourceLoadError};
 use crate::driver::spawn_service_worker;
 use crate::{Backend, Prelude, Session};
-
-// ---------------------------------------------------------------------------
-// JSON
-// ---------------------------------------------------------------------------
-
-/// A JSON value — the hand-rolled subset the conformance report
-/// writer introduced (the build environment has no registry access),
-/// now shared protocol-wide: the daemon wire format, the report, and
-/// the bench artifact all speak it. `conformance::report` re-exports
-/// this type.
-#[derive(Clone, Debug)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// An integer (counters, lengths, budgets).
-    Int(i64),
-    /// A float, rendered with limited precision.
-    Num(f64),
-    /// A string, escaped on render.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with insertion-ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Convenience constructor for object fields.
-    pub fn obj(fields: Vec<(&str, Json)>) -> Json {
-        Json::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-    }
-
-    /// Renders the value as compact JSON.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    fn render_into(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(n) => {
-                let _ = write!(out, "{n}");
-            }
-            Json::Num(x) => {
-                if x.is_finite() {
-                    let _ = write!(out, "{x:.3}");
-                } else {
-                    out.push_str("null");
-                }
-            }
-            Json::Str(s) => {
-                out.push('"');
-                for c in s.chars() {
-                    match c {
-                        '"' => out.push_str("\\\""),
-                        '\\' => out.push_str("\\\\"),
-                        '\n' => out.push_str("\\n"),
-                        '\r' => out.push_str("\\r"),
-                        '\t' => out.push_str("\\t"),
-                        c if (c as u32) < 0x20 => {
-                            let _ = write!(out, "\\u{:04x}", c as u32);
-                        }
-                        c => out.push(c),
-                    }
-                }
-                out.push('"');
-            }
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
-                }
-                out.push(']');
-            }
-            Json::Obj(fields) => {
-                out.push('{');
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    Json::Str(k.clone()).render_into(out);
-                    out.push(':');
-                    v.render_into(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    /// Object field lookup (first match; `None` on non-objects).
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a `Str`.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The integer payload (`Int` exactly, `Num` if integral).
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Json::Int(n) => Some(*n),
-            Json::Num(x) if x.fract() == 0.0 && x.is_finite() => Some(*x as i64),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a `Bool`.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    /// The array payload, if this is an `Arr`.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// String field accessor: `get(key)` then `as_str`.
-    pub fn str_field(&self, key: &str) -> Option<&str> {
-        self.get(key).and_then(Json::as_str)
-    }
-
-    /// Integer field accessor: `get(key)` then `as_i64`.
-    pub fn int_field(&self, key: &str) -> Option<i64> {
-        self.get(key).and_then(Json::as_i64)
-    }
-}
-
-/// Parses one JSON document (the renderer's grammar plus the standard
-/// escapes and number forms it never emits), rejecting trailing
-/// garbage.
-///
-/// # Errors
-///
-/// A human-readable description of the first syntax error, with its
-/// byte offset.
-pub fn parse_json(src: &str) -> Result<Json, String> {
-    let mut p = JsonParser {
-        bytes: src.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing characters at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-/// Maximum JSON nesting depth the parser accepts — frames are capped
-/// at [`MAX_FRAME`] anyway; this bounds recursion on adversarial
-/// `[[[[…` payloads long before the stack does.
-const MAX_JSON_DEPTH: usize = 512;
-
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            match b {
-                b' ' | b'\t' | b'\n' | b'\r' => self.pos += 1,
-                _ => break,
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", char::from(b), self.pos))
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("invalid literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > MAX_JSON_DEPTH {
-            return Err(format!("nesting deeper than {MAX_JSON_DEPTH}"));
-        }
-        match self.peek() {
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    self.skip_ws();
-                    items.push(self.value(depth + 1)?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut fields = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                loop {
-                    self.skip_ws();
-                    let k = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    self.skip_ws();
-                    let v = self.value(depth + 1)?;
-                    fields.push((k, v));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(fields));
-                        }
-                        _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'-') | Some(b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected byte at {}", self.pos)),
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        let mut float = false;
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("invalid number at byte {start}"))?;
-        if float {
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("invalid number `{text}` at byte {start}"))
-        } else {
-            text.parse::<i64>()
-                .map(Json::Int)
-                .map_err(|_| format!("invalid integer `{text}` at byte {start}"))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_owned()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err("truncated \\u escape".to_owned());
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| "invalid \\u escape".to_owned())?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| "invalid \\u escape".to_owned())?;
-                            // The renderer only emits \u for control
-                            // characters; accept any BMP scalar and
-                            // map surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("invalid escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string".to_owned())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Framing
@@ -567,52 +213,36 @@ impl Default for DaemonConfig {
     }
 }
 
-/// Daemon-level counters (wire health, admission control, panics) —
-/// the service-plane complement to the per-tenant
-/// [`MetricsRegistry`] snapshots. All monotone.
-#[derive(Debug, Default)]
-pub struct DaemonCounters {
-    /// Connections accepted.
-    pub connections: AtomicU64,
-    /// Well-framed requests received.
-    pub requests: AtomicU64,
-    /// Requests answered `ok`.
-    pub ok: AtomicU64,
-    /// Requests answered with a structured error.
-    pub errors: AtomicU64,
-    /// Requests shed by admission control (tenant queue full).
-    pub rejected_overload: AtomicU64,
-    /// Requests shed at dequeue because their deadline had passed.
-    pub expired_deadline: AtomicU64,
-    /// Frames rejected for a declared length beyond [`MAX_FRAME`].
-    pub oversized_frames: AtomicU64,
-    /// Frames that were truncated or held unparseable JSON.
-    pub bad_frames: AtomicU64,
-    /// Tenant-thread panics contained by `catch_unwind`.
-    pub panics: AtomicU64,
-    /// Tenants opened.
-    pub tenants_opened: AtomicU64,
-    /// Tenants closed.
-    pub tenants_closed: AtomicU64,
-}
-
-impl DaemonCounters {
-    /// `(name, value)` pairs in a stable report order.
-    pub fn snapshot(&self) -> Vec<(&'static str, u64)> {
-        let g = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        vec![
-            ("connections", g(&self.connections)),
-            ("requests", g(&self.requests)),
-            ("ok", g(&self.ok)),
-            ("errors", g(&self.errors)),
-            ("rejected_overload", g(&self.rejected_overload)),
-            ("expired_deadline", g(&self.expired_deadline)),
-            ("oversized_frames", g(&self.oversized_frames)),
-            ("bad_frames", g(&self.bad_frames)),
-            ("panics", g(&self.panics)),
-            ("tenants_opened", g(&self.tenants_opened)),
-            ("tenants_closed", g(&self.tenants_closed)),
-        ]
+implicit_core::counter_table! {
+    /// Daemon-level counters (wire health, admission control, panics) —
+    /// the service-plane complement to the per-tenant
+    /// [`MetricsRegistry`] snapshots. All monotone.
+    #[derive(Debug, Default)]
+    pub struct DaemonCounters {
+        {
+            /// Connections accepted.
+            connections: AtomicU64,
+            /// Well-framed requests received.
+            requests: AtomicU64,
+            /// Requests answered `ok`.
+            ok: AtomicU64,
+            /// Requests answered with a structured error.
+            errors: AtomicU64,
+            /// Requests shed by admission control (tenant queue full).
+            rejected_overload: AtomicU64,
+            /// Requests shed at dequeue because their deadline had passed.
+            expired_deadline: AtomicU64,
+            /// Frames rejected for a declared length beyond [`MAX_FRAME`].
+            oversized_frames: AtomicU64,
+            /// Frames that were truncated or held unparseable JSON.
+            bad_frames: AtomicU64,
+            /// Tenant-thread panics contained by `catch_unwind`.
+            panics: AtomicU64,
+            /// Tenants opened.
+            tenants_opened: AtomicU64,
+            /// Tenants closed.
+            tenants_closed: AtomicU64,
+        }
     }
 }
 
@@ -1050,44 +680,17 @@ fn handle_close(req: &Json, inner: &Arc<Inner>) -> Json {
 fn handle_metrics(inner: &Arc<Inner>) -> Json {
     let per_tenant = inner.metrics.lock().unwrap();
     let mut merged = MetricsRegistry::new();
-    let mut tenants: Vec<(String, Json)> = Vec::new();
-    let mut names: Vec<&String> = per_tenant.keys().collect();
-    names.sort();
-    for name in names {
-        let m = &per_tenant[name];
+    for m in per_tenant.values() {
         merged.merge(m);
-        tenants.push((
-            name.clone(),
-            Json::Obj(
-                m.as_pairs()
-                    .into_iter()
-                    .map(|(k, v)| (k.to_owned(), Json::Int(v as i64)))
-                    .collect(),
-            ),
-        ));
     }
+    let mut tenants: Vec<(String, Json)> = per_tenant
+        .iter()
+        .map(|(name, m)| (name.clone(), m.to_json()))
+        .collect();
+    tenants.sort_by(|a, b| a.0.cmp(&b.0));
     ok_json(vec![
-        (
-            "daemon",
-            Json::Obj(
-                inner
-                    .counters
-                    .snapshot()
-                    .into_iter()
-                    .map(|(k, v)| (k.to_owned(), Json::Int(v as i64)))
-                    .collect(),
-            ),
-        ),
-        (
-            "merged",
-            Json::Obj(
-                merged
-                    .as_pairs()
-                    .into_iter()
-                    .map(|(k, v)| (k.to_owned(), Json::Int(v as i64)))
-                    .collect(),
-            ),
-        ),
+        ("daemon", inner.counters.to_json()),
+        ("merged", merged.to_json()),
         ("tenants", Json::Obj(tenants)),
         ("table", Json::Str(merged.render_table())),
     ])
@@ -1714,46 +1317,6 @@ fn expect_ok(r: &Json) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_parses_what_it_renders() {
-        let j = Json::obj(vec![
-            ("s", Json::Str("a\"b\\c\nd\u{1}".into())),
-            ("n", Json::Int(-3)),
-            ("x", Json::Num(1.5)),
-            ("b", Json::Bool(true)),
-            ("z", Json::Null),
-            ("a", Json::Arr(vec![Json::Int(1), Json::Str("two".into())])),
-            ("o", Json::obj(vec![("k", Json::Int(9))])),
-        ]);
-        let round = parse_json(&j.render()).expect("roundtrip parse");
-        assert_eq!(round.render(), j.render());
-        assert_eq!(round.str_field("s"), Some("a\"b\\c\nd\u{1}"));
-        assert_eq!(round.int_field("n"), Some(-3));
-        assert_eq!(round.get("x").and_then(Json::as_i64), None);
-        assert_eq!(round.get("b").and_then(Json::as_bool), Some(true));
-        assert_eq!(round.get("o").and_then(|o| o.int_field("k")), Some(9));
-    }
-
-    #[test]
-    fn json_parser_rejects_garbage() {
-        for bad in [
-            "",
-            "{",
-            "[1,",
-            "\"abc",
-            "{\"k\":}",
-            "01x",
-            "nulll x",
-            "[1] 2",
-            "{\"k\" 1}",
-        ] {
-            assert!(parse_json(bad).is_err(), "accepted {bad:?}");
-        }
-        // Depth bomb: bounded error, not a stack overflow.
-        let bomb = "[".repeat(100_000);
-        assert!(parse_json(&bomb).is_err());
-    }
 
     #[test]
     fn frames_roundtrip_and_reject_oversize() {

@@ -20,6 +20,7 @@
 
 use std::process::ExitCode;
 
+use implicit_core::counters::Counter;
 use implicit_pipeline::service::{Daemon, DaemonConfig};
 
 const USAGE: &str = "usage: implicitd [options]
@@ -88,19 +89,13 @@ fn main() -> ExitCode {
     // out of it (the port may be ephemeral).
     println!("implicitd: listening on {}", daemon.addr());
     daemon.wait();
-    let c = daemon.counters().snapshot();
-    let fmt = |k: &str| {
-        c.iter()
-            .find(|(n, _)| *n == k)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
-    };
+    let c = daemon.counters();
     println!(
         "implicitd: stopped ({} connections, {} requests, {} ok, {} errors)",
-        fmt("connections"),
-        fmt("requests"),
-        fmt("ok"),
-        fmt("errors"),
+        c.connections.get(),
+        c.requests.get(),
+        c.ok.get(),
+        c.errors.get(),
     );
     ExitCode::SUCCESS
 }

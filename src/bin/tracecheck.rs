@@ -7,8 +7,9 @@
 //!
 //! Checks, per file:
 //!
-//! - the file parses as JSON (a small self-contained parser — no
-//!   external dependencies);
+//! - the file parses as JSON (with `implicit_core::json::parse_json`,
+//!   the parser the daemon uses, which bounds nesting depth and
+//!   rejects raw control characters inside strings);
 //! - the top level is an object with a `traceEvents` array (the
 //!   Chrome trace-event "JSON Object Format");
 //! - every event carries the required fields with the right types:
@@ -33,230 +34,14 @@
 
 use std::process::ExitCode;
 
-/// A minimal JSON value.
-#[derive(Debug)]
-enum Json {
-    Null,
-    // The payload is only inspected by tests today, but a boolean
-    // JSON value without its boolean would not be much of a parser.
-    Bool(#[allow(dead_code)] bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
+use implicit_core::json::{parse_json, Json};
 
-impl Json {
-    fn get<'a>(&'a self, key: &str) -> Option<&'a Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn is_num(&self) -> bool {
-        matches!(self, Json::Num(_))
-    }
-}
-
-/// Recursive-descent JSON parser over a byte slice. Supports the full
-/// value grammar needed by trace files; rejects trailing garbage.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(src: &'a str) -> Parser<'a> {
-        Parser {
-            bytes: src.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("json error at byte {}: {msg}", self.pos)
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
-            if b.is_ascii_whitespace() {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn parse_document(mut self) -> Result<Json, String> {
-        self.skip_ws();
-        let v = self.parse_value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing characters after the document"));
-        }
-        Ok(v)
-    }
-
-    fn parse_value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_obj(),
-            Some(b'[') => self.parse_arr(),
-            Some(b'"') => Ok(Json::Str(self.parse_string()?)),
-            Some(b't') => self.parse_lit("true", Json::Bool(true)),
-            Some(b'f') => self.parse_lit("false", Json::Bool(false)),
-            Some(b'n') => self.parse_lit("null", Json::Null),
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_num(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn parse_lit(&mut self, lit: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected `{lit}`")))
-        }
-    }
-
-    fn parse_num(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b) if b.is_ascii_digit() || b"+-.eE".contains(&b)) {
-            self.pos += 1;
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("malformed number"))
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("malformed \\u escape"))?;
-                            // Surrogate pairs do not occur in our
-                            // traces; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) if b < 0x20 => return Err(self.err("raw control character in string")),
-                Some(b) if b < 0x80 => {
-                    out.push(b as char);
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8: copy the full scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn parse_arr(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn parse_obj(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
+/// A JSON number as `f64`, whether it was written as an integer or not.
+fn num(j: &Json) -> Option<f64> {
+    match j {
+        Json::Int(n) => Some(*n as f64),
+        Json::Num(x) => Some(*x),
+        _ => None,
     }
 }
 
@@ -290,14 +75,11 @@ fn validate(doc: &Json, require_resolution: bool) -> Result<String, String> {
             .and_then(Json::as_str)
             .ok_or_else(|| ctx("missing string `ph`"))?;
         for field in ["ts", "pid", "tid"] {
-            if !ev.get(field).is_some_and(Json::is_num) {
+            if ev.get(field).and_then(num).is_none() {
                 return Err(ctx(&format!("missing numeric `{field}`")));
             }
         }
-        let tid = match ev.get("tid") {
-            Some(Json::Num(n)) => *n as u64,
-            _ => unreachable!("checked above"),
-        };
+        let tid = ev.get("tid").and_then(num).unwrap_or_default() as u64;
         let stack = match open.iter_mut().find(|(t, _)| *t == tid) {
             Some((_, stack)) => stack,
             None => {
@@ -400,7 +182,7 @@ fn main() -> ExitCode {
     for file in &files {
         let outcome = std::fs::read_to_string(file)
             .map_err(|e| format!("cannot read: {e}"))
-            .and_then(|src| Parser::new(&src).parse_document())
+            .and_then(|src| parse_json(&src).map_err(|e| format!("json error: {e}")))
             .and_then(|doc| validate(&doc, require_resolution));
         match outcome {
             Ok(summary) => println!("{file}: ok ({summary})"),
@@ -422,27 +204,7 @@ mod tests {
     use super::*;
 
     fn parse(src: &str) -> Json {
-        Parser::new(src).parse_document().expect("valid json")
-    }
-
-    #[test]
-    fn parses_scalars_and_structures() {
-        let doc = parse(r#"{"a":[1,-2.5,true,null,"x\nA"],"b":{}}"#);
-        let arr = doc.get("a").expect("a");
-        match arr {
-            Json::Arr(items) => {
-                assert_eq!(items.len(), 5);
-                assert!(matches!(items[2], Json::Bool(true)));
-                assert!(matches!(items[3], Json::Null));
-                assert_eq!(items[4].as_str(), Some("x\nA"));
-            }
-            _ => panic!("expected array"),
-        }
-    }
-
-    #[test]
-    fn rejects_trailing_garbage() {
-        assert!(Parser::new("{} x").parse_document().is_err());
+        parse_json(src).expect("valid json")
     }
 
     #[test]

@@ -35,3 +35,17 @@ fn a_hundred_thousand_nested_parentheses_are_one_parse_error() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn tracecheck_reports_two_hundred_thousand_open_brackets_as_invalid() {
+    let path = std::env::temp_dir().join(format!("deep-trace-{}.json", std::process::id()));
+    std::fs::write(&path, "[".repeat(200_000)).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_tracecheck"))
+        .arg(&path)
+        .output()
+        .expect("run tracecheck");
+    let _ = std::fs::remove_file(&path);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "stdout: {stdout}");
+    assert!(stdout.contains(": INVALID: "), "stdout: {stdout}");
+}
