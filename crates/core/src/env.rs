@@ -31,13 +31,19 @@
 //! from the popped frame, then puts that frame's shelf back. Once a
 //! local scope closes, what was derived before it opened is live
 //! again. Live and shelved entries share one FIFO capacity.
+//!
+//! Entries hold their derivations as shared `Rc` nodes that name
+//! rules by frame level, so a hit at any depth is one `Rc` clone, and
+//! an entry is the premise node of every cached derivation that
+//! resolved its query on the way.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::rc::Rc;
 
 use crate::intern::{self, GroundCheck, HeadKey, RuleId};
-use crate::resolve::Resolution;
+use crate::resolve::{FactsMemo, Resolution};
 use crate::subst::{freshen_rule, TySubst};
 use crate::syntax::{RuleType, Type};
 use crate::unify;
@@ -214,20 +220,16 @@ type CacheKey = (RuleId, OverlapPolicy);
 /// One memoized derivation plus the facts its invalidation needs.
 #[derive(Clone, Debug)]
 struct CacheEntry {
-    /// Boxed: entries move between the map and the shelf at every
-    /// shadowing push and pop.
-    resolution: Box<Resolution>,
-    /// Environment depth at insertion time; hits at a different depth
-    /// shift the derivation's innermost-first frame indices by the
-    /// difference.
-    cached_depth: usize,
+    /// The derivation, shared with every derivation that used it as a
+    /// premise.
+    resolution: Rc<Resolution>,
     /// Head keys of every type the derivation looked up (dedup'd): a
     /// pushed frame shelves the entry iff it contains a rule that
     /// could match one of these.
     target_keys: Vec<HeadKey>,
-    /// Largest *absolute* frame position (0 = outermost) of any rule
-    /// the derivation used: popping to a depth ≤ this position
-    /// removes a used rule, invalidating the entry.
+    /// Deepest frame level (0 = outermost) of any rule the derivation
+    /// used: popping to a depth ≤ this level removes a used rule,
+    /// invalidating the entry.
     max_abs_frame: usize,
     /// The entry's slot in the FIFO order, kept while it is shelved.
     slot: u64,
@@ -511,7 +513,8 @@ impl ImplicitEnv {
     }
 
     /// Iterates frames from the *innermost* outwards, paired with
-    /// their innermost-first index.
+    /// their innermost-first index (the numbering scopes are printed
+    /// in; derivations name frames by level, outermost first).
     pub fn frames_innermost_first(&self) -> impl Iterator<Item = (usize, &Vec<RuleType>)> {
         self.frames
             .iter()
@@ -566,80 +569,62 @@ impl ImplicitEnv {
     }
 
     /// How many rules the head index admits for `target` in the frame
-    /// at innermost-first position `frame` (0 when out of range).
-    /// This is the number of match attempts a lookup reaching that
-    /// frame performs there.
-    pub fn frame_candidate_count(&self, frame: usize, target: &Type) -> usize {
+    /// at level `level` (0 when out of range). This is the number of
+    /// match attempts a lookup reaching that frame performs there.
+    pub fn frame_candidate_count(&self, level: usize, target: &Type) -> usize {
         let key = intern::head_key(target);
         self.frames
-            .iter()
-            .rev()
-            .nth(frame)
+            .get(level)
             .map(|f| f.candidate_count(key))
             .unwrap_or(0)
     }
 
     /// The rule positions the head index admits for `target` in the
-    /// frame at innermost-first position `frame`, in frame order —
-    /// exactly the candidates a lookup reaching that frame
-    /// match-tests. Empty when out of range. Used to reconstruct
-    /// deterministic candidate trace events (see [`crate::trace`]).
-    pub fn frame_candidate_indices(&self, frame: usize, target: &Type) -> Vec<usize> {
+    /// frame at level `level`, in frame order — exactly the
+    /// candidates a lookup reaching that frame match-tests. Empty when
+    /// out of range. Used to reconstruct deterministic candidate trace
+    /// events (see [`crate::trace`]).
+    pub fn frame_candidate_indices(&self, level: usize, target: &Type) -> Vec<usize> {
         let key = intern::head_key(target);
         self.frames
-            .iter()
-            .rev()
-            .nth(frame)
+            .get(level)
             .map(|f| f.candidate_indices(key))
             .unwrap_or_default()
     }
 
-    /// The stored rule at innermost-first frame position `frame`,
-    /// index `index` (`None` when out of range).
-    pub fn frame_rule(&self, frame: usize, index: usize) -> Option<&RuleType> {
-        self.frames
-            .iter()
-            .rev()
-            .nth(frame)
-            .and_then(|f| f.rules.get(index))
+    /// The stored rule at position `index` of the frame at level
+    /// `level` (`None` when out of range).
+    pub fn frame_rule(&self, level: usize, index: usize) -> Option<&RuleType> {
+        self.frames.get(level).and_then(|f| f.rules.get(index))
     }
 
-    /// Consults the derivation cache for `query` under `policy`.
-    ///
-    /// On a hit the memoized derivation is replayed with its
-    /// innermost-first frame indices shifted by the difference
-    /// between the current depth and the depth at insertion, so rule
-    /// coordinates keep naming the same absolute frames.
+    /// Consults the derivation cache for `query` under `policy`. A hit
+    /// is the memoized derivation itself: its rules are named by
+    /// level, so it means the same at every depth it can be hit from.
     pub(crate) fn cache_lookup(
         &self,
         query: &RuleType,
         policy: OverlapPolicy,
-    ) -> Option<Resolution> {
+    ) -> Option<Rc<Resolution>> {
         let key = (intern::rule_id(query), policy);
-        let depth = self.frames.len();
         let mut cache = self.cache.borrow_mut();
-        match cache.entries.get(&key) {
-            Some(entry) => {
-                let delta = depth as isize - entry.cached_depth as isize;
-                let mut res = Resolution::clone(&entry.resolution);
-                if delta != 0 {
-                    crate::resolve::shift_env_frames(&mut res, delta);
-                }
-                cache.counters.hits += 1;
-                Some(res)
-            }
-            None => {
-                cache.counters.misses += 1;
-                None
-            }
+        let hit = cache.entries.get(&key).map(|e| Rc::clone(&e.resolution));
+        match hit {
+            Some(_) => cache.counters.hits += 1,
+            None => cache.counters.misses += 1,
         }
+        hit
     }
 
-    /// Memoizes a successful derivation of `query` at the current
-    /// depth. Skipped (silently) for derivations that reference
-    /// assumption-extension frames, whose coordinates are not
-    /// environment-stable.
-    pub(crate) fn cache_insert(&self, query: &RuleType, policy: OverlapPolicy, res: &Resolution) {
+    /// Memoizes a successful derivation of `query`. Skipped (silently)
+    /// for derivations that reference assumption-extension frames,
+    /// whose coordinates are not environment-stable.
+    pub(crate) fn cache_insert(
+        &self,
+        query: &RuleType,
+        policy: OverlapPolicy,
+        res: &Rc<Resolution>,
+    ) {
         let depth = self.frames.len();
         let Some((target_keys, max_abs_frame)) = crate::resolve::derivation_cache_facts(res, depth)
         else {
@@ -653,8 +638,7 @@ impl ImplicitEnv {
         cache.insert(
             key,
             CacheEntry {
-                resolution: Box::new(res.clone()),
-                cached_depth: depth,
+                resolution: Rc::clone(res),
                 target_keys,
                 max_abs_frame,
                 slot: 0,
@@ -741,49 +725,39 @@ impl ImplicitEnv {
             if !snap.covers_rule(key.0) || e.max_abs_frame >= depth {
                 continue;
             }
-            let Some(query) = intern::rule_of(key.0) else {
-                continue;
-            };
             out.push(CacheExport {
-                query,
                 overlap: key.1,
-                resolution: Resolution::clone(&e.resolution),
-                cached_depth: e.cached_depth,
-                max_abs_frame: e.max_abs_frame,
+                resolution: Rc::clone(&e.resolution),
             });
         }
         out
     }
 
     /// Imports derivation-cache entries exported by
-    /// [`ImplicitEnv::export_cache`], preserving their insertion
-    /// order and original depths (hits replay through the usual
-    /// depth-shift). Entries whose invalidation facts cannot be
-    /// recomputed, or that reference a frame at or beyond the current
-    /// depth, are skipped — the cache only ever under-approximates.
-    /// Counters and the generation stamp are untouched; each imported
-    /// entry moves the version.
+    /// [`ImplicitEnv::export_cache`], preserving their insertion order
+    /// and the sharing among their derivations. Invalidation facts are
+    /// recomputed once per distinct derivation node. Entries whose
+    /// facts cannot be recomputed, or that use a level at or beyond
+    /// the current depth, are skipped — the cache only ever
+    /// under-approximates. Counters and the generation stamp are
+    /// untouched; each imported entry moves the version.
     pub fn import_cache(&self, entries: Vec<CacheExport>) {
-        let depth = self.frames.len();
+        let mut memo = FactsMemo::new(self.frames.len());
         let mut cache = self.cache.borrow_mut();
         if cache.capacity == 0 {
             return;
         }
-        for ce in entries {
-            let Some((target_keys, max_abs_frame)) =
-                crate::resolve::derivation_cache_facts(&ce.resolution, ce.cached_depth)
-            else {
+        // `entries` keeps every node alive while the memo is keyed by
+        // node addresses.
+        for ce in &entries {
+            let Some((target_keys, max_abs_frame)) = memo.facts(&ce.resolution) else {
                 continue;
             };
-            if max_abs_frame >= depth {
-                continue;
-            }
-            let key = (intern::rule_id(&ce.query), ce.overlap);
+            let key = (intern::rule_id(&ce.resolution.query), ce.overlap);
             cache.insert(
                 key,
                 CacheEntry {
-                    resolution: Box::new(ce.resolution),
-                    cached_depth: ce.cached_depth,
+                    resolution: Rc::clone(&ce.resolution),
                     target_keys,
                     max_abs_frame,
                     slot: 0,
@@ -823,27 +797,19 @@ impl ImplicitEnv {
     }
 }
 
-/// One derivation-cache entry in artifact form: the interned key
-/// rebuilt as a structural [`RuleType`] (intern ids are process
-/// local), the derivation itself, and the depth it was memoized at.
-/// Produced by [`ImplicitEnv::export_cache`], consumed by
+/// One derivation-cache entry in artifact form: the derivation, still
+/// shared with the other entries' derivations, and the overlap policy
+/// it was built under. The derivation's own query is the entry's key
+/// (intern ids are process local; an import re-interns it). Produced
+/// by [`ImplicitEnv::export_cache`], consumed by
 /// [`ImplicitEnv::import_cache`].
 #[derive(Clone, Debug)]
 pub struct CacheExport {
-    /// The memoized query (the cache key, rebuilt structurally).
-    pub query: RuleType,
     /// Overlap policy the derivation was built under (part of the
     /// cache key: the same query can resolve differently per policy).
     pub overlap: OverlapPolicy,
-    /// The memoized derivation.
-    pub resolution: Resolution,
-    /// Environment depth at insertion time.
-    pub cached_depth: usize,
-    /// Largest absolute frame position the derivation used — the
-    /// invalidation-cone summary: an edit that changes the rule type
-    /// of any implicit binding at or below this position invalidates
-    /// the entry, edits strictly above it cannot.
-    pub max_abs_frame: usize,
+    /// The memoized derivation; its query is the cache key.
+    pub resolution: Rc<Resolution>,
 }
 
 /// A frame-stack watermark, taken with [`ImplicitEnv::snapshot`].
@@ -1326,7 +1292,7 @@ mod tests {
         assert_eq!(env.cache_counters().misses, misses, "a hit");
         assert_eq!(
             res.rule,
-            crate::resolve::RuleRef::Env { frame: 0, index: 1 }
+            crate::resolve::RuleRef::Env { level: 0, index: 1 }
         );
     }
 

@@ -56,11 +56,7 @@ fn verify_at(
 ) -> bool {
     // 1. The referenced rule must exist and match the recorded one.
     let stored: Option<RuleType> = match res.rule {
-        RuleRef::Env { frame, index } => env
-            .frames_innermost_first()
-            .find(|(ix, _)| *ix == frame)
-            .and_then(|(_, rules)| rules.get(index))
-            .cloned(),
+        RuleRef::Env { level, index } => env.frame_rule(level, index).cloned(),
         RuleRef::Extension { level, index } => assumption_stack
             .get(level)
             .and_then(|ctx| ctx.get(index))
@@ -193,7 +189,8 @@ mod tests {
         env.push(vec![Type::Int.promote()]);
         env.push(vec![pair_rule()]);
         let query = Type::prod(Type::Int, Type::Int).promote();
-        let mut res = resolve(&env, &query, &ResolutionPolicy::paper()).unwrap();
+        let mut res =
+            Resolution::clone(&resolve(&env, &query, &ResolutionPolicy::paper()).unwrap());
         // Wrong type argument:
         res.type_args = vec![Type::Bool];
         assert!(!verify_derivation(&env, &res));
@@ -204,8 +201,8 @@ mod tests {
         let mut env = ImplicitEnv::new();
         env.push(vec![Type::Int.promote()]);
         let res = resolve(&env, &Type::Int.promote(), &ResolutionPolicy::paper()).unwrap();
-        let mut bad = res.clone();
-        bad.rule = RuleRef::Env { frame: 3, index: 0 };
+        let mut bad = Resolution::clone(&res);
+        bad.rule = RuleRef::Env { level: 3, index: 0 };
         assert!(!verify_derivation(&env, &bad));
         // And against a different environment:
         let other = ImplicitEnv::with_frame(vec![Type::Bool.promote()]);

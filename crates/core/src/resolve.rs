@@ -27,7 +27,9 @@
 //! context during recursive resolution — can be enabled with
 //! [`ResolutionPolicy::with_env_extension`].
 
+use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
 
 use crate::alpha;
 use crate::env::{ImplicitEnv, LookupError, OverlapPolicy};
@@ -104,13 +106,16 @@ impl ResolutionPolicy {
 }
 
 /// Which rule a resolution step used.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RuleRef {
-    /// A rule from the implicit environment: `frame` counts from the
-    /// innermost scope, `index` is the rule's position in its frame.
+    /// A rule from the implicit environment, named by its frame's
+    /// *level* (a de Bruijn level: 0 = the outermost frame) and its
+    /// position in that frame. Scopes pushed later leave levels alone,
+    /// so one derivation names the same rules at every depth above
+    /// the frames it used.
     Env {
-        /// Frame index (0 = innermost).
-        frame: usize,
+        /// Frame level (0 = outermost).
+        level: usize,
         /// Rule position within the frame.
         index: usize,
     },
@@ -128,7 +133,7 @@ pub enum RuleRef {
 }
 
 /// Evidence for one premise of the rule used by a resolution step.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Premise {
     /// The premise is α-equivalent to a premise of the *query's* own
     /// context and stays abstract (partial resolution): `index` is
@@ -139,8 +144,11 @@ pub enum Premise {
         /// The premise type.
         rho: RuleType,
     },
-    /// The premise was recursively resolved.
-    Derived(Box<Resolution>),
+    /// The premise was recursively resolved. Derivations are shared:
+    /// this is the sub-query's own derivation, as the derivation
+    /// cache holds it, so a derivation is a DAG with one node per
+    /// distinct proof step.
+    Derived(Rc<Resolution>),
 }
 
 impl Premise {
@@ -155,7 +163,11 @@ impl Premise {
 
 /// A resolution derivation: one `TyRes` application and the evidence
 /// for its recursive premises.
-#[derive(Clone, PartialEq, Debug)]
+///
+/// Cloning is shallow: premises are shared `Rc` nodes. Two derivations
+/// are `==` when they are the same proof, node for node; the display
+/// field [`Resolution::env_depth`] takes no part.
+#[derive(Clone, Debug)]
 pub struct Resolution {
     /// The resolved query `∀ᾱ. π ⇒ τ`.
     pub query: RuleType,
@@ -169,7 +181,27 @@ pub struct Resolution {
     /// stored premise order (aligned with the rule's elaborated
     /// λ-binders).
     pub premises: Vec<Premise>,
+    /// Frames in the environment the query was resolved against.
+    /// Display only: [`Resolution::explain`] prints a level `l` as
+    /// scope `env_depth − 1 − l`, counted from the innermost frame.
+    /// [`resolve`] sets it on the derivation it returns; a shared
+    /// premise keeps the value of wherever it was first derived, and
+    /// is printed with its root's.
+    pub env_depth: usize,
 }
+
+impl PartialEq for Resolution {
+    fn eq(&self, other: &Resolution) -> bool {
+        self.query == other.query
+            && self.rule == other.rule
+            && self.rule_type == other.rule_type
+            && self.type_args == other.type_args
+            && self.premises == other.premises
+    }
+}
+
+/// `Rc<Resolution>` compares shared premises by pointer first.
+impl Eq for Resolution {}
 
 impl Resolution {
     /// Number of `TyRes` steps in the derivation (1 + recursive
@@ -211,12 +243,13 @@ impl Resolution {
     ///     Int  ⇐ rule #0 of scope 1
     /// ```
     pub fn explain(&self) -> String {
-        fn go(res: &Resolution, depth: usize, out: &mut String) {
+        fn go(res: &Resolution, env_depth: usize, depth: usize, out: &mut String) {
             out.push_str(&"  ".repeat(depth));
             out.push_str(&res.query.to_string());
             match res.rule {
-                RuleRef::Env { frame, index } => {
-                    out.push_str(&format!("  ⇐ rule #{index} of scope {frame}"));
+                RuleRef::Env { level, index } => {
+                    let scope = env_depth.saturating_sub(level + 1);
+                    out.push_str(&format!("  ⇐ rule #{index} of scope {scope}"));
                 }
                 RuleRef::Extension { level, index } => {
                     out.push_str(&format!("  ⇐ assumption #{index} at level {level}"));
@@ -239,12 +272,12 @@ impl Resolution {
                         out.push_str(&"  ".repeat(depth + 1));
                         out.push_str(&format!("{rho}  (assumed — partial resolution)\n"));
                     }
-                    Premise::Derived(inner) => go(inner, depth + 1, out),
+                    Premise::Derived(inner) => go(inner, env_depth, depth + 1, out),
                 }
             }
         }
         let mut out = String::new();
-        go(self, 0, &mut out);
+        go(self, self.env_depth, 0, &mut out);
         out
     }
 
@@ -260,11 +293,11 @@ impl Resolution {
         let mut stats = ResolutionStats::default();
         fn go(res: &Resolution, env: &crate::env::ImplicitEnv, stats: &mut ResolutionStats) {
             stats.steps += 1;
-            if let RuleRef::Env { frame, .. } = res.rule {
+            if let Some(frame) = innermost_frame(env, &res.rule) {
                 stats.frames_scanned += frame + 1;
                 let target = res.query.head();
                 stats.rules_tried += (0..=frame)
-                    .map(|f| env.frame_candidate_count(f, target))
+                    .map(|f| env.frame_candidate_count(env.depth() - 1 - f, target))
                     .sum::<usize>();
                 stats.max_frame_reached = stats.max_frame_reached.max(frame);
             }
@@ -376,7 +409,7 @@ pub fn resolve(
     env: &ImplicitEnv,
     query: &RuleType,
     policy: &ResolutionPolicy,
-) -> Result<Resolution, ResolveError> {
+) -> Result<Rc<Resolution>, ResolveError> {
     resolve_with(env, query, policy, &mut NullSink)
 }
 
@@ -392,6 +425,11 @@ pub fn resolve(
 /// differ between cache-off and cache-warm runs only in the
 /// `CacheHit`/`CacheMiss` markers.
 ///
+/// The derivation returned carries this environment's depth as its
+/// [`Resolution::env_depth`]. A cached derivation hit at another depth
+/// is returned as a copy of its root node that carries this one (its
+/// premises stay shared); every other hit is the cached `Rc` itself.
+///
 /// # Errors
 ///
 /// As for [`resolve`].
@@ -400,9 +438,16 @@ pub fn resolve_with<S: TraceSink + ?Sized>(
     query: &RuleType,
     policy: &ResolutionPolicy,
     sink: &mut S,
-) -> Result<Resolution, ResolveError> {
+) -> Result<Rc<Resolution>, ResolveError> {
     let mut assumptions: Vec<Vec<RuleType>> = Vec::new();
-    resolve_rec(env, query, policy, policy.max_depth, &mut assumptions, sink)
+    let res = resolve_rec(env, query, policy, policy.max_depth, &mut assumptions, sink)?;
+    if res.env_depth == env.depth() {
+        return Ok(res);
+    }
+    Ok(Rc::new(Resolution {
+        env_depth: env.depth(),
+        ..Resolution::clone(&res)
+    }))
 }
 
 fn resolve_rec<S: TraceSink + ?Sized>(
@@ -412,7 +457,7 @@ fn resolve_rec<S: TraceSink + ?Sized>(
     fuel: usize,
     assumptions: &mut Vec<Vec<RuleType>>,
     sink: &mut S,
-) -> Result<Resolution, ResolveError> {
+) -> Result<Rc<Resolution>, ResolveError> {
     let depth = policy.max_depth - fuel;
     if sink.enabled() {
         sink.event(TraceEvent::QueryEnter {
@@ -440,7 +485,8 @@ fn resolve_rec<S: TraceSink + ?Sized>(
     // so every (query, overlap policy) pair resolves the same way
     // until a push shadows it (the entry is shelved until that frame
     // pops) or a pop removes a rule it used. Sub-queries hit this
-    // path too, so a cached derivation short-circuits whole subtrees.
+    // path too, so a cached derivation short-circuits whole subtrees
+    // and becomes, shared, the premise of the derivation that asked.
     let use_cache = policy.cache && !policy.env_extension;
     if use_cache {
         if let Some(res) = env.cache_lookup(query, policy.overlap) {
@@ -512,7 +558,7 @@ fn resolve_rec<S: TraceSink + ?Sized>(
                     resolve_rec(env, rho, policy, fuel - 1, assumptions, sink)
                 };
                 match r {
-                    Ok(inner) => premises.push(Premise::Derived(Box::new(inner))),
+                    Ok(inner) => premises.push(Premise::Derived(inner)),
                     Err(err) => {
                         // Close this query's span too: every
                         // QueryEnter is matched by QueryResolved or
@@ -530,13 +576,14 @@ fn resolve_rec<S: TraceSink + ?Sized>(
         }
     }
 
-    let res = Resolution {
+    let res = Rc::new(Resolution {
         query: query.clone(),
         rule: rule_ref,
         rule_type,
         type_args,
         premises,
-    };
+        env_depth: env.depth(),
+    });
     if use_cache {
         env.cache_insert(query, policy.overlap, &res);
     }
@@ -567,10 +614,14 @@ fn emit_lookup_events<S: TraceSink + ?Sized>(
 ) {
     let target = query.head();
     match *rule {
-        RuleRef::Env { frame, index } => {
+        RuleRef::Env { level, index } => {
+            let Some(frame) = innermost_frame(env, rule) else {
+                return;
+            };
             for f in 0..=frame {
-                for ix in env.frame_candidate_indices(f, target) {
-                    if f == frame && ix == index {
+                let at = env.depth() - 1 - f;
+                for ix in env.frame_candidate_indices(at, target) {
+                    if at == level && ix == index {
                         sink.event(TraceEvent::CandidateAdmitted {
                             frame: f,
                             index: ix,
@@ -578,7 +629,7 @@ fn emit_lookup_events<S: TraceSink + ?Sized>(
                         });
                     } else {
                         let r = env
-                            .frame_rule(f, ix)
+                            .frame_rule(at, ix)
                             .map(|r| r.to_string())
                             .unwrap_or_default();
                         sink.event(TraceEvent::CandidateRejected {
@@ -636,65 +687,100 @@ fn replay_events<S: TraceSink + ?Sized>(
     });
 }
 
-/// Shifts every innermost-first frame index of the derivation's
-/// [`RuleRef::Env`] references by `delta`: a derivation cached at
-/// depth `d` and replayed at depth `d + delta` keeps naming the same
-/// absolute frames. Extension references are depth-independent (and
-/// never cached anyway).
-pub(crate) fn shift_env_frames(res: &mut Resolution, delta: isize) {
-    if let RuleRef::Env { frame, .. } = &mut res.rule {
-        *frame = (*frame as isize + delta) as usize;
-    }
-    for p in &mut res.premises {
-        if let Premise::Derived(inner) = p {
-            shift_env_frames(inner, delta);
-        }
+/// The innermost-first position, in `env`, of the frame an
+/// environment rule reference names: how trace events and
+/// [`Resolution::stats`] number it. `None` for extension rules and for
+/// levels `env` does not have.
+fn innermost_frame(env: &ImplicitEnv, rule: &RuleRef) -> Option<usize> {
+    match *rule {
+        RuleRef::Env { level, .. } => env.depth().checked_sub(level + 1),
+        RuleRef::Extension { .. } => None,
     }
 }
 
-/// The facts the derivation cache needs to invalidate an entry:
-/// the head key of every type the derivation looked up (a pushed
-/// frame shelves the entry iff it holds a rule admitting one of them)
-/// and the largest *absolute* frame position — 0 = outermost — of
-/// any rule used (a pop below it kills the entry). Returns `None`
-/// for derivations that are not environment-stable: those using an
-/// assumption-frame rule of the extension variant, or referencing a
-/// frame deeper than the current environment.
-pub(crate) fn derivation_cache_facts(
-    res: &Resolution,
+/// The facts the derivation cache needs to invalidate an entry: the
+/// head key of every type the derivation looked up (a pushed frame
+/// shelves the entry iff it holds a rule admitting one of them), and
+/// the deepest level of any rule used (a pop to it or below kills the
+/// entry). `None` for derivations that are not environment-stable:
+/// those using an assumption-frame rule of the extension variant, or
+/// a level at or beyond `depth`.
+pub(crate) type CacheFacts = Option<(Vec<crate::intern::HeadKey>, usize)>;
+
+/// Computes [`CacheFacts`] for derivations, once per distinct node:
+/// a node's facts are its own head and level joined with its
+/// premises'. One memo may serve many derivations of one DAG, as an
+/// import of a whole derivation table does. It is keyed by node
+/// address, so the derivations it has seen must outlive it.
+pub(crate) struct FactsMemo {
     depth: usize,
-) -> Option<(Vec<crate::intern::HeadKey>, usize)> {
-    fn go(
-        res: &Resolution,
-        depth: usize,
-        keys: &mut Vec<crate::intern::HeadKey>,
-        max_abs: &mut usize,
-    ) -> bool {
-        match res.rule {
-            RuleRef::Env { frame, .. } => {
-                if frame >= depth {
-                    return false;
-                }
-                let key = crate::intern::head_key(res.query.head());
-                if !keys.contains(&key) {
-                    keys.push(key);
-                }
-                *max_abs = (*max_abs).max(depth - 1 - frame);
-            }
-            RuleRef::Extension { .. } => return false,
+    facts: HashMap<*const Resolution, CacheFacts>,
+}
+
+impl FactsMemo {
+    /// A memo for derivations used at environment depth `depth`.
+    pub(crate) fn new(depth: usize) -> FactsMemo {
+        FactsMemo {
+            depth,
+            facts: HashMap::new(),
         }
-        res.premises.iter().all(|p| match p {
-            Premise::Assumed { .. } => true,
-            Premise::Derived(inner) => go(inner, depth, keys, max_abs),
-        })
     }
-    let mut keys = Vec::new();
-    let mut max_abs = 0;
-    if go(res, depth, &mut keys, &mut max_abs) {
-        Some((keys, max_abs))
-    } else {
-        None
+
+    /// The facts of `res`, visiting only nodes not visited before.
+    /// Iterative, so a deep derivation costs heap, not stack.
+    pub(crate) fn facts(&mut self, res: &Resolution) -> CacheFacts {
+        let mut stack: Vec<(&Resolution, bool)> = vec![(res, false)];
+        while let Some((node, expanded)) = stack.pop() {
+            let ptr: *const Resolution = node;
+            if self.facts.contains_key(&ptr) {
+                continue;
+            }
+            if !expanded {
+                stack.push((node, true));
+                for p in &node.premises {
+                    if let Premise::Derived(inner) = p {
+                        if !self.facts.contains_key(&Rc::as_ptr(inner)) {
+                            stack.push((inner, false));
+                        }
+                    }
+                }
+                continue;
+            }
+            let facts = self.join(node);
+            self.facts.insert(ptr, facts);
+        }
+        self.facts[&(res as *const Resolution)].clone()
     }
+
+    /// One node's facts, from its premises' (already memoized).
+    fn join(&self, node: &Resolution) -> CacheFacts {
+        let RuleRef::Env { level, .. } = node.rule else {
+            return None;
+        };
+        if level >= self.depth {
+            return None;
+        }
+        let mut keys = vec![crate::intern::head_key(node.query.head())];
+        let mut max_level = level;
+        for p in &node.premises {
+            if let Premise::Derived(inner) = p {
+                let (pk, pl) = self.facts[&Rc::as_ptr(inner)].as_ref()?;
+                for k in pk {
+                    if !keys.contains(k) {
+                        keys.push(*k);
+                    }
+                }
+                max_level = max_level.max(*pl);
+            }
+        }
+        Some((keys, max_level))
+    }
+}
+
+/// [`CacheFacts`] of one derivation, for an environment `depth` frames
+/// deep.
+pub(crate) fn derivation_cache_facts(res: &Resolution, depth: usize) -> CacheFacts {
+    FactsMemo::new(depth).facts(res)
 }
 
 /// `true` iff every rule `res` committed to lives in the outermost
@@ -706,7 +792,7 @@ pub(crate) fn derivation_cache_facts(
 /// a derivation referencing its own (deeper) frame, which fails this
 /// predicate and forces a miss.
 pub fn derivation_within(res: &Resolution, depth: usize, prelude_depth: usize) -> bool {
-    derivation_cache_facts(res, depth).is_some_and(|(_, max_abs)| max_abs < prelude_depth)
+    derivation_cache_facts(res, depth).is_some_and(|(_, max_level)| max_level < prelude_depth)
 }
 
 type RawHit = (RuleRef, RuleType, Vec<Type>, Vec<RuleType>);
@@ -731,7 +817,7 @@ fn lookup_with_assumptions(
     let hit = env.lookup(target, policy.overlap)?;
     Ok((
         RuleRef::Env {
-            frame: hit.frame,
+            level: env.depth() - 1 - hit.frame,
             index: hit.index,
         },
         hit.rule,
@@ -776,7 +862,7 @@ mod tests {
         assert_eq!(res.steps(), 2);
         assert!(!res.is_partial());
         // First step used the pair rule from the innermost frame.
-        assert_eq!(res.rule, RuleRef::Env { frame: 0, index: 0 });
+        assert_eq!(res.rule, RuleRef::Env { level: 1, index: 0 });
         assert_eq!(res.type_args, vec![Type::Int]);
     }
 
@@ -923,16 +1009,54 @@ mod tests {
     #[test]
     fn derivation_records_scope_of_each_step() {
         let mut env = ImplicitEnv::new();
-        env.push(vec![Type::Int.promote()]); // frame 1 (outer)
-        env.push(vec![pair_rule()]); // frame 0 (inner)
+        env.push(vec![Type::Int.promote()]); // level 0 (outer)
+        env.push(vec![pair_rule()]); // level 1 (inner)
         let res = resolve(&env, &Type::prod(Type::Int, Type::Int).promote(), &p()).unwrap();
-        assert_eq!(res.rule, RuleRef::Env { frame: 0, index: 0 });
+        assert_eq!(res.rule, RuleRef::Env { level: 1, index: 0 });
         match &res.premises[0] {
             Premise::Derived(inner) => {
-                assert_eq!(inner.rule, RuleRef::Env { frame: 1, index: 0 });
+                assert_eq!(inner.rule, RuleRef::Env { level: 0, index: 0 });
             }
             other => panic!("unexpected premise {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_hit_shares_the_cached_derivation_at_every_depth() {
+        let mut env = ImplicitEnv::new();
+        env.push(vec![Type::Int.promote()]);
+        env.push(vec![pair_rule()]);
+        let pair = Type::prod(Type::Int, Type::Int).promote();
+        let quad = Type::prod(
+            Type::prod(Type::Int, Type::Int),
+            Type::prod(Type::Int, Type::Int),
+        )
+        .promote();
+        let first = resolve(&env, &pair, &p()).unwrap();
+        // A sub-query's cached derivation is its parent's premise.
+        let outer = resolve(&env, &quad, &p()).unwrap();
+        let Premise::Derived(inner) = &outer.premises[0] else {
+            panic!("the pair premise is derived");
+        };
+        assert!(Rc::ptr_eq(inner, &first));
+        // One frame deeper, the hit keeps its levels and its premises;
+        // only the scope numbers printed move out by one.
+        env.push(vec![Type::Bool.promote()]);
+        let deeper = resolve(&env, &pair, &p()).unwrap();
+        assert_eq!(deeper, first);
+        assert_eq!(deeper.env_depth, 3);
+        let (Premise::Derived(a), Premise::Derived(b)) = (&deeper.premises[0], &first.premises[0])
+        else {
+            panic!("the Int premise is derived");
+        };
+        assert!(Rc::ptr_eq(a, b));
+        assert_eq!(
+            deeper.explain(),
+            "Int * Int  ⇐ rule #0 of scope 1 [Int]\n  Int  ⇐ rule #0 of scope 2\n"
+        );
+        let fresh = resolve(&env, &pair, &p().without_cache()).unwrap();
+        assert_eq!(fresh, deeper);
+        assert_eq!(fresh.explain(), deeper.explain());
     }
 
     #[test]
@@ -951,8 +1075,8 @@ mod tests {
     #[test]
     fn stats_count_steps_and_scanning_work() {
         let mut env = ImplicitEnv::new();
-        env.push(vec![Type::Int.promote()]); // frame 1 (outer)
-        env.push(vec![pair_rule()]); // frame 0 (inner)
+        env.push(vec![Type::Int.promote()]); // innermost-first frame 1
+        env.push(vec![pair_rule()]); // innermost-first frame 0
         let res = resolve(&env, &Type::prod(Type::Int, Type::Int).promote(), &p()).unwrap();
         let stats = res.stats(&env);
         assert_eq!(stats.steps, 2);

@@ -62,6 +62,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
+use std::rc::Rc;
 
 use crate::alpha;
 use crate::coherence::CoherenceError;
@@ -296,8 +297,9 @@ impl fmt::Display for Intersection {
 }
 
 /// Translates a whole environment into a stack of intersections,
-/// **innermost frame first** — index `i` here is the resolver's
-/// `RuleRef::Env { frame: i, .. }`.
+/// **innermost frame first** — index `i` here is the frame the
+/// resolver's `RuleRef::Env { level: n − 1 − i, .. }` names in an
+/// environment of `n` frames.
 pub fn translate_env(env: &ImplicitEnv) -> Vec<Intersection> {
     env.frames_innermost_first()
         .map(|(_, rules)| Intersection::from_context(rules))
@@ -311,8 +313,8 @@ pub fn translate_env(env: &ImplicitEnv) -> Vec<Intersection> {
 /// Which intersection a modus-ponens step selected its member from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Scope {
-    /// Environment frame `i` (0 = innermost), as in
-    /// [`RuleRef::Env`].
+    /// Environment frame `i` (0 = innermost): [`RuleRef::Env`] at
+    /// level `n − 1 − i` of an environment `n` frames deep.
     Env(usize),
     /// Assumption intersection pushed at recursion level `l` by the
     /// environment-extension policy, as in [`RuleRef::Extension`].
@@ -377,17 +379,17 @@ impl MpStep {
             })
     }
 
-    /// Converts the subtyping proof into the logic resolver's
-    /// derivation language. The conversion is structural and
-    /// lossless: agreement tests compare
-    /// `subtype_resolve(..).map(|s| s.to_resolution())` against
-    /// [`crate::resolve::resolve`] with `==`.
-    pub fn to_resolution(&self) -> Resolution {
+    /// Converts the subtyping proof, found in an environment
+    /// `env_depth` frames deep, into the logic resolver's derivation
+    /// language. The conversion is structural and lossless: agreement
+    /// tests compare `subtype_resolve(..).map(|s| s.to_resolution(n))`
+    /// against [`crate::resolve::resolve`] with `==`.
+    pub fn to_resolution(&self, env_depth: usize) -> Resolution {
         Resolution {
             query: self.goal.clone(),
             rule: match self.scope {
                 Scope::Env(frame) => RuleRef::Env {
-                    frame,
+                    level: env_depth - 1 - frame,
                     index: self.member,
                 },
                 Scope::Assumption(level) => RuleRef::Extension {
@@ -405,9 +407,12 @@ impl MpStep {
                         index: *index,
                         rho: rho.clone(),
                     },
-                    SubProof::ModusPonens(s) => Premise::Derived(Box::new(s.to_resolution())),
+                    SubProof::ModusPonens(s) => {
+                        Premise::Derived(Rc::new(s.to_resolution(env_depth)))
+                    }
                 })
                 .collect(),
+            env_depth,
         }
     }
 }
@@ -1073,8 +1078,8 @@ pub fn cross_check(
     let sub = subtype_resolve(env, query, policy);
     match (logic, sub) {
         (Ok(r), Ok(s)) => {
-            let converted = s.to_resolution();
-            if r == converted {
+            let converted = s.to_resolution(env.depth());
+            if *r == converted {
                 Ok(())
             } else {
                 Err(format!(
@@ -1123,7 +1128,11 @@ mod tests {
         let logic = resolve(env, query, policy);
         let sub = subtype_resolve(env, query, policy);
         match (logic, sub) {
-            (Ok(r), Ok(s)) => assert_eq!(r, s.to_resolution(), "evidence mismatch for {query}"),
+            (Ok(r), Ok(s)) => assert_eq!(
+                *r,
+                s.to_resolution(env.depth()),
+                "evidence mismatch for {query}"
+            ),
             (Err(le), Err(se)) => assert_eq!(le, se, "error mismatch for {query}"),
             (l, s) => panic!("outcome mismatch for {query}: logic {l:?} vs subtyping {s:?}"),
         }

@@ -24,7 +24,14 @@
 //!   an FNV-64 checksum of the payload; [`Dec::new`] verifies it
 //!   before any field is decoded, so a truncated or bit-flipped
 //!   artifact fails loudly at open time and the caller can fall back
-//!   to a cold build.
+//!   to a cold build. A checksum-valid payload can still be crafted:
+//!   every recursive decoder, here and in the crates that extend this
+//!   format, goes one level down through [`Dec::enter`], so nesting
+//!   past [`MAX_DECODE_DEPTH`] is an error, not a stack overflow.
+//! * **Derivations are written as one table of shared nodes**
+//!   ([`Enc::derivations`]): each distinct node once, after the
+//!   premises it names, so a premise is the index of an earlier node
+//!   and the table has neither forward references nor cycles.
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -50,6 +57,14 @@ impl std::error::Error for WireError {}
 fn err<T>(msg: impl Into<String>) -> Result<T, WireError> {
     Err(WireError(msg.into()))
 }
+
+/// How deep decoding may nest, summed over every recursive decoder
+/// (types, rule types, expressions, values) and bounding the height of
+/// decoded derivations. Four times the parsers' `MAX_NESTING`, so any
+/// prelude the parsers accept round-trips; shallow enough that
+/// decoding at the bound fits the 8 MiB main thread a single-shot
+/// `implicitc --cache-dir` decodes on (see DESIGN §5.4).
+pub const MAX_DECODE_DEPTH: usize = 4 * crate::parse::MAX_NESTING;
 
 /// Clamps a wire-supplied element count before pre-allocating, so a
 /// checksum-valid but corrupt (or crafted) length can't force a huge
@@ -82,6 +97,7 @@ pub struct Enc {
     syms: HashMap<Symbol, u32>,
     types: HashMap<Type, u32>,
     rules: HashMap<RuleType, u32>,
+    derivations: HashMap<*const Resolution, u32>,
 }
 
 impl Enc {
@@ -403,21 +419,57 @@ impl Enc {
         }
     }
 
-    /// Writes a resolution derivation.
-    pub fn resolution(&mut self, r: &Resolution) {
-        self.rule(&r.query);
-        match &r.rule {
-            RuleRef::Env { frame, index } => {
-                self.u8(0);
-                self.len(*frame);
-                self.len(*index);
+    /// Writes the derivations `roots` reach as one table: the number
+    /// of nodes not written before, then each such node once, after
+    /// every premise it names — a premise is the index of its node.
+    /// Returns each root's index. Nodes are told apart by identity, so
+    /// a table written from a DAG decodes to the same DAG.
+    pub fn derivations<'r>(
+        &mut self,
+        roots: impl IntoIterator<Item = &'r Rc<Resolution>>,
+    ) -> Vec<u32> {
+        let roots: Vec<&Rc<Resolution>> = roots.into_iter().collect();
+        // Postorder, iteratively: a node is numbered after its premises.
+        let mut order: Vec<&Rc<Resolution>> = Vec::new();
+        let mut stack: Vec<(&Rc<Resolution>, bool)> =
+            roots.iter().rev().map(|r| (*r, false)).collect();
+        let base = self.derivations.len() as u32;
+        while let Some((node, expanded)) = stack.pop() {
+            let ptr = Rc::as_ptr(node);
+            if self.derivations.contains_key(&ptr) {
+                continue;
             }
-            RuleRef::Extension { level, index } => {
-                self.u8(1);
-                self.len(*level);
-                self.len(*index);
+            if expanded {
+                self.derivations.insert(ptr, base + order.len() as u32);
+                order.push(node);
+                continue;
+            }
+            stack.push((node, true));
+            for p in node.premises.iter().rev() {
+                if let Premise::Derived(inner) = p {
+                    stack.push((inner, false));
+                }
             }
         }
+        self.u32(order.len() as u32);
+        for node in order {
+            self.derivation_node(node);
+        }
+        roots
+            .iter()
+            .map(|r| self.derivations[&Rc::as_ptr(r)])
+            .collect()
+    }
+
+    fn derivation_node(&mut self, r: &Resolution) {
+        self.rule(&r.query);
+        let (tag, level, index) = match r.rule {
+            RuleRef::Env { level, index } => (0, level, index),
+            RuleRef::Extension { level, index } => (1, level, index),
+        };
+        self.u8(tag);
+        self.u32(level as u32);
+        self.u32(index as u32);
         self.rule(&r.rule_type);
         self.u32(r.type_args.len() as u32);
         for t in &r.type_args {
@@ -428,12 +480,12 @@ impl Enc {
             match p {
                 Premise::Assumed { index, rho } => {
                     self.u8(0);
-                    self.len(*index);
+                    self.u32(*index as u32);
                     self.rule(rho);
                 }
                 Premise::Derived(d) => {
                     self.u8(1);
-                    self.resolution(d);
+                    self.u32(self.derivations[&Rc::as_ptr(d)]);
                 }
             }
         }
@@ -500,6 +552,10 @@ pub struct Dec<'a> {
     syms: Vec<Symbol>,
     types: Vec<Type>,
     rules: Vec<RuleType>,
+    /// Decoded derivation nodes and the height of each.
+    derivations: Vec<(Rc<Resolution>, usize)>,
+    /// Current decode nesting (see [`Dec::enter`]).
+    depth: usize,
 }
 
 impl<'a> Dec<'a> {
@@ -519,7 +575,28 @@ impl<'a> Dec<'a> {
             syms: Vec::new(),
             types: Vec::new(),
             rules: Vec::new(),
+            derivations: Vec::new(),
+            depth: 0,
         })
+    }
+
+    /// Goes one nesting level down; every recursive decoder calls this
+    /// before decoding a node's children and [`Dec::leave`] after.
+    ///
+    /// # Errors
+    ///
+    /// Nesting past [`MAX_DECODE_DEPTH`].
+    pub fn enter(&mut self) -> Result<(), WireError> {
+        if self.depth >= MAX_DECODE_DEPTH {
+            return err(format!("nesting deeper than {MAX_DECODE_DEPTH}"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Comes back up one nesting level (see [`Dec::enter`]).
+    pub fn leave(&mut self) {
+        self.depth -= 1;
     }
 
     /// True when every payload byte has been consumed.
@@ -615,51 +692,58 @@ impl<'a> Dec<'a> {
                     .ok_or_else(|| WireError(format!("dangling type backref {i}")))
             }
             1 => {
-                let t = match self.u8()? {
-                    0 => Type::Var(self.sym()?),
-                    1 => Type::Int,
-                    2 => Type::Bool,
-                    3 => Type::Str,
-                    4 => Type::Unit,
-                    5 => {
-                        let a = self.ty()?;
-                        let b = self.ty()?;
-                        Type::Arrow(Rc::new(a), Rc::new(b))
-                    }
-                    6 => {
-                        let a = self.ty()?;
-                        let b = self.ty()?;
-                        Type::Prod(Rc::new(a), Rc::new(b))
-                    }
-                    7 => Type::List(Rc::new(self.ty()?)),
-                    8 => {
-                        let n = self.sym()?;
-                        let k = self.u32()? as usize;
-                        let mut args = Vec::with_capacity(cap(k));
-                        for _ in 0..k {
-                            args.push(self.ty()?);
-                        }
-                        Type::Con(n, args)
-                    }
-                    9 => {
-                        let v = self.sym()?;
-                        let k = self.u32()? as usize;
-                        let mut args = Vec::with_capacity(cap(k));
-                        for _ in 0..k {
-                            args.push(self.ty()?);
-                        }
-                        Type::VarApp(v, args)
-                    }
-                    10 => Type::Ctor(TyCon::List),
-                    11 => Type::Ctor(TyCon::Named(self.sym()?)),
-                    12 => Type::Rule(Rc::new(self.rule()?)),
-                    b => return err(format!("bad type tag {b}")),
-                };
+                self.enter()?;
+                let t = self.ty_node();
+                self.leave();
+                let t = t?;
                 self.types.push(t.clone());
                 Ok(t)
             }
             b => err(format!("bad type memo tag {b}")),
         }
+    }
+
+    fn ty_node(&mut self) -> Result<Type, WireError> {
+        Ok(match self.u8()? {
+            0 => Type::Var(self.sym()?),
+            1 => Type::Int,
+            2 => Type::Bool,
+            3 => Type::Str,
+            4 => Type::Unit,
+            5 => {
+                let a = self.ty()?;
+                let b = self.ty()?;
+                Type::Arrow(Rc::new(a), Rc::new(b))
+            }
+            6 => {
+                let a = self.ty()?;
+                let b = self.ty()?;
+                Type::Prod(Rc::new(a), Rc::new(b))
+            }
+            7 => Type::List(Rc::new(self.ty()?)),
+            8 => {
+                let n = self.sym()?;
+                let k = self.u32()? as usize;
+                let mut args = Vec::with_capacity(cap(k));
+                for _ in 0..k {
+                    args.push(self.ty()?);
+                }
+                Type::Con(n, args)
+            }
+            9 => {
+                let v = self.sym()?;
+                let k = self.u32()? as usize;
+                let mut args = Vec::with_capacity(cap(k));
+                for _ in 0..k {
+                    args.push(self.ty()?);
+                }
+                Type::VarApp(v, args)
+            }
+            10 => Type::Ctor(TyCon::List),
+            11 => Type::Ctor(TyCon::Named(self.sym()?)),
+            12 => Type::Rule(Rc::new(self.rule()?)),
+            b => return err(format!("bad type tag {b}")),
+        })
     }
 
     /// Reads a rule type.
@@ -673,18 +757,10 @@ impl<'a> Dec<'a> {
                     .ok_or_else(|| WireError(format!("dangling rule backref {i}")))
             }
             1 => {
-                let nv = self.u32()? as usize;
-                let mut vars = Vec::with_capacity(cap(nv));
-                for _ in 0..nv {
-                    vars.push(self.sym()?);
-                }
-                let nc = self.u32()? as usize;
-                let mut context = Vec::with_capacity(cap(nc));
-                for _ in 0..nc {
-                    context.push(self.rule()?);
-                }
-                let head = self.ty()?;
-                let r = RuleType::new(vars, context, head);
+                self.enter()?;
+                let r = self.rule_node();
+                self.leave();
+                let r = r?;
                 self.rules.push(r.clone());
                 Ok(r)
             }
@@ -692,8 +768,30 @@ impl<'a> Dec<'a> {
         }
     }
 
+    fn rule_node(&mut self) -> Result<RuleType, WireError> {
+        let nv = self.u32()? as usize;
+        let mut vars = Vec::with_capacity(cap(nv));
+        for _ in 0..nv {
+            vars.push(self.sym()?);
+        }
+        let nc = self.u32()? as usize;
+        let mut context = Vec::with_capacity(cap(nc));
+        for _ in 0..nc {
+            context.push(self.rule()?);
+        }
+        let head = self.ty()?;
+        Ok(RuleType::new(vars, context, head))
+    }
+
     /// Reads a λ⇒ expression.
     pub fn expr(&mut self) -> Result<Expr, WireError> {
+        self.enter()?;
+        let e = self.expr_node();
+        self.leave();
+        e
+    }
+
+    fn expr_node(&mut self) -> Result<Expr, WireError> {
         Ok(match self.u8()? {
             0 => Expr::Int(self.i64()?),
             1 => Expr::Bool(self.bool()?),
@@ -846,18 +944,48 @@ impl<'a> Dec<'a> {
         })
     }
 
-    /// Reads a resolution derivation.
-    pub fn resolution(&mut self) -> Result<Resolution, WireError> {
+    /// Reads a derivation table written by [`Enc::derivations`]; its
+    /// nodes are then at [`Dec::derivation`], numbered on from earlier
+    /// tables of the same payload. A premise must name an earlier
+    /// node, so the table has no forward references and no cycles; an
+    /// environment rule must name a level below `depth`, the frame
+    /// count of the environment the derivations belong to, which also
+    /// becomes their [`Resolution::env_depth`]; and no derivation may
+    /// be higher than [`MAX_DECODE_DEPTH`].
+    ///
+    /// # Errors
+    ///
+    /// Any of those violations, or a malformed node.
+    pub fn derivations(&mut self, depth: usize) -> Result<(), WireError> {
+        let n = self.u32()? as usize;
+        for _ in 0..n {
+            let node = self.derivation_node(depth)?;
+            self.derivations.push(node);
+        }
+        Ok(())
+    }
+
+    /// The derivation node at `index` of the tables read so far.
+    ///
+    /// # Errors
+    ///
+    /// An index not below the number of nodes read.
+    pub fn derivation(&self, index: u32) -> Result<Rc<Resolution>, WireError> {
+        self.derivations
+            .get(index as usize)
+            .map(|(r, _)| Rc::clone(r))
+            .ok_or_else(|| WireError(format!("derivation index {index} is not a decoded node")))
+    }
+
+    fn derivation_node(&mut self, depth: usize) -> Result<(Rc<Resolution>, usize), WireError> {
         let query = self.rule()?;
-        let rule = match self.u8()? {
-            0 => RuleRef::Env {
-                frame: self.len()?,
-                index: self.len()?,
-            },
-            1 => RuleRef::Extension {
-                level: self.len()?,
-                index: self.len()?,
-            },
+        let tag = self.u8()?;
+        let level = self.u32()? as usize;
+        let index = self.u32()? as usize;
+        let rule = match tag {
+            0 if level < depth => RuleRef::Env { level, index },
+            0 => return err(format!("rule level {level} is not below the depth {depth}")),
+            1 => RuleRef::Extension { level, index },
             b => return err(format!("bad rule-ref tag {b}")),
         };
         let rule_type = self.rule()?;
@@ -868,23 +996,36 @@ impl<'a> Dec<'a> {
         }
         let kp = self.u32()? as usize;
         let mut premises = Vec::with_capacity(cap(kp));
+        let mut height = 1;
         for _ in 0..kp {
             premises.push(match self.u8()? {
                 0 => Premise::Assumed {
-                    index: self.len()?,
+                    index: self.u32()? as usize,
                     rho: self.rule()?,
                 },
-                1 => Premise::Derived(Box::new(self.resolution()?)),
+                1 => {
+                    let ix = self.u32()? as usize;
+                    let Some((node, h)) = self.derivations.get(ix) else {
+                        return err(format!("premise {ix} is not an earlier node"));
+                    };
+                    height = height.max(h + 1);
+                    Premise::Derived(Rc::clone(node))
+                }
                 b => return err(format!("bad premise tag {b}")),
             });
         }
-        Ok(Resolution {
+        if height > MAX_DECODE_DEPTH {
+            return err(format!("derivation higher than {MAX_DECODE_DEPTH}"));
+        }
+        let node = Resolution {
             query,
             rule,
             rule_type,
             type_args,
             premises,
-        })
+            env_depth: depth,
+        };
+        Ok((Rc::new(node), height))
     }
 
     /// Reads an overlap policy.
@@ -1046,5 +1187,134 @@ mod tests {
         let bytes = e.finish();
         let mut d = Dec::new(&bytes).unwrap();
         assert_eq!(d.policy().unwrap(), p);
+    }
+
+    /// `Tₖ = Tₖ₋₁ × Int` over `T₀ = Int`.
+    fn chain_type(k: usize) -> Type {
+        (0..k).fold(Type::Int, |t, _| Type::prod(t, Type::Int))
+    }
+
+    /// A chain environment, one rule `{Tₖ₋₁} ⇒ Tₖ` per frame over `Int`.
+    fn chain_env(n: usize) -> crate::env::ImplicitEnv {
+        let mut env = crate::env::ImplicitEnv::new();
+        env.push(vec![Type::Int.promote()]);
+        for k in 1..=n {
+            env.push(vec![RuleType::mono(
+                vec![chain_type(k - 1).promote()],
+                chain_type(k),
+            )]);
+        }
+        env
+    }
+
+    #[test]
+    fn a_derivation_table_holds_each_shared_node_once() {
+        let env = chain_env(8);
+        let policy = ResolutionPolicy::paper();
+        let top = crate::resolve::resolve(&env, &chain_type(8).promote(), &policy).unwrap();
+        let mid = crate::resolve::resolve(&env, &chain_type(3).promote(), &policy).unwrap();
+        let mut e = Enc::new();
+        let roots = e.derivations([&top, &mid]);
+        assert_eq!(roots, [8, 3], "premises are numbered before their parents");
+        let bytes = e.finish();
+        let mut d = Dec::new(&bytes).unwrap();
+        d.derivations(env.depth()).unwrap();
+        assert!(d.at_end());
+        assert!(d.derivation(9).is_err(), "nine distinct nodes");
+        let (a, b) = (d.derivation(8).unwrap(), d.derivation(3).unwrap());
+        assert_eq!((&*a, &*b), (&*top, &*mid));
+        // The decoded DAG shares the node the two roots have in common.
+        let mut node = a;
+        while node.query != b.query {
+            let Premise::Derived(next) = &node.premises[0] else {
+                panic!("a chain step derives its premise");
+            };
+            node = Rc::clone(next);
+        }
+        assert!(Rc::ptr_eq(&node, &b));
+        // And re-encodes to the same bytes.
+        let mut again = Enc::new();
+        again.derivations([&d.derivation(8).unwrap(), &b]);
+        assert_eq!(again.finish(), bytes);
+    }
+
+    /// A derivation table of `Int`-headed nodes, each with the level
+    /// given and premises naming the nodes given.
+    fn table(nodes: &[(u32, &[u32])]) -> Vec<u8> {
+        let int = Type::Int.promote();
+        let mut e = Enc::new();
+        e.u32(nodes.len() as u32);
+        for (level, premises) in nodes {
+            e.rule(&int);
+            e.u8(0);
+            e.u32(*level);
+            e.u32(0);
+            e.rule(&int);
+            e.u32(0);
+            e.u32(premises.len() as u32);
+            for p in *premises {
+                e.u8(1);
+                e.u32(*p);
+            }
+        }
+        e.finish()
+    }
+
+    fn decodes(bytes: &[u8], depth: usize) -> Result<(), WireError> {
+        Dec::new(bytes)?.derivations(depth)
+    }
+
+    #[test]
+    fn corrupt_derivation_tables_are_decode_errors() {
+        assert!(decodes(&table(&[(0, &[]), (1, &[0])]), 2).is_ok());
+        for (class, bytes) in [
+            ("premise out of range", table(&[(0, &[7])])),
+            ("premise points forward", table(&[(0, &[1]), (0, &[])])),
+            ("premise names its own node", table(&[(0, &[0])])),
+            ("level at the depth", table(&[(0, &[]), (2, &[0])])),
+        ] {
+            let e = decodes(&bytes, 2).expect_err(class);
+            assert!(!e.0.is_empty(), "{class}");
+        }
+        // A chain one node higher than the bound.
+        let chain: Vec<(u32, Vec<u32>)> = (0..=MAX_DECODE_DEPTH as u32)
+            .map(|i| (0, if i == 0 { vec![] } else { vec![i - 1] }))
+            .collect();
+        let nodes: Vec<(u32, &[u32])> = chain.iter().map(|(l, p)| (*l, &p[..])).collect();
+        assert!(decodes(&table(&nodes[..MAX_DECODE_DEPTH]), 1).is_ok());
+        let e = decodes(&table(&nodes), 1).unwrap_err();
+        assert!(e.0.contains("higher than"), "{e}");
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_decode_error() {
+        // Decoding at the bound takes a few MiB of stack, as on the
+        // threads that decode artifacts.
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(|| {
+                // `levels` list constructors around `Int`: one nesting level
+                // each, and one for `Int`.
+                let nested = |levels: usize| {
+                    let mut e = Enc::new();
+                    for _ in 0..levels {
+                        e.u8(1);
+                        e.u8(7);
+                    }
+                    e.u8(1);
+                    e.u8(1);
+                    e.finish()
+                };
+                let at_bound = nested(MAX_DECODE_DEPTH - 1);
+                let t = Dec::new(&at_bound).unwrap().ty().unwrap();
+                assert_eq!(t.to_string().matches('[').count(), MAX_DECODE_DEPTH - 1);
+                for levels in [MAX_DECODE_DEPTH, 200_000] {
+                    let e = Dec::new(&nested(levels)).unwrap().ty().unwrap_err();
+                    assert!(e.0.contains("nesting deeper than"), "{e}");
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }

@@ -113,8 +113,8 @@ fn evidence_shape_matches_exactly_not_just_success() {
         let (env, q) = genprog::partial_env(n + 2, n);
         let logic = resolve(&env, &q, &policy).expect("workload resolves");
         let sub = subtype_resolve(&env, &q, &policy).expect("subtyping resolves");
-        let converted = sub.to_resolution();
-        assert_eq!(logic, converted, "partial_env({}, {n})", n + 2);
+        let converted = sub.to_resolution(env.depth());
+        assert_eq!(*logic, converted, "partial_env({}, {n})", n + 2);
         assert_eq!(logic.steps(), sub.steps());
     }
 }

@@ -325,12 +325,9 @@ struct State {
 }
 
 impl State {
-    /// Evidence variable for `RuleRef::Env { frame, index }` (frame
-    /// counted from the innermost).
-    fn evidence_var(&self, frame: usize, index: usize) -> Option<Symbol> {
-        let n = self.evidence.len();
-        let outer_ix = n.checked_sub(1 + frame)?;
-        self.evidence.get(outer_ix)?.get(index).copied()
+    /// Evidence variable for `RuleRef::Env { level, index }`.
+    fn evidence_var(&self, level: usize, index: usize) -> Option<Symbol> {
+        self.evidence.get(level)?.get(index).copied()
     }
 }
 
@@ -1068,8 +1065,8 @@ impl<'d> Elaborator<'d> {
         binders: &[Symbol],
     ) -> Result<FExpr, ElabError> {
         let base_var = match res.rule {
-            RuleRef::Env { frame, index } => st
-                .evidence_var(frame, index)
+            RuleRef::Env { level, index } => st
+                .evidence_var(level, index)
                 .expect("resolution refers to a frame the elaborator pushed"),
             RuleRef::Extension { .. } => return Err(ElabError::ExtensionNotElaborable),
         };

@@ -1205,7 +1205,8 @@ mod tests {
         let res = resolve(&env, &q, &ResolutionPolicy::paper()).unwrap();
         assert_eq!(res.steps(), 1);
         match res.rule {
-            implicit_core::resolve::RuleRef::Env { frame, .. } => assert_eq!(frame, 32),
+            // The outermost frame, 32 frames below the innermost.
+            implicit_core::resolve::RuleRef::Env { level, .. } => assert_eq!(level, 0),
             other => panic!("unexpected {other:?}"),
         }
     }
@@ -1395,7 +1396,11 @@ mod tests {
                     .unwrap_or_else(|e| panic!("seed {seed}, query {q}: {e:?}"));
                 let sub = implicit_core::subtyping::subtype_resolve(&w.env, q, &policy)
                     .unwrap_or_else(|e| panic!("seed {seed}, query {q} (subtyping): {e:?}"));
-                assert_eq!(res, sub.to_resolution(), "seed {seed}, query {q}");
+                assert_eq!(
+                    *res,
+                    sub.to_resolution(w.env.depth()),
+                    "seed {seed}, query {q}"
+                );
             }
         }
     }

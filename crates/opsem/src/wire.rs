@@ -351,6 +351,13 @@ impl<'a, 'b> OpDec<'a, 'b> {
 
     /// Reads a runtime value.
     pub fn value(&mut self) -> Result<Value, WireError> {
+        self.d.enter()?;
+        let v = self.value_node();
+        self.d.leave();
+        v
+    }
+
+    fn value_node(&mut self) -> Result<Value, WireError> {
         Ok(match self.d.u8()? {
             0 => Value::Int(self.d.i64()?),
             1 => Value::Bool(self.d.bool()?),
@@ -552,11 +559,13 @@ impl<'a, 'b> OpDec<'a, 'b> {
                 1 => {
                     let body = self.expr_rc()?;
                     let ienv = self.implstack()?;
-                    let next_is_env = self.varenv()?;
+                    self.d.enter()?;
+                    let next_is_env = self.varenv();
+                    self.d.leave();
                     VarBinding::Rec {
                         body,
                         ienv,
-                        next_is_env,
+                        next_is_env: next_is_env?,
                     }
                 }
                 t => return err(format!("bad varbinding tag {t}")),
@@ -634,6 +643,60 @@ mod tests {
             }),
         );
         assert_eq!(v.try_eq(&roundtrip(&v)), Some(true));
+    }
+
+    #[test]
+    fn values_and_environments_nested_past_the_bound_are_decode_errors() {
+        // Decoding at the bound takes a few MiB of stack, as on the
+        // threads that decode artifacts.
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(|| {
+                use implicit_core::wire::MAX_DECODE_DEPTH;
+                // A value `(0, (0, … (0, 0)))` and a term environment whose recursive
+                // binding's environment holds a recursive binding whose …
+                let pairs = |levels: usize| {
+                    let mut e = Enc::new();
+                    for _ in 0..levels {
+                        e.u8(4);
+                        e.u8(1);
+                        e.u8(0);
+                        e.i64(0);
+                        e.u8(1);
+                    }
+                    e.u8(0);
+                    e.i64(0);
+                    e.finish()
+                };
+                let spines = |levels: usize| {
+                    let mut e = Enc::new();
+                    for _ in 0..levels {
+                        e.len(1);
+                        e.u8(0);
+                        e.sym(Symbol::intern("f"));
+                        e.u8(1);
+                        e.u8(1);
+                        e.u8(3);
+                        e.len(0);
+                    }
+                    e.len(0);
+                    e.u8(0);
+                    e.finish()
+                };
+                let value =
+                    |bytes: &[u8]| OpDec::new(&mut Dec::new(bytes).unwrap()).value().map(drop);
+                let env =
+                    |bytes: &[u8]| OpDec::new(&mut Dec::new(bytes).unwrap()).varenv().map(drop);
+                assert!(value(&pairs(MAX_DECODE_DEPTH / 2 - 1)).is_ok());
+                assert!(env(&spines(MAX_DECODE_DEPTH / 2)).is_ok());
+                for levels in [MAX_DECODE_DEPTH + 1, 200_000] {
+                    assert!(value(&pairs(levels)).is_err(), "{levels} pairs");
+                    assert!(env(&spines(levels)).is_err(), "{levels} spines");
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -70,8 +70,9 @@ const MAGIC: [u8; 4] = *b"IART";
 
 /// On-disk format version; bumped on any wire-layout change so older
 /// processes reject newer artifacts (and vice versa) instead of
-/// misreading them.
-pub const FORMAT_VERSION: u32 = 1;
+/// misreading them. Version 2 writes the derivation cache as one table
+/// of shared, level-indexed derivation nodes.
+pub const FORMAT_VERSION: u32 = 2;
 
 /// An artifact failed to decode, validate, or rebuild. Always a
 /// recoverable condition: callers fall back to a cold build.
@@ -582,14 +583,14 @@ impl<'d> Session<'d> {
             e.rule(r);
             e.sym(*g);
         }
+        // The cache's derivations share their nodes: one table holds
+        // each node once, and every entry names its root in it.
         let cache = self.env.export_cache(&snap);
+        let roots = e.derivations(cache.iter().map(|c| &c.resolution));
         e.len(cache.len());
-        for c in &cache {
-            e.rule(&c.query);
+        for (c, root) in cache.iter().zip(roots) {
             e.overlap(c.overlap);
-            e.resolution(&c.resolution);
-            e.len(c.cached_depth);
-            e.len(c.max_abs_frame);
+            e.u32(root);
         }
         // Opsem section: environment and stack first so memo-root
         // values can backreference shared frames.
@@ -740,20 +741,16 @@ pub fn decode(bytes: &[u8]) -> Result<DecodedArtifact, ArtifactError> {
         let g = d.sym()?;
         dict_entries.push((r, g));
     }
+    d.derivations(context.len())?;
     let n = d.len()?;
     let mut cache_entries = Vec::with_capacity(n.min(1 << 16));
     for _ in 0..n {
-        let query = d.rule()?;
         let overlap = d.overlap()?;
-        let resolution = d.resolution()?;
-        let cached_depth = d.len()?;
-        let max_abs_frame = d.len()?;
+        let root = d.u32()?;
+        let resolution = d.derivation(root)?;
         cache_entries.push(CacheExport {
-            query,
             overlap,
             resolution,
-            cached_depth,
-            max_abs_frame,
         });
     }
     let (venv, istack, memo_roots) = {

@@ -15,6 +15,10 @@
 //!   `Session` borrowing its `Declarations`).
 //! * [`run_batch`] — convenience init/step form returning results in
 //!   job order plus per-worker metadata.
+//!
+//! [`run_batch_scoped_then`] hands the workers' outputs on before the
+//! exiting threads are joined, for a caller that ends the process
+//! there and need not wait for their teardown.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -178,6 +182,28 @@ where
     J: Send,
     T: Send,
 {
+    run_batch_scoped_then(jobs, workers, work, |outputs| outputs)
+}
+
+/// [`run_batch_scoped`], handing the workers' outputs (indexed by
+/// worker) to `finish` as soon as the last worker has produced its
+/// own, while the worker threads may still be exiting. They are
+/// joined after `finish` returns, so a caller that ends the process
+/// in `finish` never waits for their teardown.
+///
+/// # Panics
+///
+/// Propagates panics from `work` (then `finish` does not run).
+pub fn run_batch_scoped_then<J, T, R>(
+    jobs: Vec<J>,
+    workers: usize,
+    work: impl Fn(usize, &mut JobSource<'_, J>) -> T + Sync,
+    finish: impl FnOnce(Vec<T>) -> R,
+) -> R
+where
+    J: Send,
+    T: Send,
+{
     let total = jobs.len();
     let workers = workers.max(1).min(total.max(1));
     let shared = Shared {
@@ -190,8 +216,10 @@ where
     let shared = &shared;
     let work = &work;
     std::thread::scope(|s| {
+        let (tx, rx) = std::sync::mpsc::channel();
         let handles: Vec<_> = (0..workers)
             .map(|w| {
+                let tx = tx.clone();
                 std::thread::Builder::new()
                     .name(format!("batch-worker-{w}"))
                     .stack_size(WORKER_STACK)
@@ -202,15 +230,24 @@ where
                             taken: 0,
                             steals: 0,
                         };
-                        work(w, &mut source)
+                        let _ = tx.send((w, work(w, &mut source)));
                     })
                     .expect("spawn batch worker")
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("batch worker panicked"))
-            .collect()
+        drop(tx);
+        // Ends early only when a worker panicked and dropped its
+        // sender unsent; the joins below then propagate the panic.
+        let mut outputs: Vec<Option<T>> = (0..workers).map(|_| None).collect();
+        for (w, out) in rx.iter().take(workers) {
+            outputs[w] = Some(out);
+        }
+        let outputs: Option<Vec<T>> = outputs.into_iter().collect();
+        let finished = outputs.map(finish);
+        for h in handles {
+            h.join().expect("batch worker panicked");
+        }
+        finished.expect("every worker that returned sent its output")
     })
 }
 

@@ -64,7 +64,9 @@ use systemf::eval::Env as FEnv;
 use systemf::typeck::typecheck_open;
 use systemf::{CompileError, Compiler, Evaluator, FDeclarations, FExpr, FType, Isa, Vm};
 
-pub use driver::{run_batch, run_batch_scoped, spawn_service_worker, JobSource, WorkerMeta};
+pub use driver::{
+    run_batch, run_batch_scoped, run_batch_scoped_then, spawn_service_worker, JobSource, WorkerMeta,
+};
 
 use implicit_core::symbol::Symbol;
 

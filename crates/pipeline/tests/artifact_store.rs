@@ -422,6 +422,140 @@ fn crafted_operands_are_rejected_and_fall_back_to_cold() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `prelude`'s artifact, warmed by [`probe`], with its derivation-cache
+/// section replaced by `section`: the checksum is valid, so only the
+/// decoder's node-table checks stand between these bytes and the
+/// session.
+fn with_cache_section(decls: &Declarations, prelude: &Prelude, section: &[u8]) -> Vec<u8> {
+    let mut s = Session::new(decls, ResolutionPolicy::paper(), prelude).unwrap();
+    s.run(&probe()).unwrap();
+    let full = s.to_artifact();
+    s.env().retain_cache(|_| false);
+    let empty = s.to_artifact();
+    // The section starts at the first byte the cache changes: its node
+    // count. Empty, it is a zero node count and a zero entry count.
+    let at = full.iter().zip(&empty).position(|(a, b)| a != b).unwrap();
+    assert_eq!(&empty[at..at + 12], &[0; 12]);
+    let mut body = [&empty[..at], section, &empty[at + 12..empty.len() - 8]].concat();
+    let h = implicit_core::wire::fnv64(&body);
+    body.extend_from_slice(&h.to_le_bytes());
+    body
+}
+
+/// A cache section: nodes `(level, premises)` whose query and rule are
+/// the first rule type the artifact wrote, then one entry per root.
+fn cache_section(nodes: &[(u32, &[u32])], roots: &[u32]) -> Vec<u8> {
+    let mut e = implicit_core::wire::Enc::new();
+    let first_rule = |e: &mut implicit_core::wire::Enc| {
+        e.u8(0);
+        e.u32(0);
+    };
+    e.u32(nodes.len() as u32);
+    for (level, premises) in nodes {
+        first_rule(&mut e);
+        e.u8(0);
+        e.u32(*level);
+        e.u32(0);
+        first_rule(&mut e);
+        e.u32(0);
+        e.u32(premises.len() as u32);
+        for p in *premises {
+            e.u8(1);
+            e.u32(*p);
+        }
+    }
+    e.len(roots.len());
+    for r in roots {
+        e.u8(0);
+        e.u32(*r);
+    }
+    e.buf().to_vec()
+}
+
+#[test]
+fn corrupt_derivation_tables_are_rejected_and_fall_back_to_cold() {
+    let decls = Declarations::default();
+    let policy = ResolutionPolicy::paper();
+    // Two implicit frames: levels 0 and 1.
+    let prelude = lets_chain(2, 5, 1);
+    let sound = with_cache_section(
+        &decls,
+        &prelude,
+        &cache_section(&[(0, &[]), (1, &[0])], &[1]),
+    );
+    assert!(artifact::decode(&sound).is_ok());
+    let cases: Vec<(&str, Vec<u8>)> = vec![
+        ("premise out of range", cache_section(&[(0, &[9])], &[0])),
+        (
+            "premise points forward",
+            cache_section(&[(0, &[1]), (0, &[])], &[1]),
+        ),
+        ("cycle", cache_section(&[(0, &[0])], &[0])),
+        (
+            "level at the context depth",
+            cache_section(&[(2, &[])], &[0]),
+        ),
+        ("entry out of range", cache_section(&[(0, &[])], &[1])),
+    ];
+    let dir = tmpdir("node-table");
+    let store = ArtifactStore::new(&dir).unwrap();
+    let key = artifact_key(&decls, &prelude, &policy, true, false, Isa::Register);
+    for (class, section) in &cases {
+        let bytes = with_cache_section(&decls, &prelude, section);
+        assert!(
+            Session::from_artifact(&decls, &policy, &prelude, true, false, &bytes).is_err(),
+            "{class}: a corrupt node table was accepted"
+        );
+        std::fs::write(store.content_path(key), &bytes).unwrap();
+        let (sess, outcome) =
+            artifact::load_or_build(&store, &decls, &policy, &prelude, true, false).unwrap();
+        assert!(matches!(outcome, LoadOutcome::Cold), "{class}: {outcome:?}");
+        assert_eq!(sess.metrics().artifact_fallbacks, 1, "{class}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn the_deepest_legitimate_shapes_round_trip_byte_identically() {
+    std::thread::Builder::new()
+        .stack_size(64 << 20)
+        .spawn(|| {
+            let decls = Declarations::default();
+            let policy = ResolutionPolicy::paper();
+            let round_trip = |prelude: &Prelude, warm: &dyn Fn(&Session)| {
+                let mut s = Session::new(&decls, policy.clone(), prelude).unwrap();
+                warm(&s);
+                let bytes = s.to_artifact();
+                let mut back =
+                    Session::from_artifact(&decls, &policy, prelude, true, false, &bytes).unwrap();
+                assert_eq!(back.to_artifact(), bytes);
+            };
+            // A derivation of `max_depth` (512) steps in the cache.
+            let top = Prelude::chain_head(511).promote();
+            round_trip(&Prelude::chain(511), &|s| {
+                let res = implicit_core::resolve::resolve(s.env(), &top, &policy).unwrap();
+                assert_eq!(res.steps(), policy.max_depth);
+            });
+            // A prelude expression and a type as deep as the parsers
+            // take: one level more is a parse error.
+            let sum = |n: usize| (0..n).fold("1".to_owned(), |e, _| format!("(1 + {e})"));
+            let list = |n: usize| format!("{}Int{}", "[".repeat(n), "]".repeat(n));
+            let let_sum = |n| format!("let x : Int = {} in unit", sum(n));
+            let let_list = |n| format!("let xs : {} = nil {} in unit", list(n), list(n));
+            for (deepest, deeper) in [
+                (let_sum(511), let_sum(512)),
+                (let_list(1022), let_list(1023)),
+            ] {
+                assert!(parse_program(&deeper).is_err());
+                let (_, e) = parse_program(&deepest).unwrap();
+                round_trip(&Prelude::from_wrapped(&e).unwrap(), &|_| {});
+            }
+        })
+        .unwrap()
+        .join()
+        .unwrap();
+}
+
 #[test]
 fn wrong_configuration_never_rehydrates() {
     let decls = Declarations::default();

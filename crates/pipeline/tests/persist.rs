@@ -264,7 +264,7 @@ fn persist_after_cache_hits_neither_encodes_nor_writes() {
     });
     assert!(skip <= 4, "persist allocated {skip} times without encoding");
     assert!(
-        encode > 1000,
+        encode > 100,
         "encoding the chain-{N} artifact allocates ({encode}), which a skip avoids"
     );
 }

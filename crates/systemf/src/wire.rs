@@ -787,6 +787,13 @@ impl<'a, 'b> SfDec<'a, 'b> {
 
     /// Reads an elaborated type.
     pub fn ftype(&mut self) -> Result<FType, WireError> {
+        self.d.enter()?;
+        let t = self.ftype_node();
+        self.d.leave();
+        t
+    }
+
+    fn ftype_node(&mut self) -> Result<FType, WireError> {
         Ok(match self.d.u8()? {
             0 => FType::Var(self.d.sym()?),
             1 => FType::Int,
@@ -852,8 +859,15 @@ impl<'a, 'b> SfDec<'a, 'b> {
     }
 
     /// Reads an elaborated expression.
-    #[allow(clippy::too_many_lines)]
     pub fn fexpr(&mut self) -> Result<FExpr, WireError> {
+        self.d.enter()?;
+        let x = self.fexpr_node();
+        self.d.leave();
+        x
+    }
+
+    #[allow(clippy::too_many_lines)]
+    fn fexpr_node(&mut self) -> Result<FExpr, WireError> {
         Ok(match self.d.u8()? {
             0 => FExpr::Int(self.d.i64()?),
             1 => FExpr::Bool(self.d.bool()?),
@@ -980,6 +994,13 @@ impl<'a, 'b> SfDec<'a, 'b> {
 
     /// Reads a runtime value.
     pub fn value(&mut self) -> Result<Value, WireError> {
+        self.d.enter()?;
+        let v = self.value_node();
+        self.d.leave();
+        v
+    }
+
+    fn value_node(&mut self) -> Result<Value, WireError> {
         Ok(match self.d.u8()? {
             0 => Value::Int(self.d.i64()?),
             1 => Value::Bool(self.d.bool()?),
@@ -1163,8 +1184,10 @@ impl<'a, 'b> SfDec<'a, 'b> {
                 0 => Binding::Done(self.value()?),
                 1 => {
                     let body = self.fexpr_rc()?;
-                    let renv = self.env()?;
-                    Binding::Rec { body, env: renv }
+                    self.d.enter()?;
+                    let renv = self.env();
+                    self.d.leave();
+                    Binding::Rec { body, env: renv? }
                 }
                 t => return err(format!("bad binding tag {t}")),
             };
@@ -1648,6 +1671,58 @@ mod tests {
         );
         let back = roundtrip_value(&v);
         assert_eq!(v.try_eq(&back), Some(true));
+    }
+
+    #[test]
+    fn values_and_environments_nested_past_the_bound_are_decode_errors() {
+        // Decoding at the bound takes a few MiB of stack, as on the
+        // threads that decode artifacts.
+        std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(|| {
+                use implicit_core::wire::MAX_DECODE_DEPTH;
+                // A value `(0, (0, … (0, 0)))` and an environment whose `fix` binding
+                // captures an environment whose `fix` binding captures …
+                let pairs = |levels: usize| {
+                    let mut e = Enc::new();
+                    for _ in 0..levels {
+                        e.u8(4);
+                        e.u8(1);
+                        e.u8(0);
+                        e.i64(0);
+                        e.u8(1);
+                    }
+                    e.u8(0);
+                    e.i64(0);
+                    e.finish()
+                };
+                let spines = |levels: usize| {
+                    let mut e = Enc::new();
+                    for _ in 0..levels {
+                        e.len(1);
+                        e.u8(0);
+                        e.sym(sym("f"));
+                        e.u8(1);
+                        e.u8(1);
+                        e.u8(3);
+                    }
+                    e.len(0);
+                    e.u8(0);
+                    e.finish()
+                };
+                let value =
+                    |bytes: &[u8]| SfDec::new(&mut Dec::new(bytes).unwrap()).value().map(drop);
+                let env = |bytes: &[u8]| SfDec::new(&mut Dec::new(bytes).unwrap()).env().map(drop);
+                assert!(value(&pairs(MAX_DECODE_DEPTH / 2 - 1)).is_ok());
+                assert!(env(&spines(MAX_DECODE_DEPTH / 2)).is_ok());
+                for levels in [MAX_DECODE_DEPTH + 1, 200_000] {
+                    assert!(value(&pairs(levels)).is_err(), "{levels} pairs");
+                    assert!(env(&spines(levels)).is_err(), "{levels} spines");
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

@@ -65,8 +65,12 @@
 //! ```
 //!
 //! Exit status 0 on success, 1 on any error (reported to stderr).
+//! Once every output is written the process exits at once: it does
+//! not drop the sessions it built or wait for its worker threads to
+//! finish exiting.
 
 use std::cell::RefCell;
+use std::io::Write;
 use std::process::ExitCode;
 use std::rc::Rc;
 use std::time::Instant;
@@ -360,13 +364,24 @@ fn main() -> ExitCode {
         (None, Some(dir)) => run_batch_mode(&opts, dir),
         (None, None) => run(&opts),
     };
-    match outcome {
-        Ok(()) => ExitCode::SUCCESS,
+    exit_now(outcome)
+}
+
+/// Ends the process once every output line, trace file and store
+/// write is complete: reports `outcome`, flushes stdout and stderr and
+/// exits, without tearing down what the run built — the operating
+/// system reclaims it faster than dropping it would.
+fn exit_now(outcome: Result<(), String>) -> ! {
+    let code = match outcome {
+        Ok(()) => 0,
         Err(e) => {
             eprintln!("implicitc: {e}");
-            ExitCode::FAILURE
+            1
         }
-    }
+    };
+    let _ = std::io::stdout().flush();
+    let _ = std::io::stderr().flush();
+    std::process::exit(code)
 }
 
 /// Observability plumbing for single-program mode: an always-present
@@ -755,6 +770,8 @@ fn run_single_cached(
     // Best-effort: writes only if running the body taught the
     // session something its artifact keeps.
     let _ = session.persist(&store);
+    // The process ends next (`exit_now`): leave the session undropped.
+    std::mem::forget(session);
     tracer.finish(opts)
 }
 
@@ -1007,7 +1024,7 @@ fn run_batch_mode(opts: &Options, dir: &str) -> Result<(), String> {
     let clock = Instant::now();
     let vm_stats = opts.vm_stats;
     let cache_dir = opts.cache_dir.as_deref();
-    let outcomes = implicit_pipeline::run_batch_scoped(programs, opts.jobs, |worker, source| {
+    let work = |worker: usize, source: &mut implicit_pipeline::JobSource<'_, (String, String)>| {
         let store = cache_dir.map(|d| {
             implicit_pipeline::artifact::ArtifactStore::new(d)
                 .expect("cache dir validated before dispatch")
@@ -1111,9 +1128,35 @@ fn run_batch_mode(opts: &Options, dir: &str) -> Result<(), String> {
         if let Some(store) = &store {
             let _ = session.persist(store);
         }
+        // The process ends once every worker's output is reported
+        // (`exit_now`): leave the session undropped.
+        std::mem::forget(session);
         Ok((out, rows, registry, fusion, histogram, widths, load))
+    };
+    implicit_pipeline::run_batch_scoped_then(programs, opts.jobs, work, |outcomes| {
+        exit_now(report_batch(opts, total, outcomes))
     });
+    unreachable!("the batch report ends the process")
+}
 
+/// One batch worker's output: its programs' results, trace rows,
+/// counters, VM statistics and store outcome.
+type WorkerOutcome = Result<
+    (
+        Vec<(usize, String, Result<String, String>)>,
+        Vec<ChromeRow>,
+        MetricsRegistry,
+        systemf::compile::FusionStats,
+        Vec<(&'static str, u64)>,
+        Vec<u16>,
+        Option<&'static str>,
+    ),
+    String,
+>;
+
+/// Prints a drained batch: the trace file, one line per program in
+/// file order, the summary and store lines, and the requested tables.
+fn report_batch(opts: &Options, total: usize, outcomes: Vec<WorkerOutcome>) -> Result<(), String> {
     let mut lines: Vec<Option<(String, Result<String, String>)>> =
         (0..total).map(|_| None).collect();
     let mut rows: Vec<ChromeRow> = Vec::new();

@@ -319,3 +319,31 @@ fn a_new_query_is_written_and_then_served_from_the_cache() {
     assert_eq!(metric(&served, "memo misses"), 0, "{served}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_store_in_the_previous_format_is_rebuilt_once() {
+    let (dir, store) = batch_dir("format-1");
+    run(&dir, &store, &[]);
+    // The artifact stamped with the previous format's version, 1, and
+    // its checksum recomputed: only the version check rejects it.
+    let iart = store.join(&names_with(&store, ".iart")[0]);
+    let mut bytes = std::fs::read(&iart).unwrap();
+    let body = bytes.len() - 8;
+    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let sum = implicit_core::wire::fnv64(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&iart, &bytes).unwrap();
+    let rebuilt = run(&dir, &store, &[]);
+    assert_eq!(
+        outcome(&rebuilt),
+        "cache: exact=0 incremental=0 cold=1, fallbacks=1"
+    );
+    let version = implicit_pipeline::artifact::FORMAT_VERSION;
+    assert_eq!(&std::fs::read(&iart).unwrap()[4..8], &version.to_le_bytes());
+    let hit = run(&dir, &store, &[]);
+    assert_eq!(
+        outcome(&hit),
+        "cache: exact=1 incremental=0 cold=0, fallbacks=0"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -164,12 +164,12 @@ fn b12_push_invalidates_exactly_the_shadowed_entries() {
     // entry alive...
     env.push(vec![Type::Bool.promote()]);
     assert_eq!(env.cache_len(), populated);
-    // ...and the replayed hit re-addresses the same absolute frame
-    // through the deeper stack.
+    // ...and the hit names the same frame, level 0, through the
+    // deeper stack.
     let before = env.cache_counters();
     let res = resolve(&env, &q, &pol).unwrap();
     assert_eq!(env.cache_counters().hits, before.hits + 1);
-    assert!(matches!(res.rule, RuleRef::Env { frame: 1, .. }));
+    assert!(matches!(res.rule, RuleRef::Env { level: 0, .. }));
     assert!(verify_derivation(&env, &res));
     // A frame providing Int shadows the chain's base value — every
     // chain entry's derivation reaches Int, so all are shelved.
@@ -200,9 +200,9 @@ fn b12_pop_invalidates_exactly_the_entries_using_the_popped_frame() {
     let before = env.cache_counters();
     let res = resolve(&env, &Type::Int.promote(), &pol).unwrap();
     assert_eq!(env.cache_counters().hits, before.hits + 1);
-    // Cached at depth 2 as innermost-first frame 1; replayed at
-    // depth 1 it must re-address the survivor as frame 0.
-    assert_eq!(res.rule, RuleRef::Env { frame: 0, index: 0 });
+    // Cached at depth 2 and hit at depth 1: level 0 names the
+    // surviving frame at both.
+    assert_eq!(res.rule, RuleRef::Env { level: 0, index: 0 });
     assert!(verify_derivation(&env, &res));
 }
 
