@@ -151,10 +151,12 @@ struct RuleNode {
 /// program's types stay alive until the next clear, so the cap bounds
 /// a warm session's resident set (a daemon tenant serving small
 /// programs grew ~2.4 KB per request under a `1 << 20` cap). At
-/// `1 << 14` a cold `implicitc` run never fills the memo and a
-/// `--batch` worker over 60 programs on the chain-48 prelude fills it
-/// at most once; only sessions that outlive many more programs, such
-/// as daemon tenants, clear it regularly.
+/// `1 << 14` a cold `implicitc` run never fills the memo. A `--batch`
+/// worker on the chain-48 prelude holds fewer than 1,024 entries once
+/// its session is built, because the parser builds each distinct type
+/// of the prelude text once, and 1,024–2,047 after 60 programs, so it
+/// fills the memo only after several hundred programs. Sessions that
+/// outlive that many, such as daemon tenants, clear it regularly.
 const PTR_MEMO_CAP: usize = 1 << 14;
 
 #[derive(Default)]

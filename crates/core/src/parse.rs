@@ -29,7 +29,9 @@
 //!
 //! Comments run from `--` to end of line.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::rc::Rc;
 
 use crate::symbol::Symbol;
@@ -607,8 +609,164 @@ impl<'s> Cursor<'s> {
     }
 }
 
+/// An Fx-style hasher: one rotate, xor and multiply per word. It needs
+/// no key against crafted collisions: the words are tags, symbols
+/// (numbered in order of first appearance) and addresses, none of
+/// which a text can choose, and a collision costs one unshared node,
+/// never a wrong one.
+#[derive(Default)]
+struct Fx(u64);
+
+impl Fx {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for Fx {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves the low bits, which pick the bucket, as
+        // aligned as the addresses were.
+        self.0.rotate_left(26)
+    }
+}
+
+/// A node the parser shares: hashed and compared one level deep, with
+/// its `Rc` children by address.
+trait Shallow {
+    fn hash_shallow(&self, h: &mut Fx);
+    fn same_shallow(&self, other: &Self) -> bool;
+}
+
+impl Shallow for Type {
+    fn hash_shallow(&self, h: &mut Fx) {
+        std::mem::discriminant(self).hash(h);
+        match self {
+            Type::Var(a) => a.hash(h),
+            Type::Int | Type::Bool | Type::Str | Type::Unit => {}
+            Type::Arrow(a, b) | Type::Prod(a, b) => {
+                h.write_usize(Rc::as_ptr(a) as usize);
+                h.write_usize(Rc::as_ptr(b) as usize);
+            }
+            Type::List(a) => h.write_usize(Rc::as_ptr(a) as usize),
+            Type::Con(n, args) | Type::VarApp(n, args) => {
+                n.hash(h);
+                h.write_usize(args.len());
+                for t in args {
+                    t.hash_shallow(h);
+                }
+            }
+            Type::Ctor(c) => c.hash(h),
+            Type::Rule(r) => h.write_usize(Rc::as_ptr(r) as usize),
+        }
+    }
+
+    fn same_shallow(&self, other: &Type) -> bool {
+        match (self, other) {
+            (Type::Arrow(a, b), Type::Arrow(c, d)) | (Type::Prod(a, b), Type::Prod(c, d)) => {
+                Rc::ptr_eq(a, c) && Rc::ptr_eq(b, d)
+            }
+            (Type::List(a), Type::List(b)) => Rc::ptr_eq(a, b),
+            (Type::Rule(a), Type::Rule(b)) => Rc::ptr_eq(a, b),
+            (Type::Con(m, xs), Type::Con(n, ys)) | (Type::VarApp(m, xs), Type::VarApp(n, ys)) => {
+                m == n && xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| x.same_shallow(y))
+            }
+            // Leaves, and nodes of different constructors.
+            _ => self == other,
+        }
+    }
+}
+
+impl Shallow for RuleType {
+    fn hash_shallow(&self, h: &mut Fx) {
+        self.vars().hash(h);
+        h.write_usize(self.context().len());
+        for r in self.context() {
+            r.hash_shallow(h);
+        }
+        self.head().hash_shallow(h);
+    }
+
+    fn same_shallow(&self, other: &RuleType) -> bool {
+        self.vars() == other.vars()
+            && self.context().len() == other.context().len()
+            && self
+                .context()
+                .iter()
+                .zip(other.context())
+                .all(|(r, s)| r.same_shallow(s))
+            && self.head().same_shallow(other.head())
+    }
+}
+
+type ConsTable<T> = HashMap<u64, Rc<T>, BuildHasherDefault<Fx>>;
+
+/// The type nodes one parse has built, so that structurally equal
+/// types in one text are one allocation.
+///
+/// λ⇒ has no type abbreviations: a prelude spells each rule type out
+/// at its binding, at each query and in its annotation. Every type
+/// node the parser puts behind an `Rc` (a child of an arrow, product
+/// or list, or a rule type inside a type) is looked up here by its
+/// constructor, its leaves and its children's addresses, which are
+/// already shared, and reused when seen. Later passes get the sharing
+/// for free: the intern arena's pointer memo hits instead of walking
+/// each copy. The tables hold a clone of each entry, so no address
+/// they key by can be reused while they live. They live for one parse
+/// and allocate on their first insert, so a parse that builds no
+/// compound type pays nothing.
+#[derive(Default)]
+struct HashCons {
+    types: ConsTable<Type>,
+    rules: ConsTable<RuleType>,
+}
+
+impl HashCons {
+    fn ty(&mut self, t: Type) -> Rc<Type> {
+        share(&mut self.types, t)
+    }
+
+    fn rule(&mut self, r: RuleType) -> Rc<RuleType> {
+        share(&mut self.rules, r)
+    }
+}
+
+fn share<T: Shallow>(table: &mut ConsTable<T>, node: T) -> Rc<T> {
+    let mut h = Fx::default();
+    node.hash_shallow(&mut h);
+    let key = h.finish();
+    if let Some(seen) = table.get(&key) {
+        if seen.same_shallow(&node) {
+            return Rc::clone(seen);
+        }
+    }
+    // New, or a hash collision, which replaces the older node.
+    let node = Rc::new(node);
+    table.insert(key, Rc::clone(&node));
+    node
+}
+
 struct Parser<'s> {
     cur: Cursor<'s>,
+    cons: HashCons,
 }
 
 impl<'s> Parser<'s> {
@@ -640,7 +798,12 @@ impl<'s> Parser<'s> {
 
     /// type := ['forall' ident+ '.'] ['{' ctx '}' '=>'] arrow
     fn parse_type(&mut self) -> Result<Type, ParseError> {
-        Ok(Type::rule(self.parse_rule_type()?))
+        let rho = self.parse_rule_type()?;
+        Ok(if rho.is_trivial() {
+            Type::rule(rho)
+        } else {
+            Type::Rule(self.cons.rule(rho))
+        })
     }
 
     fn parse_rule_type(&mut self) -> Result<RuleType, ParseError> {
@@ -675,7 +838,7 @@ impl<'s> Parser<'s> {
             self.cur.descend()?;
             let right = self.parse_arrow_type()?;
             self.cur.ascend();
-            Ok(Type::arrow(left, right))
+            Ok(Type::Arrow(self.cons.ty(left), self.cons.ty(right)))
         } else {
             Ok(left)
         }
@@ -689,7 +852,7 @@ impl<'s> Parser<'s> {
             self.cur.chain_step()?;
             self.cur.bump();
             let right = self.parse_app_type()?;
-            left = Type::prod(left, right);
+            left = Type::Prod(self.cons.ty(left), self.cons.ty(right));
         }
         self.cur.chain_end(outer);
         Ok(left)
@@ -704,7 +867,7 @@ impl<'s> Parser<'s> {
                 self.cur.bump();
                 if self.starts_atom_type() {
                     let arg = self.parse_atom_type()?;
-                    return Ok(Type::list(arg));
+                    return Ok(Type::List(self.cons.ty(arg)));
                 }
                 Ok(Type::Ctor(crate::syntax::TyCon::List))
             }
@@ -777,7 +940,7 @@ impl<'s> Parser<'s> {
                 self.cur.bump();
                 let t = self.parse_type()?;
                 self.cur.expect(&Tok::RBracket)?;
-                Ok(Type::list(t))
+                Ok(Type::List(self.cons.ty(t)))
             }
             Tok::LParen => {
                 self.cur.bump();
@@ -1264,6 +1427,7 @@ fn run_parser<'s, T>(
 ) -> Result<T, ParseError> {
     let mut p = Parser {
         cur: Cursor::new(src),
+        cons: HashCons::default(),
     };
     let out = f(&mut p);
     p.cur.finish(out)
@@ -1336,6 +1500,7 @@ pub fn parse_program(src: &str) -> Result<(Declarations, Expr), ParseError> {
 pub fn parse_declarations(src: &str) -> Result<Declarations, ParseError> {
     let mut p = Parser {
         cur: Cursor::new(src),
+        cons: HashCons::default(),
     };
     match p.parse_declarations() {
         // A lexical error that ended the header early is what the
@@ -1649,6 +1814,49 @@ mod tests {
             .unwrap()
             .join()
             .unwrap();
+    }
+
+    /// The two children of an arrow or product type.
+    fn children(t: &Type) -> (Rc<Type>, Rc<Type>) {
+        match t {
+            Type::Arrow(a, b) | Type::Prod(a, b) => (Rc::clone(a), Rc::clone(b)),
+            other => panic!("`{other}` has no two children"),
+        }
+    }
+
+    #[test]
+    fn equal_types_in_one_parse_are_one_node() {
+        for src in [
+            "((Int * Int) * Int) -> (Int * Int) * Int",
+            "Int * Int",
+            "a -> a",
+            "[Eq (List a)] * [Eq (List a)]",
+            "[forall a. {a} => a * a] -> [forall a. {a} => a * a]",
+        ] {
+            let (l, r) = children(&parse_type(src).unwrap());
+            assert!(Rc::ptr_eq(&l, &r), "{src}");
+        }
+        // Annotations far apart in an expression share too.
+        let e = parse_expr("\\x : (Int * Int) * Int. \\y : (Int * Int) * Int. x").unwrap();
+        let Expr::Lam(_, x, body) = &e else {
+            panic!("{e}")
+        };
+        let Expr::Lam(_, y, _) = &**body else {
+            panic!("{e}")
+        };
+        let ((x1, x2), (y1, y2)) = (children(x), children(y));
+        assert!(Rc::ptr_eq(&x1, &y1) && Rc::ptr_eq(&x2, &y2));
+        // Sharing is invisible to equality and printing.
+        let unshared = Type::prod(Type::prod(Type::Int, Type::Int), Type::Int);
+        assert_eq!(*x, unshared);
+        assert_eq!(x.to_string(), unshared.to_string());
+        // Two parses share nothing.
+        let (a, b) = (
+            parse_type("(Int * Int) * Int").unwrap(),
+            parse_type("(Int * Int) * Int").unwrap(),
+        );
+        let ((a1, a2), (b1, b2)) = (children(&a), children(&b));
+        assert!(!Rc::ptr_eq(&a1, &b1) && !Rc::ptr_eq(&a2, &b2));
     }
 
     #[test]
