@@ -275,7 +275,6 @@ struct DerivationCache {
     order: VecDeque<(u64, CacheKey)>,
     next_slot: u64,
     capacity: usize,
-    generation: u64,
     /// See [`ImplicitEnv::cache_version`].
     versions: Versions,
     counters: CacheCounters,
@@ -289,7 +288,6 @@ impl Default for DerivationCache {
             order: VecDeque::new(),
             next_slot: 0,
             capacity: DEFAULT_CACHE_CAPACITY,
-            generation: 0,
             versions: Versions::default(),
             counters: CacheCounters::default(),
         }
@@ -487,9 +485,7 @@ impl ImplicitEnv {
     /// cannot change what they resolved).
     pub fn push(&mut self, frame: Vec<RuleType>) {
         let frame = Frame::new(frame);
-        let cache = self.cache.get_mut();
-        cache.generation += 1;
-        cache.shelve(self.frames.len(), &frame);
+        self.cache.get_mut().shelve(self.frames.len(), &frame);
         self.frames.push(frame);
     }
 
@@ -501,9 +497,7 @@ impl ImplicitEnv {
     /// before the scope opened is live again once it closes.
     pub fn pop(&mut self) -> Option<Vec<RuleType>> {
         let frame = self.frames.pop()?;
-        let cache = self.cache.get_mut();
-        cache.generation += 1;
-        cache.unshelve(self.frames.len());
+        self.cache.get_mut().unshelve(self.frames.len());
         Some(frame.rules)
     }
 
@@ -658,12 +652,6 @@ impl ImplicitEnv {
         self.cache.borrow().entries.len()
     }
 
-    /// Generation stamp: bumped by every push and pop, so two
-    /// observations with the same stamp saw the same frame stack.
-    pub fn cache_generation(&self) -> u64 {
-        self.cache.borrow().generation
-    }
-
     /// Version stamp of the memoized entries, as seen from the
     /// current depth. Every change is counted at the depth from which
     /// it is visible: an insert, eviction, [`ImplicitEnv::retain_cache`]
@@ -695,8 +683,8 @@ impl ImplicitEnv {
     }
 
     /// Keeps only the memoized derivations, live or shelved, whose
-    /// query id satisfies `keep`. Not an invalidation — counters and
-    /// generation are untouched; the version moves if an entry went.
+    /// query id satisfies `keep`. Not an invalidation — counters are
+    /// untouched; the version moves if an entry went.
     ///
     /// This is the hook a session uses before rolling the interning
     /// arena back to an [`crate::intern::InternSnapshot`]: entries
@@ -739,8 +727,8 @@ impl ImplicitEnv {
     /// recomputed once per distinct derivation node. Entries whose
     /// facts cannot be recomputed, or that use a level at or beyond
     /// the current depth, are skipped — the cache only ever
-    /// under-approximates. Counters and the generation stamp are
-    /// untouched; each imported entry moves the version.
+    /// under-approximates. Counters are untouched; each imported entry
+    /// moves the version.
     pub fn import_cache(&self, entries: Vec<CacheExport>) {
         let mut memo = FactsMemo::new(self.frames.len());
         let mut cache = self.cache.borrow_mut();

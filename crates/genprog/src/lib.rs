@@ -17,7 +17,6 @@ use rand::{Rng, SeedableRng};
 
 use implicit_core::env::ImplicitEnv;
 use implicit_core::resolve::{resolve, ResolutionPolicy};
-use implicit_core::subst::TySubst;
 use implicit_core::symbol::{fresh, Symbol};
 use implicit_core::syntax::{BinOp, Expr, RuleType, Type, UnOp};
 
@@ -1160,22 +1159,6 @@ fn gen_fallback(ty: &Type) -> Expr {
         }
         _ => Expr::Unit,
     }
-}
-
-/// A random ground substitution over the given variables (used for
-/// stability properties).
-pub fn gen_subst(rng: &mut impl Rng, vars: &[Symbol]) -> TySubst {
-    let mut s = TySubst::new();
-    for &v in vars {
-        let t = match rng.gen_range(0..4) {
-            0 => Type::Int,
-            1 => Type::Bool,
-            2 => Type::Str,
-            _ => Type::prod(Type::Int, Type::Bool),
-        };
-        s.bind(v, t);
-    }
-    s
 }
 
 #[cfg(test)]

@@ -42,28 +42,26 @@
 //! both the free term variables of the elaborated System F term and
 //! the global slots its compiled functions load.
 
-use std::cell::RefCell;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
 
-use implicit_core::env::{CacheExport, ImplicitEnv};
+use implicit_core::env::CacheExport;
 use implicit_core::intern;
 use implicit_core::resolve::ResolutionPolicy;
-use implicit_core::symbol::{ensure_fresh_at_least, fresh_watermark, Symbol};
+use implicit_core::symbol::{ensure_fresh_at_least, Symbol};
 use implicit_core::syntax::{Declarations, RuleType, Type};
-use implicit_core::trace::MetricsSink;
 use implicit_core::wire::{fnv64, fnv64_more, Dec, Enc, WireError};
-use implicit_elab::{translate_decls, translate_rule_type, translate_type, DictCache, Elaborator};
+use implicit_elab::{translate_rule_type, translate_type};
 use implicit_opsem::interp::MemoExport;
 use implicit_opsem::wire::{OpDec, OpEnc};
-use implicit_opsem::{ImplStack, Interpreter, VarEnv};
+use implicit_opsem::{ImplStack, VarEnv};
 use systemf::compile::{func_global_reads, CodeObject, CodeParts};
 use systemf::eval::Env as FEnv;
 use systemf::wire::{isa_from_tag, isa_tag, SfDec, SfEnc};
-use systemf::{Compiler, Evaluator, FExpr, FType, Isa};
+use systemf::{Compiler, FExpr, FType, Isa};
 
-use crate::{check_open, compile_eval, Prelude, Session, SessionError};
+use crate::{Prelude, Session, SessionError};
 
 /// Artifact file magic.
 const MAGIC: [u8; 4] = *b"IART";
@@ -845,21 +843,15 @@ pub fn assemble<'d>(
     validate(&a)?;
     ensure_fresh_at_least(a.fresh_watermark);
     let compiler = Compiler::from_parts(a.code_parts);
-    let mut env = ImplicitEnv::new();
+    let mut s = Session::empty(decls, a.policy, compiler, a.vm_globals, a.dict_ic);
     for r in &a.context {
-        env.push(vec![r.clone()]);
+        s.env.push(vec![r.clone()]);
     }
-    env.import_cache(a.cache_entries);
-    let mut interp = Interpreter::new(decls).with_policy(a.policy.clone());
-    interp.import_memo_roots(&a.istack, a.memo_roots);
-    interp.set_memo_root(&a.istack);
-    let mut dict = DictCache::new(a.evidence.len());
-    dict.import_entries(a.dict_entries);
-    let elab = Elaborator::with_policy(decls, a.policy.clone());
-    let fdecls = translate_decls(decls);
+    s.env.import_cache(a.cache_entries);
+    s.interp.import_memo_roots(&a.istack, a.memo_roots);
     // The preservation context is not serialized: translate it once
     // here, as a cold build does, then append the dictionary binders.
-    let fcontext = a
+    s.fcontext = a
         .gamma
         .iter()
         .map(|(x, ty)| (*x, translate_type(ty)))
@@ -872,42 +864,17 @@ pub fn assemble<'d>(
         )
         .chain(a.dict_binders)
         .collect();
-    // The watermark is taken *after* every import so all ids interned
-    // during rehydration are covered — a later trim keeps them.
-    let intern_base = intern::snapshot();
-    let env_base = env.snapshot();
-    let code_base = compiler.snapshot();
-    Ok(Session {
-        decls,
-        policy: a.policy,
-        elab,
-        fdecls,
-        env,
-        evidence: a.evidence,
-        gamma: a.gamma,
-        context: a.context,
-        fenv: a.fenv,
-        compiler,
-        vm_globals: a.vm_globals,
-        code_base,
-        dict: Rc::new(RefCell::new(dict)),
-        dict_ic: a.dict_ic,
-        fcontext,
-        interp,
-        venv: a.venv,
-        istack: a.istack,
-        intern_base,
-        env_base,
-        metrics: Rc::new(RefCell::new(MetricsSink::new())),
-        trace: None,
-        prelude: a.prelude,
-        binding_meta: a.binding_meta,
-        fresh_base: a.fresh_watermark,
-        profile_dispatch: false,
-        dispatch_counts: std::collections::HashMap::new(),
-        key: None,
-        stored: None,
-    })
+    s.evidence = a.evidence;
+    s.gamma = a.gamma;
+    s.context = a.context;
+    s.fenv = a.fenv;
+    s.venv = a.venv;
+    s.istack = a.istack;
+    s.prelude = a.prelude;
+    s.binding_meta = a.binding_meta;
+    s.fresh_base = a.fresh_watermark;
+    s.seal(a.dict_entries);
+    Ok(s)
 }
 
 /// What an incremental rebuild reused versus recomputed.
@@ -923,15 +890,33 @@ pub struct RebuildStats {
     pub memo_roots_retained: usize,
 }
 
+/// What a rebuild takes from the old artifact for
+/// [`Session::bind_prelude`]: which bindings the edit dirtied, and the
+/// saved results of every binding (lets, then implicits).
+pub(crate) struct Reuse {
+    /// Per binding: whether it must run again.
+    pub(crate) dirty: Vec<bool>,
+    /// Per binding: its tree-walker value.
+    pub(crate) values: Vec<systemf::Value>,
+    /// Per `let`: its opsem value.
+    pub(crate) let_values: Vec<implicit_opsem::Value>,
+    /// Per implicit: its opsem frame.
+    pub(crate) frames: Vec<Rc<Vec<(RuleType, implicit_opsem::Value)>>>,
+    /// Per implicit: its evidence name, which also names its global.
+    pub(crate) evidence: Vec<Symbol>,
+    /// Per binding: its read-set.
+    pub(crate) reads: Vec<BindingMeta>,
+}
+
 /// Rebuilds a session for `prelude` from an old artifact of the same
 /// *shape* (same let names/types, same implicit rule types, same
 /// counts) whose binding expressions may have been edited: only the
 /// dependency cone of the edited bindings — the bindings themselves
 /// plus everything whose [`BindingMeta::reads`] reach one,
-/// transitively — is re-elaborated, re-evaluated, and re-compiled.
-/// Everything else reuses the decoded values, compiled globals,
-/// derivation-cache entries, and (up to the first dirty implicit
-/// frame) runtime-memo roots.
+/// transitively — is re-elaborated, re-evaluated, and re-compiled, by
+/// the builder a cold build runs. Everything else reuses the decoded
+/// values, compiled globals, derivation-cache entries, and (up to the
+/// first dirty implicit frame) runtime-memo roots.
 ///
 /// Promoted dictionary entries are always dropped (their values may
 /// embed dirty evidence); their globals and binders are kept as dead
@@ -941,8 +926,8 @@ pub struct RebuildStats {
 /// # Errors
 ///
 /// Shape changes, decode-level inconsistencies, and any pipeline
-/// failure while recomputing a dirty binding; callers fall back to a
-/// cold build.
+/// failure while recomputing a dirty binding (carrying the cold
+/// build's message); callers fall back to a cold build.
 pub fn rebuild_incremental<'d>(
     decls: &'d Declarations,
     old: DecodedArtifact,
@@ -987,142 +972,28 @@ pub fn rebuild_incremental<'d>(
     }
 
     ensure_fresh_at_least(old.fresh_watermark);
-    let old_fenv = old.fenv.bindings_outermost_first();
-    if old_fenv.len() != total {
+    let values: Vec<systemf::Value> = old
+        .fenv
+        .bindings_outermost_first()
+        .into_iter()
+        .map(|(_, v)| v)
+        .collect::<Option<_>>()
+        .ok_or_else(|| ArtifactError("recursive top-level binding".into()))?;
+    if values.len() != total {
         return err("tree environment does not cover the prelude bindings");
     }
-    let old_venv = old.venv.bindings_outermost_first();
-    if old_venv.len() != nlets {
+    let let_values: Vec<implicit_opsem::Value> = old
+        .venv
+        .bindings_outermost_first()
+        .into_iter()
+        .map(|(_, v)| v)
+        .collect::<Option<_>>()
+        .ok_or_else(|| ArtifactError("recursive top-level opsem binding".into()))?;
+    if let_values.len() != nlets {
         return err("opsem environment does not cover the prelude lets");
     }
-    let mut old_frames: Vec<Rc<Vec<(RuleType, implicit_opsem::Value)>>> =
-        old.istack.frames_innermost_first().cloned().collect();
-    old_frames.reverse(); // outermost first, parallel to implicits
-
-    let elab = Elaborator::with_policy(decls, old.policy.clone());
-    let fdecls = translate_decls(decls);
-    let mut interp = Interpreter::new(decls).with_policy(old.policy.clone());
-    let mut compiler = Compiler::from_parts(old.code_parts);
-    let mut vm_globals = old.vm_globals;
-
-    let pipeline_err = |e: SessionError| ArtifactError(format!("incremental rebuild: {e}"));
-    let elab_err = |e: implicit_elab::ElabError| ArtifactError(format!("incremental rebuild: {e}"));
-
-    let mut gamma: Vec<(Symbol, Type)> = Vec::with_capacity(nlets);
-    let mut fcontext: Vec<(Symbol, FType)> = Vec::with_capacity(total + old.dict_binders.len());
-    let mut binding_meta: Vec<BindingMeta> = Vec::with_capacity(total);
-    let mut fenv = FEnv::new();
-    let mut venv = VarEnv::new();
-    let mut reused = 0usize;
-    for (i, (x, ty, bound)) in prelude.lets.iter().enumerate() {
-        if !dirty[i] {
-            let v = old_fenv[i]
-                .1
-                .clone()
-                .ok_or_else(|| ArtifactError("recursive top-level binding".into()))?;
-            fenv = fenv.bind(*x, v);
-            let vo = old_venv[i]
-                .1
-                .clone()
-                .ok_or_else(|| ArtifactError("recursive top-level opsem binding".into()))?;
-            venv = venv.bind(*x, vo);
-            binding_meta.push(old.binding_meta[i].clone());
-            reused += 1;
-        } else {
-            let mut scratch = ImplicitEnv::new();
-            let (got, fb) = elab
-                .elaborate_with_env(&mut scratch, &[], &gamma, bound)
-                .map_err(elab_err)?;
-            if !intern::types_equal(&got, ty) {
-                return err(format!("let `{x}` declared `{ty}` but edited to `{got}`"));
-            }
-            check_open(&fdecls, &fcontext, &fb).map_err(pipeline_err)?;
-            let v = Evaluator::new()
-                .eval_in(&fenv, &fb)
-                .map_err(|e| ArtifactError(format!("incremental rebuild: {e}")))?;
-            fenv = fenv.bind(*x, v);
-            let funcs_before = compiler.code().funcs.len();
-            let gv = compile_eval(&mut compiler, &vm_globals, &fb).map_err(pipeline_err)?;
-            let funcs_after = compiler.code().funcs.len();
-            vm_globals[i] = gv;
-            binding_meta.push(binding_reads(
-                &fcontext,
-                &fb,
-                compiler.code(),
-                funcs_before..funcs_after,
-            ));
-            let vo = interp
-                .eval_in(&venv, &ImplStack::new(), bound)
-                .map_err(|e| ArtifactError(format!("incremental rebuild: {e}")))?;
-            venv = venv.bind(*x, vo);
-        }
-        gamma.push((*x, ty.clone()));
-        fcontext.push((*x, translate_type(ty)));
-    }
-
-    let mut env = ImplicitEnv::new();
-    let mut evidence: Vec<Vec<Symbol>> = Vec::with_capacity(nimp);
-    let mut context: Vec<RuleType> = Vec::with_capacity(nimp);
-    let mut istack = ImplStack::new();
-    let mut first_dirty_implicit: Option<usize> = None;
-    for (j, (arg, arho)) in prelude.implicits.iter().enumerate() {
-        let i = nlets + j;
-        let sym = old.evidence[j][0];
-        if !dirty[i] {
-            let v = old_fenv[i]
-                .1
-                .clone()
-                .ok_or_else(|| ArtifactError("recursive evidence binding".into()))?;
-            fenv = fenv.bind(sym, v);
-            istack = istack.pushed((*old_frames[j]).clone());
-            binding_meta.push(old.binding_meta[i].clone());
-            reused += 1;
-        } else {
-            if first_dirty_implicit.is_none() {
-                first_dirty_implicit = Some(j);
-            }
-            let (got, ea) = elab
-                .elaborate_with_env(&mut env, &evidence, &gamma, arg)
-                .map_err(elab_err)?;
-            let want = arho.to_type();
-            if !intern::types_equal(&got, &want) {
-                return err(format!(
-                    "implicit binding declared `{arho}` but edited to `{got}`"
-                ));
-            }
-            check_open(&fdecls, &fcontext, &ea).map_err(pipeline_err)?;
-            let v = Evaluator::new()
-                .eval_in(&fenv, &ea)
-                .map_err(|e| ArtifactError(format!("incremental rebuild: {e}")))?;
-            // The old evidence symbol is reused: it already names the
-            // compiled global slot, and a name carries no staleness.
-            fenv = fenv.bind(sym, v);
-            let funcs_before = compiler.code().funcs.len();
-            let gv = compile_eval(&mut compiler, &vm_globals, &ea).map_err(pipeline_err)?;
-            let funcs_after = compiler.code().funcs.len();
-            vm_globals[i] = gv;
-            binding_meta.push(binding_reads(
-                &fcontext,
-                &ea,
-                compiler.code(),
-                funcs_before..funcs_after,
-            ));
-            let av = interp
-                .eval_in(&venv, &istack, arg)
-                .map_err(|e| ArtifactError(format!("incremental rebuild: {e}")))?;
-            istack = istack.pushed(vec![(arho.clone(), av)]);
-        }
-        env.push(vec![arho.clone()]);
-        evidence.push(vec![sym]);
-        context.push(arho.clone());
-        fcontext.push((sym, translate_rule_type(arho)));
-    }
-
-    // Derivation-cache entries are type-level — a resolution depends
-    // only on the context rule types, which shape-equality fixed — so
-    // every exported entry stays valid under expression-only edits.
-    let cache_entries_retained = old.cache_entries.len();
-    env.import_cache(old.cache_entries);
+    let mut frames: Vec<_> = old.istack.frames_innermost_first().cloned().collect();
+    frames.reverse(); // outermost first, parallel to implicits
 
     // Runtime-memo values may embed evidence, so a root is only safe
     // when every binding it can reach is clean: any dirty let poisons
@@ -1131,65 +1002,44 @@ pub fn rebuild_incremental<'d>(
     let memo_cut = if dirty[..nlets].iter().any(|d| *d) {
         0
     } else {
-        first_dirty_implicit.unwrap_or(nimp)
+        dirty[nlets..].iter().position(|d| *d).unwrap_or(nimp)
     };
+    let reuse = Reuse {
+        dirty,
+        values,
+        let_values,
+        frames,
+        evidence: old.evidence.iter().map(|frame| frame[0]).collect(),
+        reads: old.binding_meta,
+    };
+    let compiler = Compiler::from_parts(old.code_parts);
+    let mut s = Session::empty(decls, old.policy, compiler, old.vm_globals, old.dict_ic);
+    let reused = s
+        .bind_prelude(prelude, Some(&reuse))
+        .map_err(|e| ArtifactError(format!("incremental rebuild: {e}")))?;
+
+    // Derivation-cache entries are type-level — a resolution depends
+    // only on the context rule types, which shape-equality fixed — so
+    // every exported entry stays valid under expression-only edits.
+    let cache_entries_retained = old.cache_entries.len();
+    s.env.import_cache(old.cache_entries);
     let roots: Vec<MemoExport> = old
         .memo_roots
         .into_iter()
         .filter(|r| r.depth <= memo_cut)
         .collect();
     let memo_roots_retained = roots.len();
-    interp.import_memo_roots(&istack, roots);
-    interp.set_memo_root(&istack);
-
+    s.interp.import_memo_roots(&s.istack, roots);
     // Dropped dictionary entries keep their binders, as their globals.
-    fcontext.extend(old.dict_binders);
-    let dict = DictCache::new(evidence.len());
-    let intern_base = intern::snapshot();
-    let env_base = env.snapshot();
-    let code_base = compiler.snapshot();
+    s.fcontext.extend(old.dict_binders);
+    s.seal(Vec::new());
     let stats = RebuildStats {
         bindings_total: total,
         bindings_reused: reused,
         cache_entries_retained,
         memo_roots_retained,
     };
-    let session = Session {
-        decls,
-        policy: old.policy,
-        elab,
-        fdecls,
-        env,
-        evidence,
-        gamma,
-        context,
-        fenv,
-        compiler,
-        vm_globals,
-        code_base,
-        dict: Rc::new(RefCell::new(dict)),
-        dict_ic: old.dict_ic,
-        fcontext,
-        interp,
-        venv,
-        istack,
-        intern_base,
-        env_base,
-        metrics: Rc::new(RefCell::new(MetricsSink::new())),
-        trace: None,
-        prelude: prelude.clone(),
-        binding_meta,
-        // Re-elaborating dirty bindings minted gensyms above the old
-        // artifact's watermark; snapshot the counter *after* rebuild
-        // (as cold construction does) so a saved artifact covers them
-        // and a later loader can't re-mint colliding names.
-        fresh_base: fresh_watermark(),
-        profile_dispatch: false,
-        dispatch_counts: std::collections::HashMap::new(),
-        key: None,
-        stored: None,
-    };
-    Ok((session, stats))
+    Ok((s, stats))
 }
 
 /// A content-addressed artifact directory: `<key>.iart` content files,

@@ -7,37 +7,16 @@
 //! drains jobs from a shared injector deque and, when that runs dry,
 //! steals from the tails of sibling workers' local deques.
 //!
-//! Two entry points:
-//!
-//! * [`run_batch_scoped`] — the primitive. Each worker runs a caller
-//!   closure with a [`JobSource`]; the closure owns its whole stack
-//!   frame, so worker state may borrow from other worker-locals (a
-//!   `Session` borrowing its `Declarations`).
-//! * [`run_batch`] — convenience init/step form returning results in
-//!   job order plus per-worker metadata.
-//!
-//! [`run_batch_scoped_then`] hands the workers' outputs on before the
-//! exiting threads are joined, for a caller that ends the process
-//! there and need not wait for their teardown.
+//! In [`run_batch_scoped`] each worker runs a caller closure with a
+//! [`JobSource`]; the closure owns its whole stack frame, so worker
+//! state may borrow from other worker-locals (a `Session` borrowing its
+//! `Declarations`). [`run_batch_scoped_then`] hands the workers'
+//! outputs on before the exiting threads are joined, for a caller that
+//! ends the process there and need not wait for their teardown.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
-
-/// Per-worker execution metadata.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WorkerMeta {
-    /// Worker index in `0..workers`.
-    pub worker: usize,
-    /// Jobs this worker completed.
-    pub jobs: usize,
-    /// Jobs this worker stole from a sibling's local deque.
-    pub steals: usize,
-    /// Wall-clock milliseconds spent in the worker loop (including
-    /// worker-state construction).
-    pub millis: u128,
-}
 
 /// How many jobs a worker moves from the injector to its local deque
 /// per grab.
@@ -98,8 +77,6 @@ struct Shared<J> {
 pub struct JobSource<'a, J> {
     shared: &'a Shared<J>,
     worker: usize,
-    /// Jobs this worker pulled so far.
-    pub taken: usize,
     /// Jobs this worker stole from siblings' deques.
     pub steals: usize,
 }
@@ -115,7 +92,6 @@ impl<J> Iterator for JobSource<'_, J> {
         let w = self.worker;
         loop {
             if let Some(j) = sh.locals[w].lock().unwrap().pop_front() {
-                self.taken += 1;
                 sh.dispatched.fetch_add(1, Ordering::Release);
                 return Some(j);
             }
@@ -131,7 +107,6 @@ impl<J> Iterator for JobSource<'_, J> {
                     }
                     drop(local);
                     drop(inj);
-                    self.taken += 1;
                     sh.dispatched.fetch_add(1, Ordering::Release);
                     return Some(first);
                 }
@@ -146,7 +121,6 @@ impl<J> Iterator for JobSource<'_, J> {
                 }
             }
             if let Some(j) = stolen {
-                self.taken += 1;
                 self.steals += 1;
                 sh.dispatched.fetch_add(1, Ordering::Release);
                 return Some(j);
@@ -227,7 +201,6 @@ where
                         let mut source = JobSource {
                             shared,
                             worker: w,
-                            taken: 0,
                             steals: 0,
                         };
                         let _ = tx.send((w, work(w, &mut source)));
@@ -251,87 +224,46 @@ where
     })
 }
 
-/// Init/step convenience form of [`run_batch_scoped`]: `init(w)` runs
-/// on worker thread `w` to build its state, `step` runs each job.
-/// The result vector is indexed like `jobs`; metadata is indexed by
-/// worker.
-///
-/// # Panics
-///
-/// Propagates panics from `init` or `step`.
-pub fn run_batch<J, R, W>(
-    jobs: Vec<J>,
-    workers: usize,
-    init: impl Fn(usize) -> W + Sync,
-    step: impl Fn(&mut W, J) -> R + Sync,
-) -> (Vec<R>, Vec<WorkerMeta>)
-where
-    J: Send,
-    R: Send,
-{
-    let total = jobs.len();
-    let outputs = run_batch_scoped(jobs, workers, |w, source| {
-        let started = Instant::now();
-        let mut state = init(w);
-        let mut out: Vec<(usize, R)> = Vec::new();
-        for (ix, job) in source.by_ref() {
-            out.push((ix, step(&mut state, job)));
-        }
-        let meta = WorkerMeta {
-            worker: w,
-            jobs: source.taken,
-            steals: source.steals,
-            millis: started.elapsed().as_millis(),
-        };
-        (out, meta)
-    });
-    let mut slots: Vec<Option<R>> = (0..total).map(|_| None).collect();
-    let mut metas = Vec::with_capacity(outputs.len());
-    for (out, meta) in outputs {
-        for (ix, r) in out {
-            debug_assert!(slots[ix].is_none(), "job {ix} ran twice");
-            slots[ix] = Some(r);
-        }
-        metas.push(meta);
-    }
-    let results = slots
-        .into_iter()
-        .map(|r| r.expect("every job index filled exactly once"))
-        .collect();
-    metas.sort_by_key(|m| m.worker);
-    (results, metas)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Runs `f` on every job through [`run_batch_scoped`] and returns
+    /// the results in job order, with the number of workers that ran;
+    /// every job must run exactly once.
+    fn in_job_order<J: Send, R: Send>(
+        jobs: Vec<J>,
+        workers: usize,
+        f: impl Fn(J) -> R + Sync,
+    ) -> (Vec<R>, usize) {
+        let total = jobs.len();
+        let outputs = run_batch_scoped(jobs, workers, |_, source| {
+            source.map(|(ix, j)| (ix, f(j))).collect::<Vec<_>>()
+        });
+        let ran = outputs.len();
+        let mut slots: Vec<Option<R>> = (0..total).map(|_| None).collect();
+        for (ix, r) in outputs.into_iter().flatten() {
+            assert!(slots[ix].replace(r).is_none(), "job {ix} ran twice");
+        }
+        let results = slots.into_iter().map(|r| r.expect("every job ran"));
+        (results.collect(), ran)
+    }
+
     #[test]
     fn every_job_runs_exactly_once_and_results_are_ordered() {
         for workers in [1, 2, 3, 8] {
-            let jobs: Vec<u64> = (0..203).collect();
-            let (results, metas) = run_batch(
-                jobs,
-                workers,
-                |_| 0u64,
-                |state, j| {
-                    *state += 1;
-                    j * 2
-                },
-            );
+            let (results, _) = in_job_order((0..203).collect(), workers, |j: u64| j * 2);
             assert_eq!(results, (0..203).map(|j| j * 2).collect::<Vec<_>>());
-            let total: usize = metas.iter().map(|m| m.jobs).sum();
-            assert_eq!(total, 203, "workers={workers} metas={metas:?}");
         }
     }
 
     #[test]
     fn empty_batch_and_more_workers_than_jobs_are_fine() {
-        let (results, _) = run_batch(Vec::<u8>::new(), 4, |_| (), |_, j| j);
+        let (results, _) = in_job_order(Vec::<u8>::new(), 4, |j| j);
         assert!(results.is_empty());
-        let (results, metas) = run_batch(vec![1, 2], 16, |_| (), |_, j| j + 1);
+        let (results, ran) = in_job_order(vec![1, 2], 16, |j| j + 1);
         assert_eq!(results, vec![2, 3]);
-        assert!(metas.len() <= 2);
+        assert!(ran <= 2);
     }
 
     #[test]
@@ -356,18 +288,12 @@ mod tests {
     fn stealing_rebalances_a_skewed_batch() {
         // One slow job up front; the rest drain via other workers
         // (exercised for coverage, not asserted on timing).
-        let jobs: Vec<u64> = (0..64).collect();
-        let (results, _) = run_batch(
-            jobs,
-            4,
-            |_| (),
-            |_, j| {
-                if j == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                }
-                j
-            },
-        );
+        let (results, _) = in_job_order((0..64).collect(), 4, |j: u64| {
+            if j == 0 {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+            j
+        });
         assert_eq!(results, (0..64).collect::<Vec<_>>());
     }
 }

@@ -64,9 +64,7 @@ use systemf::eval::Env as FEnv;
 use systemf::typeck::typecheck_open;
 use systemf::{CompileError, Compiler, Evaluator, FDeclarations, FExpr, FType, Isa, Vm};
 
-pub use driver::{
-    run_batch, run_batch_scoped, run_batch_scoped_then, spawn_service_worker, JobSource, WorkerMeta,
-};
+pub use driver::{run_batch_scoped, run_batch_scoped_then, spawn_service_worker, JobSource};
 
 use implicit_core::symbol::Symbol;
 
@@ -285,8 +283,8 @@ impl std::fmt::Display for Backend {
 /// programs.
 ///
 /// Sessions are single-threaded (the interning arena is thread-local
-/// and evidence values are `Rc`-based); [`driver::run_batch`] builds
-/// one per worker from a shared recipe.
+/// and evidence values are `Rc`-based); a batch run builds one per
+/// worker from a shared recipe ([`driver::run_batch_scoped`]).
 pub struct Session<'d> {
     decls: &'d Declarations,
     policy: ResolutionPolicy,
@@ -390,139 +388,197 @@ impl<'d> Session<'d> {
         fusion: bool,
         dict_ic: bool,
     ) -> Result<Session<'d>, SessionError> {
-        let elab = Elaborator::with_policy(decls, policy.clone());
-        let fdecls = translate_decls(decls);
-        let mut interp = Interpreter::new(decls).with_policy(policy.clone());
-
-        // `let` bindings: each elaborates under the earlier ones and
-        // is evaluated once in both semantics.
-        let mut gamma: Vec<(Symbol, Type)> = Vec::with_capacity(prelude.lets.len());
-        let mut binding_meta: Vec<artifact::BindingMeta> = Vec::new();
-        let mut fenv = FEnv::new();
-        let mut venv = VarEnv::new();
         let mut compiler = Compiler::new();
         compiler.set_fusion(fusion);
-        let mut vm_globals: Vec<systemf::Value> = Vec::new();
-        let mut fcontext: Vec<(Symbol, FType)> =
-            Vec::with_capacity(prelude.lets.len() + prelude.implicits.len());
-        for (x, ty, bound) in &prelude.lets {
-            let mut scratch = ImplicitEnv::new();
-            let (got, fb) = elab
-                .elaborate_with_env(&mut scratch, &[], &gamma, bound)
-                .map_err(|e| SessionError::Run(RunError::Elab(e)))?;
-            if !intern::types_equal(&got, ty) {
-                return Err(SessionError::Prelude(format!(
-                    "let `{x}` declared `{ty}` but its binding has type `{got}`"
-                )));
-            }
-            check_open(&fdecls, &fcontext, &fb)?;
-            let v = Evaluator::new()
-                .eval_in(&fenv, &fb)
-                .map_err(|e| SessionError::Run(RunError::Eval(e)))?;
-            fenv = fenv.bind(*x, v);
-            // Compiled backend: evaluate the same elaborated binding
-            // through the VM and register it as a global.
-            let funcs_before = compiler.code().funcs.len();
-            let gv = compile_eval(&mut compiler, &vm_globals, &fb)?;
-            let funcs_after = compiler.code().funcs.len();
-            compiler.add_global(*x);
-            vm_globals.push(gv);
-            binding_meta.push(artifact::binding_reads(
-                &fcontext,
-                &fb,
-                compiler.code(),
-                funcs_before..funcs_after,
-            ));
-            let vo = interp
-                .eval_in(&venv, &ImplStack::new(), bound)
-                .map_err(|e| SessionError::Prelude(format!("let `{x}` diverged in opsem: {e}")))?;
-            venv = venv.bind(*x, vo);
-            gamma.push((*x, ty.clone()));
-            fcontext.push((*x, translate_type(ty)));
-        }
+        let mut s = Session::empty(decls, policy, compiler, Vec::new(), dict_ic);
+        s.bind_prelude(prelude, None)?;
+        s.seal(Vec::new());
+        Ok(s)
+    }
 
-        // Implicit bindings: each opens its own nested scope, so
-        // binding `k` elaborates and evaluates under the frames of
-        // bindings `0..k` — as the cold nested `implicit … in` sugar
-        // does. Evidence is computed exactly once per binding.
-        let mut env = ImplicitEnv::new();
-        let mut evidence: Vec<Vec<Symbol>> = Vec::new();
-        let mut context: Vec<RuleType> = Vec::new();
-        let mut istack = ImplStack::new();
-        for (arg, arho) in &prelude.implicits {
-            let (got, ea) = elab
-                .elaborate_with_env(&mut env, &evidence, &gamma, arg)
-                .map_err(|e| SessionError::Run(RunError::Elab(e)))?;
-            let want = arho.to_type();
-            if !intern::types_equal(&got, &want) {
-                return Err(SessionError::Prelude(format!(
-                    "implicit binding declared `{arho}` but has type `{got}`"
-                )));
-            }
-            check_open(&fdecls, &fcontext, &ea)?;
-            let v = Evaluator::new()
-                .eval_in(&fenv, &ea)
-                .map_err(|e| SessionError::Run(RunError::Eval(e)))?;
-            let sym = fresh("ev");
-            fenv = fenv.bind(sym, v);
-            let funcs_before = compiler.code().funcs.len();
-            let gv = compile_eval(&mut compiler, &vm_globals, &ea)?;
-            let funcs_after = compiler.code().funcs.len();
-            compiler.add_global(sym);
-            vm_globals.push(gv);
-            binding_meta.push(artifact::binding_reads(
-                &fcontext,
-                &ea,
-                compiler.code(),
-                funcs_before..funcs_after,
-            ));
-            let av = interp.eval_in(&venv, &istack, arg).map_err(|e| {
-                SessionError::Prelude(format!("implicit binding `{arho}` in opsem: {e}"))
-            })?;
-            istack = istack.pushed(vec![(arho.clone(), av)]);
-            env.push(vec![arho.clone()]);
-            evidence.push(vec![sym]);
-            context.push(arho.clone());
-            fcontext.push((sym, translate_rule_type(arho)));
-        }
-
-        interp.set_memo_root(&istack);
-        let intern_base = intern::snapshot();
-        let env_base = env.snapshot();
-        let code_base = compiler.snapshot();
-        let fresh_base = fresh_watermark();
-        let dict = Rc::new(RefCell::new(DictCache::new(evidence.len())));
-        Ok(Session {
+    /// A session over no bindings that holds `compiler` and the values
+    /// of its globals: what [`Session::bind_prelude`] extends and
+    /// [`artifact::assemble`] fills in. Its watermarks wait for
+    /// [`Session::seal`].
+    fn empty(
+        decls: &'d Declarations,
+        policy: ResolutionPolicy,
+        compiler: Compiler,
+        vm_globals: Vec<systemf::Value>,
+        dict_ic: bool,
+    ) -> Session<'d> {
+        let env = ImplicitEnv::new();
+        Session {
             decls,
+            elab: Elaborator::with_policy(decls, policy.clone()),
+            fdecls: translate_decls(decls),
+            interp: Interpreter::new(decls).with_policy(policy.clone()),
             policy,
-            elab,
-            fdecls,
+            env_base: env.snapshot(),
             env,
-            evidence,
-            gamma,
-            context,
-            fenv,
+            evidence: Vec::new(),
+            gamma: Vec::new(),
+            context: Vec::new(),
+            fenv: FEnv::new(),
+            code_base: compiler.snapshot(),
             compiler,
             vm_globals,
-            code_base,
-            dict,
+            dict: Rc::new(RefCell::new(DictCache::new(0))),
             dict_ic,
-            fcontext,
-            interp,
-            venv,
-            istack,
-            intern_base,
-            env_base,
+            fcontext: Vec::new(),
+            venv: VarEnv::new(),
+            istack: ImplStack::new(),
+            intern_base: intern::snapshot(),
             metrics: Rc::new(RefCell::new(MetricsSink::new())),
             trace: None,
-            prelude: prelude.clone(),
-            binding_meta,
-            fresh_base,
+            prelude: Prelude::new(),
+            binding_meta: Vec::new(),
+            fresh_base: 0,
             profile_dispatch: false,
             dispatch_counts: std::collections::HashMap::new(),
             key: None,
             stored: None,
-        })
+        }
+    }
+
+    /// Binds `prelude` onto this empty session in order, each binding
+    /// under the ones before it, as the cold sugar
+    /// `let x̄ = ē in implicit {e₀:ρ₀} in … in body` does: implicit `k`
+    /// opens its own scope, so it may query implicits `0..k`.
+    ///
+    /// A binding `reuse` holds clean takes its tree value, opsem value
+    /// or frame, read-set and evidence name from the old artifact. Any
+    /// other is elaborated, checked against its declared type,
+    /// preservation-checked, evaluated on the tree-walker, compiled and
+    /// run on the VM, given its read-set, and evaluated under the
+    /// operational semantics. It takes a new global slot, or, in a
+    /// rebuild, overwrites the slot it already has. Returns how many
+    /// bindings were reused.
+    fn bind_prelude(
+        &mut self,
+        prelude: &Prelude,
+        reuse: Option<&artifact::Reuse>,
+    ) -> Result<usize, SessionError> {
+        let nlets = prelude.lets.len();
+        let mut reused = 0;
+        for (i, (x, ty, bound)) in prelude.lets.iter().enumerate() {
+            if let Some(r) = reuse.filter(|r| !r.dirty[i]) {
+                self.fenv = self.fenv.bind(*x, r.values[i].clone());
+                self.venv = self.venv.bind(*x, r.let_values[i].clone());
+                self.binding_meta.push(r.reads[i].clone());
+                reused += 1;
+            } else {
+                let (got, fb) = self
+                    .elab
+                    .elaborate_with_env(&mut ImplicitEnv::new(), &[], &self.gamma, bound)
+                    .map_err(RunError::Elab)?;
+                if !intern::types_equal(&got, ty) {
+                    return Err(SessionError::Prelude(format!(
+                        "let `{x}` declared `{ty}` but its binding has type `{got}`"
+                    )));
+                }
+                let v = self.check_and_eval(&fb)?;
+                self.fenv = self.fenv.bind(*x, v);
+                self.compile_binding(i, *x, &fb)?;
+                let vo = self
+                    .interp
+                    .eval_in(&self.venv, &ImplStack::new(), bound)
+                    .map_err(|e| {
+                        SessionError::Prelude(format!("let `{x}` diverged in opsem: {e}"))
+                    })?;
+                self.venv = self.venv.bind(*x, vo);
+            }
+            self.gamma.push((*x, ty.clone()));
+            self.fcontext.push((*x, translate_type(ty)));
+        }
+        for (j, (arg, arho)) in prelude.implicits.iter().enumerate() {
+            let i = nlets + j;
+            let sym = if let Some(r) = reuse.filter(|r| !r.dirty[i]) {
+                self.fenv = self.fenv.bind(r.evidence[j], r.values[i].clone());
+                self.istack = self.istack.pushed((*r.frames[j]).clone());
+                self.binding_meta.push(r.reads[i].clone());
+                reused += 1;
+                r.evidence[j]
+            } else {
+                let (got, ea) = self
+                    .elab
+                    .elaborate_with_env(&mut self.env, &self.evidence, &self.gamma, arg)
+                    .map_err(RunError::Elab)?;
+                if !intern::types_equal(&got, &arho.to_type()) {
+                    return Err(SessionError::Prelude(format!(
+                        "implicit binding declared `{arho}` but has type `{got}`"
+                    )));
+                }
+                let v = self.check_and_eval(&ea)?;
+                // Minted here, after the preservation check (whose type
+                // substitutions mint names too) and before compiling:
+                // moving it renumbers the later fresh names, and with
+                // them the bytes of every artifact.
+                let sym = reuse.map_or_else(|| fresh("ev"), |r| r.evidence[j]);
+                self.fenv = self.fenv.bind(sym, v);
+                self.compile_binding(i, sym, &ea)?;
+                let av = self
+                    .interp
+                    .eval_in(&self.venv, &self.istack, arg)
+                    .map_err(|e| {
+                        SessionError::Prelude(format!("implicit binding `{arho}` in opsem: {e}"))
+                    })?;
+                self.istack = self.istack.pushed(vec![(arho.clone(), av)]);
+                sym
+            };
+            self.env.push(vec![arho.clone()]);
+            self.evidence.push(vec![sym]);
+            self.context.push(arho.clone());
+            self.fcontext.push((sym, translate_rule_type(arho)));
+        }
+        self.prelude = prelude.clone();
+        // Covers every `fresh` name the bindings' state can embed, so a
+        // saved artifact carries it and a loader cannot mint them again.
+        self.fresh_base = fresh_watermark();
+        Ok(reused)
+    }
+
+    /// Preservation-checks an elaborated binding against the bindings
+    /// before it, then evaluates it on the tree-walker.
+    fn check_and_eval(&self, fe: &FExpr) -> Result<systemf::Value, SessionError> {
+        typecheck_open(&self.fdecls, &self.fcontext, fe).map_err(RunError::PreservationViolated)?;
+        Ok(Evaluator::new()
+            .eval_in(&self.fenv, fe)
+            .map_err(RunError::Eval)?)
+    }
+
+    /// Compiles binding `i`'s elaborated term and runs it on the VM
+    /// against the globals before it, stores the value in global slot
+    /// `i` (registering it under `name` when the slot is new), and
+    /// records the binding's read-set.
+    fn compile_binding(&mut self, i: usize, name: Symbol, fe: &FExpr) -> Result<(), SessionError> {
+        let funcs = self.compiler.code().funcs.len();
+        let v = compile_eval(&mut self.compiler, &self.vm_globals, fe)?;
+        if let Some(slot) = self.vm_globals.get_mut(i) {
+            *slot = v;
+        } else {
+            self.compiler.add_global(name);
+            self.vm_globals.push(v);
+        }
+        let code = self.compiler.code();
+        let reads = artifact::binding_reads(&self.fcontext, fe, code, funcs..code.funcs.len());
+        self.binding_meta.push(reads);
+        Ok(())
+    }
+
+    /// Finishes a session once its bindings and imports are in place:
+    /// creates its dictionary cache over `dict_entries`, roots the
+    /// runtime memo at the prelude stack, and takes the interner,
+    /// environment and code watermarks, so ids interned by any import
+    /// lie below them and a trim keeps them.
+    fn seal(&mut self, dict_entries: Vec<(RuleType, Symbol)>) {
+        let mut dict = DictCache::new(self.evidence.len());
+        dict.import_entries(dict_entries);
+        self.dict = Rc::new(RefCell::new(dict));
+        self.interp.set_memo_root(&self.istack);
+        self.intern_base = intern::snapshot();
+        self.env_base = self.env.snapshot();
+        self.code_base = self.compiler.snapshot();
     }
 
     /// [`Session::new_configured`] for callers that still pass the
@@ -654,11 +710,6 @@ impl<'d> Session<'d> {
             self.forget_artifact();
         }
         self.dict_ic = on;
-    }
-
-    /// Whether the dictionary inline cache is enabled.
-    pub fn dict_ic_enabled(&self) -> bool {
-        self.dict_ic
     }
 
     /// `(hits, misses)` of the dictionary inline cache.
@@ -1047,18 +1098,6 @@ fn compile_error_to_eval(e: CompileError) -> systemf::EvalError {
     match e {
         CompileError::Unbound(x) => systemf::EvalError::UnboundVar(x),
     }
-}
-
-/// Preservation check for a prelude binding: `fe` must typecheck
-/// against the System F context of the bindings before it.
-fn check_open(
-    fdecls: &FDeclarations,
-    fcontext: &[(Symbol, FType)],
-    fe: &FExpr,
-) -> Result<(), SessionError> {
-    typecheck_open(fdecls, fcontext, fe)
-        .map(|_| ())
-        .map_err(|e| SessionError::Run(RunError::PreservationViolated(e)))
 }
 
 /// A convenience error type unifying both legs for batch reporting.

@@ -952,3 +952,40 @@ fn the_source_rung_agrees_with_the_ladder_on_declared_preludes() {
         ],
     );
 }
+
+#[test]
+fn a_failing_dirty_binding_fails_the_rebuild_with_the_cold_build_error() {
+    // A rebuild runs each dirty binding through the cold build's own
+    // pipeline, so the error that sends the ladder to its cold rung
+    // carries the text that rung then reports.
+    let decls = Declarations::default();
+    let policy = ResolutionPolicy::paper();
+    let prelude = lets_chain(3, 1, 1);
+    let mut sess = Session::new(&decls, policy.clone(), &prelude).unwrap();
+    let bytes = sess.to_artifact();
+    let retyped = {
+        let mut p = prelude.clone();
+        p.lets[1].2 = Expr::Bool(true);
+        p
+    };
+    let failing = {
+        let mut p = prelude.clone();
+        p.implicits[1].0 = Expr::pair(
+            Expr::query_simple(Type::Int),
+            Expr::binop(BinOp::Div, Expr::Int(1), Expr::Int(0)),
+        );
+        p
+    };
+    for edited in [retyped, failing] {
+        let cold = match Session::new(&decls, policy.clone(), &edited) {
+            Err(e) => e.to_string(),
+            Ok(_) => panic!("the edited prelude must fail to build"),
+        };
+        let rebuilt =
+            artifact::rebuild_incremental(&decls, artifact::decode(&bytes).unwrap(), &edited);
+        match rebuilt {
+            Err(e) => assert_eq!(e.0, format!("incremental rebuild: {cold}")),
+            Ok(_) => panic!("the rebuild must fail as the cold build does ({cold})"),
+        }
+    }
+}

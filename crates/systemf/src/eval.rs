@@ -374,11 +374,6 @@ impl Evaluator {
         }
     }
 
-    /// Fuel still available.
-    pub fn fuel_remaining(&self) -> u64 {
-        self.fuel
-    }
-
     /// Fuel charged so far (evaluation steps performed).
     pub fn fuel_used(&self) -> u64 {
         self.initial_fuel - self.fuel

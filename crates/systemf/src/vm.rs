@@ -511,11 +511,6 @@ impl Vm {
         v
     }
 
-    /// Fuel still available.
-    pub fn fuel_remaining(&self) -> u64 {
-        self.fuel
-    }
-
     /// The cumulative execution counters.
     pub fn stats(&self) -> VmStats {
         VmStats {

@@ -530,7 +530,7 @@ fn run(opts: &Options) -> Result<(), String> {
             return tracer.finish(opts);
         }
         Emit::Explain => {
-            explain_queries(&core)?;
+            explain_queries(&core, &opts.policy);
             return tracer.finish(opts);
         }
         Emit::SystemF => {
@@ -1239,97 +1239,30 @@ fn report_batch(opts: &Options, total: usize, outcomes: Vec<WorkerOutcome>) -> R
     Ok(())
 }
 
-/// Prints a resolution explanation for every top-level query the
-/// program's type checking performed, by re-resolving the queries in
-/// an empty environment context (only meaningful for the outermost
-/// scope) — for scoped queries, the explanations are produced during
-/// a dedicated traversal.
-fn explain_queries(core: &Expr) -> Result<(), String> {
-    // Walk the term, maintaining the implicit environment exactly as
-    // the type checker does, and print a derivation per query.
-    use implicit_core::env::ImplicitEnv;
-    fn walk(env: &mut ImplicitEnv, e: &Expr, out: &mut Vec<String>) {
-        match e {
-            Expr::Query(rho) => {
-                match implicit_core::resolve::resolve(env, rho, &ResolutionPolicy::paper()) {
-                    Ok(res) => {
-                        let stats = res.stats(env);
-                        out.push(format!(
-                            "{}steps: {}, rules tried: {}, assumed: {}\n",
-                            res.explain(),
-                            stats.steps,
-                            stats.rules_tried,
-                            stats.assumed
-                        ));
-                    }
-                    Err(err) => out.push(format!("?({rho}) — unresolved: {err}\n")),
-                }
-            }
-            Expr::RuleAbs(rho, body) => {
-                env.push(rho.context().to_vec());
-                walk(env, body, out);
-                env.pop();
-            }
-            Expr::Lam(_, _, b) | Expr::UnOp(_, b) | Expr::Fst(b) | Expr::Snd(b) => {
-                walk(env, b, out)
-            }
-            Expr::App(a, b) | Expr::BinOp(_, a, b) | Expr::Pair(a, b) | Expr::Cons(a, b) => {
-                walk(env, a, out);
-                walk(env, b, out);
-            }
-            Expr::TyApp(a, _) => walk(env, a, out),
-            Expr::RuleApp(f, args) => {
-                walk(env, f, out);
-                for (a, _) in args {
-                    walk(env, a, out);
-                }
-            }
-            Expr::If(a, b, c) => {
-                walk(env, a, out);
-                walk(env, b, out);
-                walk(env, c, out);
-            }
-            Expr::ListCase {
-                scrut, nil, cons, ..
-            } => {
-                walk(env, scrut, out);
-                walk(env, nil, out);
-                walk(env, cons, out);
-            }
-            Expr::Fix(_, _, b) => walk(env, b, out),
-            Expr::Make(_, _, fields) => {
-                for (_, fe) in fields {
-                    walk(env, fe, out);
-                }
-            }
-            Expr::Proj(a, _) => walk(env, a, out),
-            Expr::Inject(_, _, args) => {
-                for a in args {
-                    walk(env, a, out);
-                }
-            }
-            Expr::Match(scrut, arms) => {
-                walk(env, scrut, out);
-                for arm in arms {
-                    walk(env, &arm.body, out);
-                }
-            }
-            Expr::Int(_)
-            | Expr::Bool(_)
-            | Expr::Str(_)
-            | Expr::Unit
-            | Expr::Var(_)
-            | Expr::Nil(_) => {}
-        }
-    }
-    let mut env = ImplicitEnv::new();
+/// Prints a resolution explanation for every query site of the
+/// program, each resolved under `policy` in the environment the rule
+/// abstractions around it open, as the type checker resolves it.
+fn explain_queries(core: &Expr, policy: &ResolutionPolicy) {
     let mut out = Vec::new();
-    walk(&mut env, core, &mut out);
+    implicit_core::subtyping::walk_query_sites(core, &mut |env, rho| {
+        out.push(match implicit_core::resolve::resolve(env, rho, policy) {
+            Ok(res) => {
+                let stats = res.stats(env);
+                format!(
+                    "{}steps: {}, rules tried: {}, assumed: {}\n",
+                    res.explain(),
+                    stats.steps,
+                    stats.rules_tried,
+                    stats.assumed
+                )
+            }
+            Err(err) => format!("?({rho}) — unresolved: {err}\n"),
+        });
+    });
     if out.is_empty() {
         println!("(no queries)");
     }
     for block in out {
         println!("{block}");
     }
-    Ok(())
 }

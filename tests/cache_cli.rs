@@ -10,6 +10,9 @@
 //! its artifact, so an unchanged `prelude.imp` is loaded without being
 //! parsed: a layout-only edit adds one pointer and no artifact, and a
 //! pointer to a missing artifact is counted as a fallback and mended.
+//!
+//! The bytes a cold build, an incremental rebuild and a revert write
+//! are pinned file by file.
 #![cfg(unix)]
 
 use std::collections::BTreeMap;
@@ -346,4 +349,114 @@ fn a_store_in_the_previous_format_is_rebuilt_once() {
         "cache: exact=1 incremental=0 cold=0, fallbacks=0"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every store file as `name length fnv64`, one a line, sorted by name.
+fn listing(store: &Path) -> String {
+    snapshot(store)
+        .into_iter()
+        .map(|(name, (bytes, _, _))| {
+            let sum = implicit_core::wire::fnv64(&bytes);
+            format!("{name} {} {sum:016x}\n", bytes.len())
+        })
+        .collect()
+}
+
+/// The store after each step of [`an_edit_sequence_writes_pinned_bytes`]:
+/// `name length fnv64` per file, under `--semantics elab` and then
+/// `both` (whose artifacts also hold the runtime memo's roots).
+const PINNED: [[&str; 5]; 2] = [
+    [
+        "045fd1be65c7c06d.head 17 126593ee10fb70b4\n\
+         bc0a969ae403ec11.iart 1155 144e19ce4481465e\n\
+         da31e6ccc9ff89ff.src 17 126593ee10fb70b4\n",
+        "045fd1be65c7c06d.head 17 20e521780983edff\n\
+         580f09b71dd592ea.src 17 20e521780983edff\n\
+         b99676ae485c7c2e.iart 1338 038ceb53ebe03222\n\
+         bc0a969ae403ec11.iart 1155 144e19ce4481465e\n\
+         da31e6ccc9ff89ff.src 17 126593ee10fb70b4\n",
+        "028eb6e04eb941eb.src 17 767a3b68dbaa4dd4\n\
+         045fd1be65c7c06d.head 17 767a3b68dbaa4dd4\n\
+         580f09b71dd592ea.src 17 20e521780983edff\n\
+         a5e27bcef863dfa3.iart 1479 2b8a952162f2e374\n\
+         b99676ae485c7c2e.iart 1338 038ceb53ebe03222\n\
+         bc0a969ae403ec11.iart 1155 144e19ce4481465e\n\
+         da31e6ccc9ff89ff.src 17 126593ee10fb70b4\n",
+        "028eb6e04eb941eb.src 17 767a3b68dbaa4dd4\n\
+         045fd1be65c7c06d.head 17 126593ee10fb70b4\n\
+         580f09b71dd592ea.src 17 20e521780983edff\n\
+         a5e27bcef863dfa3.iart 1479 2b8a952162f2e374\n\
+         b99676ae485c7c2e.iart 1338 038ceb53ebe03222\n\
+         bc0a969ae403ec11.iart 1155 144e19ce4481465e\n\
+         da31e6ccc9ff89ff.src 17 126593ee10fb70b4\n",
+        "028eb6e04eb941eb.src 17 767a3b68dbaa4dd4\n\
+         045fd1be65c7c06d.head 17 126593ee10fb70b4\n\
+         580f09b71dd592ea.src 17 20e521780983edff\n\
+         a5e27bcef863dfa3.iart 1479 2b8a952162f2e374\n\
+         b99676ae485c7c2e.iart 1338 038ceb53ebe03222\n\
+         bc0a969ae403ec11.iart 1155 144e19ce4481465e\n\
+         da31e6ccc9ff89ff.src 17 126593ee10fb70b4\n",
+    ],
+    [
+        "045fd1be65c7c06d.head 17 126593ee10fb70b4\n\
+         bc0a969ae403ec11.iart 1211 018abdabee49246b\n\
+         da31e6ccc9ff89ff.src 17 126593ee10fb70b4\n",
+        "045fd1be65c7c06d.head 17 20e521780983edff\n\
+         580f09b71dd592ea.src 17 20e521780983edff\n\
+         b99676ae485c7c2e.iart 1394 7808ef806b943647\n\
+         bc0a969ae403ec11.iart 1211 018abdabee49246b\n\
+         da31e6ccc9ff89ff.src 17 126593ee10fb70b4\n",
+        "028eb6e04eb941eb.src 17 767a3b68dbaa4dd4\n\
+         045fd1be65c7c06d.head 17 767a3b68dbaa4dd4\n\
+         580f09b71dd592ea.src 17 20e521780983edff\n\
+         a5e27bcef863dfa3.iart 1535 a226cf7144e29902\n\
+         b99676ae485c7c2e.iart 1394 7808ef806b943647\n\
+         bc0a969ae403ec11.iart 1211 018abdabee49246b\n\
+         da31e6ccc9ff89ff.src 17 126593ee10fb70b4\n",
+        "028eb6e04eb941eb.src 17 767a3b68dbaa4dd4\n\
+         045fd1be65c7c06d.head 17 126593ee10fb70b4\n\
+         580f09b71dd592ea.src 17 20e521780983edff\n\
+         a5e27bcef863dfa3.iart 1535 a226cf7144e29902\n\
+         b99676ae485c7c2e.iart 1394 7808ef806b943647\n\
+         bc0a969ae403ec11.iart 1211 018abdabee49246b\n\
+         da31e6ccc9ff89ff.src 17 126593ee10fb70b4\n",
+        "028eb6e04eb941eb.src 17 767a3b68dbaa4dd4\n\
+         045fd1be65c7c06d.head 17 126593ee10fb70b4\n\
+         580f09b71dd592ea.src 17 20e521780983edff\n\
+         a5e27bcef863dfa3.iart 1535 a226cf7144e29902\n\
+         b99676ae485c7c2e.iart 1394 7808ef806b943647\n\
+         bc0a969ae403ec11.iart 1211 018abdabee49246b\n\
+         da31e6ccc9ff89ff.src 17 126593ee10fb70b4\n",
+    ],
+];
+
+#[test]
+fn an_edit_sequence_writes_pinned_bytes() {
+    // Cold, a `let` edit, an edit of the first implicit (every implicit
+    // reads it, so the whole implicit cone is rebuilt), a revert to a
+    // text the store has seen, and an exact hit.
+    let steps = [
+        (prelude(40), "exact=0 incremental=0 cold=1"),
+        (prelude(41), "exact=0 incremental=1 cold=0"),
+        (
+            prelude(41).replace("base + 2", "base + 3"),
+            "exact=0 incremental=1 cold=0",
+        ),
+        (prelude(40), "exact=1 incremental=0 cold=0"),
+        (prelude(40), "exact=1 incremental=0 cold=0"),
+    ];
+    for (semantics, pinned) in ["elab", "both"].into_iter().zip(PINNED) {
+        let (dir, store) = batch_dir(&format!("pinned-{semantics}"));
+        for (step, ((text, ladder), want)) in steps.iter().zip(pinned).enumerate() {
+            std::fs::write(dir.join("prelude.imp"), text).unwrap();
+            let out = run(&dir, &store, &["--semantics", semantics]);
+            assert_eq!(
+                outcome(&out),
+                format!("cache: {ladder}, fallbacks=0"),
+                "[{semantics}] step {step}"
+            );
+            assert_eq!(listing(&store), want, "[{semantics}] step {step}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

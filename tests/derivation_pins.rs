@@ -5,6 +5,8 @@
 //! queries and on programs whose cached derivations are hit again
 //! under deeper scopes. `tests/pins/derivation_outputs.txt` holds the
 //! expected stdout of each case, one `== <case>` section each.
+//!
+//! `--emit explain` resolves under `--policy`, as evaluation does.
 
 use std::path::Path;
 use std::process::Command;
@@ -71,4 +73,27 @@ fn explain_and_metrics_outputs_are_pinned() {
         assert_eq!(got, section, "{case}");
     }
     assert!(sections.next().is_none(), "pins without a case");
+}
+
+#[test]
+fn explain_resolves_under_the_chosen_policy() {
+    // A polymorphic identity and an exact `Int -> Int` rule in one
+    // frame: the paper policy rejects the overlap, and most-specific
+    // picks the exact rule, in evaluation and in its explanation.
+    let program = "implicit {rule (forall a. a -> a) (\\x : a. x) : forall a. a -> a, \
+                   (\\x : Int. x + 1) : Int -> Int} in ?(Int -> Int) 1 : Int";
+    let run = |emit: &str| {
+        let out = Command::new(IMPLICITC)
+            .args(["--policy", "most-specific", "--emit", emit, "-e", program])
+            .output()
+            .expect("run implicitc");
+        assert!(out.status.success(), "{emit}: {out:?}");
+        String::from_utf8(out.stdout).unwrap()
+    };
+    assert_eq!(run("value"), "2 : Int\n");
+    let explain = run("explain");
+    assert!(
+        explain.starts_with("Int -> Int  ⇐ rule #0 of scope 0\n"),
+        "{explain}"
+    );
 }
