@@ -18,6 +18,7 @@ pub use genprog::{
 };
 
 use std::rc::Rc;
+use std::time::Instant;
 
 use implicit_core::resolve::ResolutionPolicy;
 use implicit_core::syntax::{BinOp, Declarations, Expr, Type};
@@ -293,6 +294,53 @@ pub fn run_vm_batch_warm(
     })
     .into_iter()
     .sum()
+}
+
+/// Per-round times, in seconds, of two workloads timed alternately.
+pub struct Interleaved {
+    a: Vec<f64>,
+    b: Vec<f64>,
+}
+
+impl Interleaved {
+    /// Times `a` and `b` in `rounds` alternating rounds (`a`, `b`, `a`,
+    /// `b`, …) after one untimed call of each. A change in host load
+    /// then reaches both sides of their ratio alike; timing one series
+    /// after the other lets it move the numerator and the denominator
+    /// apart.
+    pub fn time(rounds: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> Interleaved {
+        let timed = |f: &mut dyn FnMut()| {
+            let t0 = Instant::now();
+            f();
+            t0.elapsed().as_secs_f64()
+        };
+        a();
+        b();
+        let (mut ta, mut tb) = (Vec::with_capacity(rounds), Vec::with_capacity(rounds));
+        for _ in 0..rounds {
+            ta.push(timed(&mut a));
+            tb.push(timed(&mut b));
+        }
+        Interleaved { a: ta, b: tb }
+    }
+
+    /// The median over rounds of `a`'s time divided by `b`'s.
+    pub fn ratio(&self) -> f64 {
+        let mut r: Vec<f64> = self.a.iter().zip(&self.b).map(|(a, b)| a / b).collect();
+        r.sort_by(f64::total_cmp);
+        let mid = r.len() / 2;
+        if r.len() % 2 == 1 {
+            r[mid]
+        } else {
+            (r[mid - 1] + r[mid]) / 2.0
+        }
+    }
+
+    /// Each side's fastest round, `(a, b)`.
+    pub fn best(&self) -> (f64, f64) {
+        let min = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
+        (min(&self.a), min(&self.b))
+    }
 }
 
 /// The Figure-"Encoding the Equality Type Class" program (§5),

@@ -9,9 +9,11 @@
 //!   facade, an explicit [`NullSink`], or a disabled dynamic sink;
 //! - an `#[ignore]`d release measuring test times the B2/B12
 //!   workloads through the static `NullSink` path against a
-//!   `&mut dyn TraceSink` disabled sink and asserts the ratio stays
-//!   within 3%, printing the absolute numbers next to the PR 4
-//!   baselines recorded in `EXPERIMENTS.md` (§2 B2, §5 B12, §6 B13):
+//!   `&mut dyn TraceSink` disabled sink, in alternating rounds, and
+//!   asserts the median per-round ratio stays within 3%, printing the
+//!   absolute numbers next to the baselines recorded in
+//!   `EXPERIMENTS.md` (§2 B2, §5 B12, §6 B13); each timed workload
+//!   first passes the identical-work check. Run it with:
 //!
 //! ```text
 //! cargo test -p implicit-bench --release --test trace_overhead -- --ignored --nocapture
@@ -20,8 +22,10 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use implicit_bench::{batch_checksum, chain_env, run_batch_warm, wide_env};
+use implicit_bench::{batch_checksum, chain_env, run_batch_warm, wide_env, Interleaved};
+use implicit_core::env::ImplicitEnv;
 use implicit_core::resolve::{resolve, resolve_with, ResolutionPolicy};
+use implicit_core::syntax::RuleType;
 use implicit_core::trace::{CollectSink, NullSink, TraceEvent, TraceSink};
 
 /// An enabled-false sink behind a vtable: the strongest "disabled"
@@ -39,6 +43,29 @@ impl TraceSink for DisabledSink {
     }
 }
 
+/// The plain facade, an explicit [`NullSink`] and a disabled dynamic
+/// sink find the same derivation with the same statistics.
+fn assert_identical_work(
+    name: &str,
+    env: &ImplicitEnv,
+    query: &RuleType,
+    policy: &ResolutionPolicy,
+) {
+    let plain = resolve(env, query, policy).expect("resolves");
+    let null = resolve_with(env, query, policy, &mut NullSink).expect("resolves");
+    let mut disabled: Box<dyn TraceSink> = Box::new(DisabledSink);
+    let dynd = resolve_with(env, query, policy, disabled.as_mut()).expect("resolves");
+    assert_eq!(plain, null, "[{name}] NullSink changed the derivation");
+    assert_eq!(
+        plain, dynd,
+        "[{name}] disabled dyn sink changed the derivation"
+    );
+    let s1 = plain.stats(env);
+    let s2 = dynd.stats(env);
+    assert_eq!(s1.steps, s2.steps, "[{name}] stats diverged");
+    assert_eq!(s1.rules_tried, s2.rules_tried, "[{name}] stats diverged");
+}
+
 #[test]
 fn null_and_disabled_sinks_do_identical_work() {
     for (name, env, query) in [
@@ -49,19 +76,7 @@ fn null_and_disabled_sinks_do_identical_work() {
             ResolutionPolicy::paper(),
             ResolutionPolicy::paper().without_cache(),
         ] {
-            let plain = resolve(&env, &query, &policy).expect("resolves");
-            let null = resolve_with(&env, &query, &policy, &mut NullSink).expect("resolves");
-            let mut disabled: Box<dyn TraceSink> = Box::new(DisabledSink);
-            let dynd = resolve_with(&env, &query, &policy, disabled.as_mut()).expect("resolves");
-            assert_eq!(plain, null, "[{name}] NullSink changed the derivation");
-            assert_eq!(
-                plain, dynd,
-                "[{name}] disabled dyn sink changed the derivation"
-            );
-            let s1 = plain.stats(&env);
-            let s2 = dynd.stats(&env);
-            assert_eq!(s1.steps, s2.steps, "[{name}] stats diverged");
-            assert_eq!(s1.rules_tried, s2.rules_tried, "[{name}] stats diverged");
+            assert_identical_work(name, &env, &query, &policy);
         }
     }
 }
@@ -95,27 +110,11 @@ fn enabled_tracing_counts_match_resolution_stats() {
     assert_eq!(entered, res.steps(), "uncached: one sub-query per step");
 }
 
-/// Nanoseconds per call, best of `REPS` batches of `iters`.
-fn bench_ns(iters: u32, reps: u32, mut f: impl FnMut()) -> f64 {
-    // Warmup batch.
-    for _ in 0..iters {
-        f();
-    }
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        for _ in 0..iters {
-            f();
-        }
-        best = best.min(t0.elapsed().as_secs_f64() * 1e9 / iters as f64);
-    }
-    best
-}
-
 #[test]
 #[ignore = "overhead measurement; run in release with --ignored --nocapture"]
 fn nullsink_overhead_stays_within_budget() {
-    const REPS: u32 = 5;
+    /// Alternating rounds, each a batch of `iters` calls per side.
+    const ROUNDS: usize = 45;
     // (label, EXPERIMENTS.md baseline ns, iterations, env, query, policy)
     let wide = wide_env(512, 0.5);
     let chain = chain_env(64);
@@ -147,21 +146,35 @@ fn nullsink_overhead_stays_within_budget() {
     ];
 
     println!();
-    println!("NullSink overhead (static monomorphized vs disabled dyn sink, best of {REPS}):");
+    println!(
+        "NullSink overhead (static monomorphized vs disabled dyn sink, \
+         best of {ROUNDS} alternating rounds; ratio: median per-round ratio):"
+    );
     println!();
     println!("| workload | static | dyn-disabled | ratio | EXPERIMENTS.md baseline |");
     println!("|---|---|---|---|---|");
     for (label, baseline, iters, env, query, policy) in workloads {
-        let stat = bench_ns(iters, REPS, || {
-            black_box(resolve(black_box(&env), black_box(&query), &policy).unwrap());
-        });
+        assert_identical_work(label, &env, &query, &policy);
         let mut sink: Box<dyn TraceSink> = Box::new(DisabledSink);
-        let dynd = bench_ns(iters, REPS, || {
-            black_box(
-                resolve_with(black_box(&env), black_box(&query), &policy, sink.as_mut()).unwrap(),
-            );
-        });
-        let ratio = dynd / stat;
+        let rounds = Interleaved::time(
+            ROUNDS,
+            || {
+                for _ in 0..iters {
+                    black_box(
+                        resolve_with(black_box(&env), black_box(&query), &policy, sink.as_mut())
+                            .unwrap(),
+                    );
+                }
+            },
+            || {
+                for _ in 0..iters {
+                    black_box(resolve(black_box(&env), black_box(&query), &policy).unwrap());
+                }
+            },
+        );
+        let (dynd, stat) = rounds.best();
+        let (dynd, stat) = (dynd * 1e9 / iters as f64, stat * 1e9 / iters as f64);
+        let ratio = rounds.ratio();
         println!("| {label} | {stat:.0} ns | {dynd:.0} ns | {ratio:.3}x | {baseline:.0} ns |");
         // The zero-cost claim proper: a vtable-dispatched disabled
         // sink costs within 3% of the statically-erased NullSink on

@@ -13,7 +13,8 @@
 //!   term whose `Rc`-shared subtrees have been seen before costs one
 //!   shallow node per *unshared* level: the arena memoizes by `Rc`
 //!   pointer (keeping a clone alive so addresses are never reused),
-//!   and clones share their subtrees.
+//!   and clones share their subtrees. Those pins last one program:
+//!   [`forget_pins`] drops them where a program ends.
 //! * [`is_ground`] answers "does this type mention any type
 //!   variable?" from per-node metadata computed once at interning
 //!   time. Ground types are fixed points of substitution and match a
@@ -143,20 +144,16 @@ struct RuleNode {
 }
 
 /// Pointer-memo entries keep an `Rc` clone alive so the keyed address
-/// cannot be reused by a different allocation. The memos are cleared
-/// (wholesale) past a size cap; the structural tables are append-only
-/// so ids stay valid for the program lifetime.
+/// cannot be reused by a different allocation; the structural tables
+/// are append-only (up to [`truncate_to`]), so ids outlive the pins.
 ///
-/// The pins are also what a long-lived thread pays for the memo: every
-/// program's types stay alive until the next clear, so the cap bounds
-/// a warm session's resident set (a daemon tenant serving small
-/// programs grew ~2.4 KB per request under a `1 << 20` cap). At
-/// `1 << 14` a cold `implicitc` run never fills the memo. A `--batch`
-/// worker on the chain-48 prelude holds fewer than 1,024 entries once
-/// its session is built, because the parser builds each distinct type
-/// of the prelude text once, and 1,024–2,047 after 60 programs, so it
-/// fills the memo only after several hundred programs. Sessions that
-/// outlive that many, such as daemon tenants, clear it regularly.
+/// The pins are a per-program cache. A warm session and a daemon
+/// tenant call [`forget_pins`] where each program or request ends, so
+/// no program's types outlive it: carrying them into the next program
+/// saved no measured time, and a daemon tenant that kept them held
+/// about 2 MB of other programs' types. This cap bounds one program: past it the
+/// memos are cleared wholesale. A cold `implicitc` run never reaches
+/// it.
 const PTR_MEMO_CAP: usize = 1 << 14;
 
 #[derive(Default)]
@@ -268,6 +265,11 @@ impl Arena {
         }
         self.rule_ptr_memo.insert(key, (id, Rc::clone(rho)));
         id
+    }
+
+    fn forget_pins(&mut self) {
+        self.type_ptr_memo.clear();
+        self.rule_ptr_memo.clear();
     }
 
     fn type_meta(&self, id: TypeId) -> (bool, bool) {
@@ -572,10 +574,27 @@ pub fn arena_len() -> (usize, usize) {
     })
 }
 
+/// Pointer-memo pins held now `(types, rules)`: the `Rc`s the arena
+/// keeps alive for its O(1) re-intern of already-seen pointers.
+pub fn pinned() -> (usize, usize) {
+    ARENA.with(|a| {
+        let a = a.borrow();
+        (a.type_ptr_memo.len(), a.rule_ptr_memo.len())
+    })
+}
+
+/// Ends a program on this thread's arena: drops every pointer-memo
+/// pin, so the program's types are freed once the program drops them.
+/// Ids are untouched; the next program re-interns a surviving pointer
+/// by its structure, once, and pins it again.
+pub fn forget_pins() {
+    ARENA.with(|a| a.borrow_mut().forget_pins());
+}
+
 /// Rolls the arena back to `snap`: every id interned after the
-/// snapshot is forgotten (its structural-table entry, metadata, and
-/// pointer-memo pins are dropped) and the id space is reused by
-/// subsequent interning.
+/// snapshot is forgotten (its structural-table entry and metadata are
+/// dropped, and so is every pointer-memo pin) and the id space is
+/// reused by subsequent interning.
 ///
 /// Ids below the watermark remain valid and stable. Ids above it
 /// become dangling — callers must drop or purge any cache keyed by a
@@ -594,10 +613,7 @@ pub fn truncate_to(snap: &InternSnapshot) {
         a.rule_ground.truncate(snap.rules as usize);
         a.rule_has_ctor.truncate(snap.rules as usize);
         a.rule_nodes.truncate(snap.rules as usize);
-        // Pointer memos may alias ids past the watermark through any
-        // shared subtree; keep only entries whose id survives.
-        a.type_ptr_memo.retain(|_, (id, _)| id.0 < snap.types);
-        a.rule_ptr_memo.retain(|_, (id, _)| id.0 < snap.rules);
+        a.forget_pins();
     });
 }
 
@@ -638,6 +654,50 @@ mod tests {
         }
         let memo = ARENA.with(|a| a.borrow().type_ptr_memo.len());
         assert!(memo <= PTR_MEMO_CAP, "{memo} pinned entries");
+    }
+
+    #[test]
+    fn a_pin_lives_until_its_program_ends() {
+        let child = Rc::new(Type::prod(Type::Int, Type::Bool));
+        let t = Type::List(Rc::clone(&child));
+        let id = type_id(&t);
+        assert_eq!(Rc::strong_count(&child), 3, "`child`, `t` and the pin");
+        assert!(pinned().0 > 0);
+
+        // A second intern of the same `Rc` within the program answers
+        // from its memo entry, poisoned here to tell a hit from a walk.
+        let key = Rc::as_ptr(&child) as usize;
+        let child_id = ARENA.with(|a| {
+            let mut a = a.borrow_mut();
+            let entry = a.type_ptr_memo.get_mut(&key).expect("child is pinned");
+            std::mem::replace(&mut entry.0, TypeId(u32::MAX))
+        });
+        assert_eq!(
+            ARENA.with(|a| a.borrow_mut().intern_type_rc(&child)),
+            TypeId(u32::MAX)
+        );
+        assert_eq!(Rc::strong_count(&child), 3, "a hit takes no second pin");
+
+        forget_pins();
+        assert_eq!(pinned(), (0, 0));
+        assert_eq!(Rc::strong_count(&child), 2, "the pin is gone");
+        // Ids outlive the pins: the next program re-interns by structure.
+        assert_eq!(type_id(&t), id);
+        assert_eq!(
+            ARENA.with(|a| a.borrow_mut().intern_type_rc(&child)),
+            child_id
+        );
+    }
+
+    #[test]
+    fn truncation_drops_every_pin() {
+        let base = Type::list(Type::Int);
+        type_id(&base);
+        let snap = snapshot();
+        type_id(&Type::list(Type::list(Type::Bool)));
+        truncate_to(&snap);
+        assert_eq!(pinned(), (0, 0));
+        assert_eq!(type_id(&base.clone()), type_id(&Type::list(Type::Int)));
     }
 
     #[test]

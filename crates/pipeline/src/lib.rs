@@ -68,9 +68,9 @@ pub use driver::{run_batch_scoped, run_batch_scoped_then, spawn_service_worker, 
 
 use implicit_core::symbol::Symbol;
 
-/// How many *new* interned nodes a program may leave behind before
-/// [`Session::maybe_trim`] rolls the arena back to the prelude
-/// watermark.
+/// How many *new* interned nodes programs may leave behind before the
+/// end of one ([`Session::maybe_trim`], or a resolve-only daemon
+/// tenant's request) rolls the arena back to its base watermark.
 const TRIM_THRESHOLD: usize = 1 << 15;
 
 /// A batch prelude: ordinary `let` bindings (evaluated once, in
@@ -1027,15 +1027,13 @@ impl<'d> Session<'d> {
         out
     }
 
-    /// Rolls the interning arena back to the prelude watermark if the
-    /// last program(s) left more than [`TRIM_THRESHOLD`] nodes behind,
-    /// first purging every cache/memo entry whose interned id the
-    /// rollback would orphan.
+    /// Ends a program: forgets the interner's pointer-memo pins
+    /// ([`intern::forget_pins`]), and rolls the arena back to the
+    /// prelude watermark if the last program(s) left more than
+    /// [`TRIM_THRESHOLD`] nodes behind, first purging every cache/memo
+    /// entry whose interned id the rollback would orphan.
     pub fn maybe_trim(&mut self) {
-        let (types, rules) = intern::arena_len();
-        if types > self.intern_base.type_count() + TRIM_THRESHOLD
-            || rules > self.intern_base.rule_count() + TRIM_THRESHOLD
-        {
+        if end_program(&self.intern_base) {
             self.trim();
         }
     }
@@ -1064,16 +1062,33 @@ impl<'d> Session<'d> {
     /// Unconditional arena rollback; see [`Session::maybe_trim`].
     pub fn trim(&mut self) {
         let base = self.intern_base;
-        self.env.retain_cache(|id| base.covers_rule(id));
         self.interp.retain_memo(|id| base.covers_rule(id));
         // Dictionary entries are keyed by interned rule id; drop the
         // ones the truncation would orphan *before* truncating (ids
         // below the watermark are prefix-stable). Their globals stay
         // registered — harmless dead weight, re-promoted on demand.
         self.dict.borrow_mut().retain_covered(&base);
-        intern::truncate_to(&base);
+        trim_arena(&base, &self.env);
         self.count(|m| m.trims += 1);
     }
+}
+
+/// Ends one program on this thread's interning arena: forgets the
+/// pointer memo's pins ([`intern::forget_pins`]) and reports whether
+/// the arena has grown more than [`TRIM_THRESHOLD`] nodes past `base`,
+/// so the caller should [`trim_arena`] back to it.
+fn end_program(base: &InternSnapshot) -> bool {
+    intern::forget_pins();
+    let (types, rules) = intern::arena_len();
+    types > base.type_count() + TRIM_THRESHOLD || rules > base.rule_count() + TRIM_THRESHOLD
+}
+
+/// Rolls the arena back to `base`, first dropping the derivation-cache
+/// entries of `env` whose query the rollback would orphan. Any other
+/// cache keyed by interned ids must be purged before this call.
+fn trim_arena(base: &InternSnapshot, env: &ImplicitEnv) {
+    env.retain_cache(|id| base.covers_rule(id));
+    intern::truncate_to(base);
 }
 
 /// Compiles an elaborated prelude binding and evaluates it on the VM

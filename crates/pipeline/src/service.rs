@@ -31,9 +31,9 @@
 //!   at admission and re-checked at dequeue (expired work is shed
 //!   with `deadline_exceeded`, not run), and the opsem route takes an
 //!   explicit fuel budget (`fuel_exhausted` on overrun);
-//! * **a `metrics` request** — renders the merged per-tenant
-//!   [`MetricsRegistry`] snapshots plus the daemon's own wire/admission
-//!   counters.
+//! * **a `metrics` request** — renders one [`MetricsRegistry`] row per
+//!   open tenant, their merge with every closed tenant's final
+//!   counters, and the daemon's own wire/admission counters.
 //!
 //! Request handling on tenant threads is wrapped in `catch_unwind`:
 //! a panicking program produces a structured `internal_panic` error
@@ -52,6 +52,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
+use implicit_core::env::ImplicitEnv;
+use implicit_core::intern::{self, InternSnapshot};
 pub use implicit_core::json::{parse_json, Json};
 use implicit_core::parse::{parse_declarations, parse_expr, parse_program, parse_rule_type};
 use implicit_core::resolve::{resolve, ResolutionPolicy};
@@ -314,11 +316,19 @@ struct Inner {
     addr: SocketAddr,
     counters: DaemonCounters,
     tenants: Mutex<HashMap<String, TenantHandle>>,
-    /// Last-published metrics snapshot per tenant. Entries outlive
-    /// their tenant (a closed tenant's counters stay visible), so the
-    /// merged view is monotone across the daemon's lifetime.
-    metrics: Mutex<HashMap<String, MetricsRegistry>>,
+    metrics: Mutex<TenantMetrics>,
     shutdown: AtomicBool,
+}
+
+/// What the `metrics` op reports about tenants.
+#[derive(Default)]
+struct TenantMetrics {
+    /// Last-published snapshot per open tenant (each cumulative).
+    live: HashMap<String, MetricsRegistry>,
+    /// The final counters of every closed tenant, summed, so the
+    /// merged view stays monotone across the daemon's lifetime while
+    /// the per-tenant rows stay as few as the open tenants.
+    closed: MetricsRegistry,
 }
 
 /// What a tenant thread serves: a full compile session (prelude
@@ -355,7 +365,7 @@ impl Daemon {
             addr,
             counters: DaemonCounters::default(),
             tenants: Mutex::new(HashMap::new()),
-            metrics: Mutex::new(HashMap::new()),
+            metrics: Mutex::new(TenantMetrics::default()),
             shutdown: AtomicBool::new(false),
         });
         let accept_inner = inner.clone();
@@ -678,12 +688,13 @@ fn handle_close(req: &Json, inner: &Arc<Inner>) -> Json {
 }
 
 fn handle_metrics(inner: &Arc<Inner>) -> Json {
-    let per_tenant = inner.metrics.lock().unwrap();
-    let mut merged = MetricsRegistry::new();
-    for m in per_tenant.values() {
+    let metrics = inner.metrics.lock().unwrap();
+    let mut merged = metrics.closed;
+    for m in metrics.live.values() {
         merged.merge(m);
     }
-    let mut tenants: Vec<(String, Json)> = per_tenant
+    let mut tenants: Vec<(String, Json)> = metrics
+        .live
         .iter()
         .map(|(name, m)| (name.clone(), m.to_json()))
         .collect();
@@ -847,21 +858,14 @@ fn tenant_frames_main(
     rx: Receiver<TenantJob>,
     ready: mpsc::Sender<Result<String, String>>,
 ) {
-    let mut env = implicit_core::env::ImplicitEnv::new();
-    for frame in &frames {
-        let mut rules: Vec<RuleType> = Vec::with_capacity(frame.len());
-        for src in frame {
-            match parse_rule_type(src) {
-                Ok(r) => rules.push(r),
-                Err(e) => {
-                    let _ = ready.send(Err(format!("frame rule `{src}`: {e}")));
-                    remove_tenant_record(&inner, &name);
-                    return;
-                }
-            }
+    let frames = match FramesEnv::new(&frames) {
+        Ok(f) => f,
+        Err(e) => {
+            let _ = ready.send(Err(e));
+            remove_tenant_record(&inner, &name);
+            return;
         }
-        env.push(rules);
-    }
+    };
     let _ = ready.send(Ok("frames".to_owned()));
     let policy = inner.config.policy.clone();
     let mut metrics = MetricsRegistry::new();
@@ -871,7 +875,7 @@ fn tenant_frames_main(
         }
         let resp = match job.op {
             TenantOp::Resolve { query, depth } => {
-                resolve_op(&env, &policy, &query, depth, &mut metrics)
+                resolve_op(&frames.env, &policy, &query, depth, &mut metrics)
             }
             TenantOp::Poison => {
                 inner.counters.panics.fetch_add(1, Ordering::Relaxed);
@@ -882,9 +886,49 @@ fn tenant_frames_main(
                 "resolve-only tenant (opened with `frames`); use `resolve`",
             ),
         };
-        metrics.set_cache_counters(env.cache_counters());
+        if frames.end_request() {
+            metrics.trims += 1;
+        }
+        metrics.set_cache_counters(frames.env.cache_counters());
         publish_metrics(&inner, &name, &metrics);
         let _ = job.reply.send(resp);
+    }
+    retire_metrics(&inner, &name, &metrics);
+}
+
+/// A resolve-only tenant's state: the environment its frames build,
+/// and the arena watermark taken once they are pushed.
+struct FramesEnv {
+    env: ImplicitEnv,
+    base: InternSnapshot,
+}
+
+impl FramesEnv {
+    /// Parses and pushes `frames`, outermost first.
+    fn new(frames: &[Vec<String>]) -> Result<FramesEnv, String> {
+        let mut env = ImplicitEnv::new();
+        for frame in frames {
+            let rules = frame
+                .iter()
+                .map(|src| parse_rule_type(src).map_err(|e| format!("frame rule `{src}`: {e}")))
+                .collect::<Result<Vec<RuleType>, _>>()?;
+            env.push(rules);
+        }
+        Ok(FramesEnv {
+            env,
+            base: intern::snapshot(),
+        })
+    }
+
+    /// Ends a request the way [`Session::maybe_trim`] ends a program:
+    /// forgets the pins and, once the arena has outgrown the base,
+    /// trims back to it. Returns whether it trimmed.
+    fn end_request(&self) -> bool {
+        let trim = crate::end_program(&self.base);
+        if trim {
+            crate::trim_arena(&self.base, &self.env);
+        }
+        trim
     }
 }
 
@@ -976,6 +1020,8 @@ fn tenant_prelude_main(
                 error_json("internal_panic", "tenant request panicked (contained)")
             }
         };
+        // Every request ends as a program does, `resolve` included.
+        session.maybe_trim();
         publish_metrics(&inner, &name, &session.metrics());
         let _ = job.reply.send(resp);
     }
@@ -986,7 +1032,7 @@ fn tenant_prelude_main(
     if let Some(store) = &store {
         let _ = session.persist(store);
     }
-    publish_metrics(&inner, &name, &session.metrics());
+    retire_metrics(&inner, &name, &session.metrics());
 }
 
 /// Deadline check at dequeue: replies `deadline_exceeded` and counts
@@ -1058,7 +1104,7 @@ fn run_session_op(
 
 /// Environment-level resolution shared by both tenant kinds.
 fn resolve_op(
-    env: &implicit_core::env::ImplicitEnv,
+    env: &ImplicitEnv,
     policy: &ResolutionPolicy,
     query: &str,
     depth: Option<usize>,
@@ -1103,7 +1149,21 @@ fn run_error_json(e: &implicit_elab::RunError) -> Json {
 /// Publishes the tenant's metrics snapshot (replacing its previous
 /// one — each snapshot is cumulative, so the map stays monotone).
 fn publish_metrics(inner: &Inner, name: &str, m: &MetricsRegistry) {
-    inner.metrics.lock().unwrap().insert(name.to_owned(), *m);
+    inner
+        .metrics
+        .lock()
+        .unwrap()
+        .live
+        .insert(name.to_owned(), *m);
+}
+
+/// A closing tenant's last act: folds its final counters into the
+/// closed tenants' sum and drops its row, under one lock, so no
+/// `metrics` reply sees them twice or not at all.
+fn retire_metrics(inner: &Inner, name: &str, m: &MetricsRegistry) {
+    let mut metrics = inner.metrics.lock().unwrap();
+    metrics.live.remove(name);
+    metrics.closed.merge(m);
 }
 
 /// Drops the tenants-map record of a tenant whose build failed, so
@@ -1356,6 +1416,66 @@ mod tests {
         assert_eq!(q.lets.len(), 0);
         // And the re-wrapped source is stable.
         assert_eq!(prelude_source(&q), src);
+    }
+
+    #[test]
+    fn a_frames_env_trims_back_to_its_base_and_answers_the_same() {
+        let w = genprog::wild_workload(1, &genprog::WildConfig::field_study());
+        let mut frames: Vec<Vec<String>> = w
+            .env
+            .frames_innermost_first()
+            .map(|(_, rules)| rules.iter().map(ToString::to_string).collect())
+            .collect();
+        frames.reverse();
+        let tenant = FramesEnv::new(&frames).unwrap();
+        let base = (tenant.base.type_count(), tenant.base.rule_count());
+        let policy = ResolutionPolicy::paper();
+        let answers = || -> Vec<String> {
+            w.queries
+                .iter()
+                .take(40)
+                .map(|q| {
+                    let mut m = MetricsRegistry::new();
+                    let reply = resolve_op(&tenant.env, &policy, &q.to_string(), None, &mut m);
+                    tenant.end_request();
+                    reply.render()
+                })
+                .collect()
+        };
+        let before = answers();
+        assert_eq!(intern::pinned(), (0, 0), "a request's pins end with it");
+
+        // Distinct failing queries: products 32 deep whose lower half
+        // spells `i` in `Int`/`Bool` bits and whose upper half repeats
+        // it, so each query interns at least 16 new nodes.
+        let failing = |i: u32| {
+            (0..32).fold("Unit".to_owned(), |t, k| {
+                let bit = if (i >> (k % 16)) & 1 == 1 {
+                    "Int"
+                } else {
+                    "Bool"
+                };
+                format!("({bit} * {t})")
+            })
+        };
+        let mut i = 0;
+        loop {
+            assert!(
+                i < 8_000,
+                "{i} queries never grew the arena past the threshold"
+            );
+            let mut m = MetricsRegistry::new();
+            let reply = resolve_op(&tenant.env, &policy, &failing(i), None, &mut m);
+            assert_eq!(reply.str_field("error"), Some("unresolved"));
+            i += 1;
+            if tenant.end_request() {
+                break;
+            }
+            let (types, _) = intern::arena_len();
+            assert!(types <= base.0 + crate::TRIM_THRESHOLD + 64);
+        }
+        assert_eq!(intern::arena_len(), base, "trimmed back to the base");
+        assert_eq!(answers(), before);
     }
 
     #[test]

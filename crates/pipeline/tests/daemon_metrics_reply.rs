@@ -100,3 +100,33 @@ fn metrics_reply_keys_and_order_are_pinned() {
     c.shutdown().expect("shutdown");
     daemon.shutdown();
 }
+
+#[test]
+fn closed_tenants_fold_into_merged_and_leave_no_row() {
+    // The shape of single-shot `implicitc --connect`: a tenant per
+    // client name, opened, queried once and closed. Rows of closed
+    // tenants grew the reply by about 540 bytes a name, past the
+    // frame cap before 2,000 names.
+    let mut daemon = Daemon::start(DaemonConfig::default()).expect("daemon starts");
+    let mut c = Client::connect(daemon.addr()).expect("client connects");
+    let frames = [vec!["Int".to_owned()]];
+    c.open_frames("live", &frames).expect("open");
+    for i in 0..50 {
+        let name = format!("cli-{i}");
+        c.open_frames(&name, &frames).expect("open");
+        c.resolve(&name, "Int").expect("resolve");
+        c.close(&name).expect("close");
+    }
+    c.resolve("live", "Int").expect("resolve");
+
+    let m = c.metrics().expect("metrics");
+    assert_eq!(keys(m.get("tenants").expect("tenants")), ["live"]);
+    let queries = m
+        .get("merged")
+        .and_then(|reg| reg.int_field("queries"))
+        .expect("merged queries");
+    assert_eq!(queries, 51, "every closed tenant's queries stay merged");
+
+    c.shutdown().expect("shutdown");
+    daemon.shutdown();
+}

@@ -167,25 +167,9 @@ fn soak_concurrent_tenants_match_single_threaded_replay() {
         "requests counter went backwards: {polls:?}"
     );
 
-    // Closing joins each tenant thread, so every in-flight metrics
-    // publish lands before the final read (registry entries outlive
-    // their tenants).
-    for m in 0..TENANTS {
-        admin.close(&format!("tenant-{m}")).unwrap();
-    }
-
-    // Sweep-wide accounting: every scheduled request (plus the opens
-    // and polls) is in the final counter, and per-tenant registries
-    // carry resolution work for every tenant.
+    // A tenant publishes its metrics before it replies, so once every
+    // reply is in, each open tenant's row carries its resolution work.
     let m = admin.metrics().unwrap();
-    let requests = m
-        .get("daemon")
-        .and_then(|c| c.int_field("requests"))
-        .unwrap();
-    assert!(
-        requests >= total as i64,
-        "requests={requests} < total={total}"
-    );
     let tenants = m.get("tenants").expect("per-tenant metrics");
     for (t, w) in workloads.iter().enumerate() {
         let queries = tenants
@@ -198,6 +182,33 @@ fn soak_concurrent_tenants_match_single_threaded_replay() {
             w.queries.len()
         );
     }
+
+    // Closing joins each tenant thread, which folds its final counters
+    // into the merged view and drops its row.
+    for m in 0..TENANTS {
+        admin.close(&format!("tenant-{m}")).unwrap();
+    }
+
+    // Sweep-wide accounting: every scheduled request (plus the opens
+    // and polls) is in the final counter, and the merged registry
+    // keeps every closed tenant's resolution work.
+    let m = admin.metrics().unwrap();
+    let requests = m
+        .get("daemon")
+        .and_then(|c| c.int_field("requests"))
+        .unwrap();
+    assert!(
+        requests >= total as i64,
+        "requests={requests} < total={total}"
+    );
+    let merged = m
+        .get("merged")
+        .and_then(|reg| reg.int_field("queries"))
+        .unwrap_or(0);
+    assert!(
+        merged >= total as i64,
+        "merged queries={merged} < total={total}"
+    );
 }
 
 #[test]
